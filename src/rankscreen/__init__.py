@@ -4,7 +4,6 @@ dimensional data, plus the simulation harness that benchmarks it."""
 from .baselines import kendall_sis, kendall_tau_b, pearson_sis
 from .bench import MetricsReport, mms, rsd, run_replications
 from .dataset import Dataset
-from .empirical import EmpiricalCdf, JointCounts, ecdf_build, joint_eval, joint_eval_all
 from .errors import (
     DegenerateEvaluation,
     HarnessError,
@@ -27,7 +26,6 @@ from .report import ScreeningReport, TopD, UtilityThreshold, default_top_d
 from .rpc_screen import (
     ResidualMatrix,
     residualize,
-    robust_partial_corr,
     rpc_screen,
     rpc_utility,
 )

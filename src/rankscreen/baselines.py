@@ -57,6 +57,18 @@ def _concordance_sum(y_sign: np.ndarray, x: np.ndarray) -> int:
     return int(round(total)) // 2
 
 
+def _tau_b(y_sign: np.ndarray, n2: int, x: np.ndarray) -> float:
+    """Tau-b of x against the response whose sign matrix is ``y_sign`` and
+    whose tied-pair count is ``n2``; NaN when either column is constant."""
+    n = x.size
+    n0 = n * (n - 1) // 2
+    n1 = _tie_pair_count(x)
+    if n0 == n1 or n0 == n2:
+        return math.nan
+    s = _concordance_sum(y_sign, x)
+    return s / math.sqrt((n0 - n1) * (n0 - n2))
+
+
 def kendall_tau_b(y_col, x_col) -> float:
     """Tie-corrected Kendall rank correlation.
 
@@ -72,13 +84,7 @@ def kendall_tau_b(y_col, x_col) -> float:
     if n < 2:
         raise InvalidInput("need at least 2 observations")
     y_sign = np.sign(y[:, None] - y[None, :])
-    s = _concordance_sum(y_sign, x)
-    n0 = n * (n - 1) // 2
-    n1 = _tie_pair_count(x)
-    n2 = _tie_pair_count(y)
-    if n0 == n1 or n0 == n2:
-        return math.nan
-    return s / math.sqrt((n0 - n1) * (n0 - n2))
+    return _tau_b(y_sign, _tie_pair_count(y), x)
 
 
 def kendall_utility(y_col, x_col) -> float:
@@ -119,23 +125,19 @@ def kendall_sis(dataset: Dataset, selection: Selection | None = None) -> Screeni
     if dataset.n < 2:
         raise InvalidInput("need at least 2 observations")
     y = dataset.y
-    n = dataset.n
     y_sign = np.sign(y[:, None] - y[None, :])
-    n0 = n * (n - 1) // 2
     n2 = _tie_pair_count(y)
     utilities = np.zeros(dataset.p)
     warned = False
     for j in range(dataset.p):
-        x = dataset.x[:, j]
-        n1 = _tie_pair_count(x)
-        if n0 == n1 or n0 == n2:
+        tau = _tau_b(y_sign, n2, dataset.x[:, j])
+        if math.isnan(tau):
             if not warned:
                 warnings.warn("constant column; Kendall utility set to 0",
                               stacklevel=2)
                 warned = True
             continue
-        s = _concordance_sum(y_sign, x)
-        utilities[j] = abs(s / math.sqrt((n0 - n1) * (n0 - n2)))
+        utilities[j] = abs(tau)
     if selection is None:
         selection = TopD(default_top_d(dataset.n))
     return build_report("Kendall-SIS", utilities, selection, dataset.n)

@@ -10,7 +10,6 @@ budget.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,7 +19,7 @@ from .baselines import kendall_sis, pearson_sis
 from .dataset import Dataset
 from .errors import HarnessError, InvalidInput
 from .rc_screen import rc_screen
-from .report import ScreeningReport, TopD, default_top_d
+from .report import ScreeningReport, Selection, TopD, default_top_d
 from .rpc_screen import rpc_screen
 from .simgen import Scenario, simulate
 from .spline import BasisConfig
@@ -39,26 +38,24 @@ RSD_SCALE = 1.349  # normal-consistent IQR scale
 
 METHOD_NAMES = ("rc", "rpc-l2", "rpc-l1", "pearson", "kendall")
 
-Screener = Callable[[Dataset, TopD], ScreeningReport]
+Screener = Callable[[Dataset, Selection], ScreeningReport]
 
 
-def get_method(name: str, basis_config: BasisConfig = BasisConfig(),
-               threads: int = 1) -> Screener:
+def get_method(name: str,
+               basis_config: BasisConfig = BasisConfig()) -> Screener:
     """Resolve a CLI method name to a screener callable."""
     if name == "rc":
-        return lambda ds, sel: rc_screen(ds, sel, threads=threads)
+        return rc_screen
     if name == "pearson":
-        return lambda ds, sel: pearson_sis(ds, sel)
+        return pearson_sis
     if name == "kendall":
-        return lambda ds, sel: kendall_sis(ds, sel)
+        return kendall_sis
     if name == "rpc-l2":
         return lambda ds, sel: rpc_screen(ds, loss="l2", selection=sel,
-                                          basis_config=basis_config,
-                                          threads=threads)
+                                          basis_config=basis_config)
     if name == "rpc-l1":
         return lambda ds, sel: rpc_screen(ds, loss="l1", selection=sel,
-                                          basis_config=basis_config,
-                                          threads=threads)
+                                          basis_config=basis_config)
     raise InvalidInput(
         f"unknown method '{name}'; valid: {', '.join(METHOD_NAMES)}"
     )
@@ -153,8 +150,7 @@ class MetricsReport:
 def run_replications(scenario, methods, n_reps: int, base_seed: int,
                      d_n: int | None = None,
                      max_failure_fraction: float = 0.05,
-                     basis_config: BasisConfig = BasisConfig(),
-                     threads: int = 1) -> MetricsReport:
+                     basis_config: BasisConfig = BasisConfig()) -> MetricsReport:
     """Run every method on ``n_reps`` independently generated datasets.
 
     Parameters
@@ -170,10 +166,6 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
         Replication r uses the child stream ``SeedSequence([base_seed, r])``.
     d_n : int, optional
         Screening budget; default floor(n / ln n) for the generated n.
-    threads : int
-        Worker cap for replication-level parallelism.  Results are collected
-        per replication index and aggregated after sorting, so the report is
-        identical for any thread count.
 
     Raises
     ------
@@ -212,21 +204,13 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
             ranks[name] = pos[sim.active]
         return budget, sim.active, ranks
 
-    results: list = [None] * n_reps
+    kept: list = []
     errors: list = []
-
-    def run(r: int):
+    for r in range(n_reps):
         try:
-            results[r] = one_replication(r)
+            kept.append(one_replication(r))
         except Exception as exc:  # noqa: BLE001 - harness counts failures
             errors.append((r, repr(exc)))
-
-    if threads <= 1:
-        for r in range(n_reps):
-            run(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(n_reps)))
 
     n_failures = len(errors)
     if n_failures > max_failure_fraction * n_reps:
@@ -235,7 +219,6 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
             f"{n_failures}/{n_reps} replications failed ({detail})"
         )
 
-    kept = [res for res in results if res is not None]
     budget = kept[0][0]
     active = kept[0][1]
     per_method = []

@@ -10,18 +10,15 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .baselines import kendall_sis, pearson_sis
-from .bench import METHOD_NAMES, run_replications
+from .bench import METHOD_NAMES, get_method, run_replications
 from .dataset import Dataset
 from .errors import InvalidInput, RankscreenError
-from .rc_screen import rc_screen, wild_bootstrap_test
+from .rc_screen import wild_bootstrap_test
 from .report import ScreeningReport, TopD, UtilityThreshold, default_top_d
-from .rpc_screen import rpc_screen
 from .simgen import make_scenario, scenario_from_config
 from .spline import BasisConfig
 
@@ -170,16 +167,7 @@ def _cmd_screen(args, parser) -> int:
     else:
         selection = TopD(default_top_d(dataset.n))
     basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
-    if args.method == "rc":
-        report = rc_screen(dataset, selection, threads=args.threads)
-    elif args.method == "pearson":
-        report = pearson_sis(dataset, selection)
-    elif args.method == "kendall":
-        report = kendall_sis(dataset, selection)
-    else:
-        loss = "l2" if args.method == "rpc-l2" else "l1"
-        report = rpc_screen(dataset, loss=loss, basis_config=basis,
-                            selection=selection, threads=args.threads)
+    report = get_method(args.method, basis_config=basis)(dataset, selection)
     payload = _report_json(report, dataset, args.seed)
     _write_json(payload, args.output)
     k = min(args.top_k, report.p)
@@ -226,7 +214,7 @@ def _cmd_simulate(args, parser) -> int:
     seed = _resolve_seed(args.seed)
     basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
     report = run_replications(scenario, methods, reps, seed, d_n=args.d_n,
-                              basis_config=basis, threads=args.threads)
+                              basis_config=basis)
     rows = report.to_csv_rows()
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     print(f"scenario {scenario.id}: n = {scenario.n}, p = {scenario.p}, "
@@ -300,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; omit for entropy (printed for replay)")
-        p.add_argument("--threads", type=int,
-                       default=max(1, os.cpu_count() or 1),
-                       help="worker cap; output is independent of this")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect "
+                            "(all computation is serial)")
         p.add_argument("--degree", type=int, default=3,
                        help="spline degree for rpc-* methods")
         p.add_argument("--n-basis", type=int, default=4,

@@ -1,36 +1,24 @@
-"""Rank and empirical-CDF machinery shared by all screening estimators.
+"""Integer rank counts shared by all screening estimators.
 
 Every correlation-type quantity downstream reduces to three integer counts
-per evaluation point: the marginal counts ``#{k : y_k <= t}`` and
-``#{k : x_k <= t}`` and the joint dominance count
-``#{k : y_k <= y, x_k <= x}``.  This module computes those counts and applies
-the boundary rescaling ``n/(n+1)`` that keeps every variance-type denominator
-strictly positive at sample points.  Note the identity
-
-    (n/(n+1)) * (count/n) == count/(n+1)
-
-so rescaled evaluations are computed as ``count/(n+1)`` (exact in floating
-point whenever ``count/(n+1)`` is).
+per sample point: the marginal weak-rank counts ``#{k : y_k <= y_i}`` and
+``#{k : x_k <= x_i}`` and the joint dominance count
+``#{k : y_k <= y_i, x_k <= x_i}``.  This module computes those counts
+exactly; `dominance_counts_matrix` is the only joint-count kernel, and a
+single column is its p = 1 call.  The ``n/(n+1)`` boundary rescale of the
+empirical CDFs, ``(n/(n+1)) * (count/n) == count/(n+1)``, is applied where
+the counts are turned into correlations (``rc_screen._rho_from_counts``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
 
 __all__ = [
-    "EmpiricalCdf",
-    "JointCounts",
-    "ecdf_build",
-    "joint_eval",
-    "joint_eval_raw",
-    "joint_eval_all",
     "leq_counts",
     "leq_counts_matrix",
-    "dominance_counts",
     "dominance_counts_matrix",
 ]
 
@@ -43,92 +31,6 @@ def as_finite_vector(sample, name: str = "sample") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contains non-finite values")
     return arr
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical CDF of a one-dimensional sample.
-
-    Attributes
-    ----------
-    values : ndarray
-        Sorted copy of the sample.
-    n : int
-        Sample size.
-    """
-
-    values: np.ndarray
-    n: int
-
-    def counts(self, t):
-        """``#{k : values_k <= t}`` via binary search; scalar or array ``t``."""
-        return np.searchsorted(self.values, t, side="right")
-
-    def eval_raw(self, t):
-        """Unrescaled ECDF value ``counts(t)/n`` (diagnostic use)."""
-        return self.counts(t) / self.n
-
-    def eval_rescaled(self, t):
-        """Rescaled ECDF value ``counts(t)/(n+1)``, inside ``[0, n/(n+1)]``."""
-        return self.counts(t) / (self.n + 1)
-
-
-def ecdf_build(sample) -> EmpiricalCdf:
-    """Build an empirical CDF from a nonempty finite sample.
-
-    Evaluation afterwards costs O(log n) per point.
-    """
-    arr = as_finite_vector(sample)
-    return EmpiricalCdf(values=np.sort(arr), n=arr.size)
-
-
-@dataclass(frozen=True)
-class JointCounts:
-    """Paired sample supporting joint dominance counting.
-
-    Attributes
-    ----------
-    y, x : ndarray
-        The paired observations, in original order.
-    n : int
-        Number of pairs.
-    """
-
-    y: np.ndarray
-    x: np.ndarray
-    n: int
-
-    @classmethod
-    def build(cls, y, x) -> "JointCounts":
-        y = as_finite_vector(y, "y")
-        x = as_finite_vector(x, "x")
-        if y.size != x.size:
-            raise InvalidInput(
-                f"paired samples have different lengths ({y.size} vs {x.size})"
-            )
-        return cls(y=y, x=x, n=y.size)
-
-
-def joint_eval_raw(jc: JointCounts, y: float, x: float) -> float:
-    """Fraction of pairs with ``y_k <= y`` and ``x_k <= x`` (unrescaled)."""
-    count = int(np.sum((jc.y <= y) & (jc.x <= x)))
-    return count / jc.n
-
-
-def joint_eval(jc: JointCounts, y: float, x: float) -> float:
-    """Rescaled joint ECDF value ``count/(n+1)``, consistent with marginals."""
-    count = int(np.sum((jc.y <= y) & (jc.x <= x)))
-    return count / (jc.n + 1)
-
-
-def joint_eval_all(jc: JointCounts) -> np.ndarray:
-    """Rescaled joint ECDF evaluated at every sample pair.
-
-    Element ``i`` equals ``joint_eval(jc, y_i, x_i)``.  Uses an
-    O(n log n) Fenwick-tree sweep; by construction the integer counts agree
-    exactly with the O(n^2) double loop.
-    """
-    return dominance_counts(jc.y, jc.x) / (jc.n + 1)
 
 
 def leq_counts(col: np.ndarray) -> np.ndarray:
@@ -146,67 +48,25 @@ def leq_counts_matrix(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def dominance_counts(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``c[i] = #{k : y_k <= y_i and x_k <= x_i}`` in O(n log n).
-
-    Sweep in increasing y order with a Fenwick tree over compressed x ranks.
-    Ties in y are handled by inserting a whole tie group before querying any
-    of its members, matching the weak inequality on both coordinates.
-    """
-    n = y.size
-    _, xr = np.unique(x, return_inverse=True)
-    order = np.argsort(y, kind="stable")
-    tree = [0] * (n + 1)
-
-    def add(pos: int):
-        i = pos + 1
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
-
-    def query(pos: int) -> int:
-        i = pos + 1
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & -i
-        return s
-
-    out = np.empty(n, dtype=np.int64)
-    ys = y[order]
-    i = 0
-    while i < n:
-        j = i
-        while j < n and ys[j] == ys[i]:
-            j += 1
-        for k in range(i, j):
-            add(int(xr[order[k]]))
-        for k in range(i, j):
-            idx = order[k]
-            out[idx] = query(int(xr[idx]))
-        i = j
-    return out
-
-
-def dominance_counts_matrix(y: np.ndarray, x: np.ndarray,
-                            chunk_bytes: int = 1 << 26) -> np.ndarray:
+def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Joint dominance counts of y against every column of x.
 
     Returns an (n, p) int64 array with
     ``c[i, j] = #{k : y_k <= y_i and x[k, j] <= x[i, j]}``.
 
-    Vectorized over column chunks; float32 accumulation is exact because all
-    counts are integers far below 2**24.  Produces the same integers as
-    `dominance_counts` applied column by column.
+    Rows are swept in increasing y order.  Every row from the first member
+    of row k's y-tie group onward has ``y >= y_k``, so row k adds its x
+    comparison to exactly those rows.  The counts are exact integers; time
+    is O(n^2 p) and memory O(n p).
     """
     n, p = x.shape
-    yle = (y[:, None] <= y[None, :]).astype(np.float32)  # yle[k, i]
-    out = np.empty((n, p), dtype=np.int64)
-    chunk = max(1, chunk_bytes // (4 * n * n))
-    for s in range(0, p, chunk):
-        e = min(p, s + chunk)
-        block = x[:, s:e]
-        xle = (block[:, None, :] <= block[None, :, :]).astype(np.float32)
-        counts = np.einsum("ki,kic->ic", yle, xle)
-        out[:, s:e] = np.rint(counts).astype(np.int64)
+    order = np.argsort(y, kind="stable")
+    ys, xs = y[order], x[order]
+    start = np.searchsorted(ys, ys, side="left")
+    counts = np.zeros((n, p), dtype=np.int64)
+    for k in range(n):
+        s = start[k]
+        counts[s:] += xs[k] <= xs[s:]
+    out = np.empty_like(counts)
+    out[order] = counts
     return out

@@ -7,15 +7,16 @@ The pointwise estimator evaluated at a sample pair reduces, under the
     rho = ((n+1)*c - ry*rx) / sqrt( ry*(n+1-ry) * rx*(n+1-rx) )
 
 where ``ry``, ``rx`` are the marginal weak-rank counts at the point and
-``c`` the joint dominance count.  All code paths (single pair, batch
-screening, bootstrap replicates) share this arithmetic so results are
-bit-identical across them.
+``c`` the joint dominance count.  Every code path (single pair, batch
+screening, bootstrap replicates) takes ``rho`` from `_rho_from_counts`, and
+the utility paths take their counts from the one batch kernel
+`~rankscreen.empirical.dominance_counts_matrix`, so results are
+bit-identical across them.  All computation is serial.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ import numpy as np
 from .dataset import Dataset
 from .empirical import (
     as_finite_vector,
-    dominance_counts,
     dominance_counts_matrix,
     leq_counts,
     leq_counts_matrix,
@@ -44,9 +44,14 @@ __all__ = [
 
 
 def _rho_from_counts(c, ry, rx, n):
-    """Correlation of rank indicators from integer counts (vectorized)."""
+    """Correlation of rank indicators from integer counts (vectorized).
+
+    The two radicand factors are exact integers; their product would
+    overflow int64 near n = 1e5, so it is formed in float64, rounded once
+    like ``math.sqrt`` of the exact integer product.
+    """
     num = (n + 1.0) * c - ry * rx
-    rad = (ry * (n + 1 - ry)) * (rx * (n + 1 - rx))
+    rad = np.multiply(ry * (n + 1 - ry), rx * (n + 1 - rx), dtype=float)
     return num / np.sqrt(rad)
 
 
@@ -81,9 +86,7 @@ def robust_corr(y: float, x: float, y_sample, x_sample) -> float:
     if ry == 0 or rx == 0:
         return 0.0
     c = int(np.sum((ys <= y) & (xs <= x)))
-    num = (n + 1.0) * c - ry * rx
-    rad = (ry * (n + 1 - ry)) * (rx * (n + 1 - rx))
-    return num / math.sqrt(rad)
+    return float(_rho_from_counts(c, ry, rx, n))
 
 
 def rc_utility(y_col, x_col) -> float:
@@ -100,22 +103,13 @@ def rc_utility(y_col, x_col) -> float:
         raise InvalidInput(
             f"column lengths differ ({y.size} vs {x.size})"
         )
-    n = y.size
-    if n < 2:
-        raise InvalidInput("need at least 2 observations")
-    ry = leq_counts(y)
-    rx = leq_counts(x)
-    c = dominance_counts(y, x)
-    rho = _rho_from_counts(c, ry, rx, n)
-    return float(np.mean(rho * rho))
+    return float(rc_utilities(y, x[:, None])[0])
 
 
-def rc_utilities(y_col, x, threads: int = 1) -> np.ndarray:
+def rc_utilities(y_col, x) -> np.ndarray:
     """Utilities for every column of an (n, p) covariate matrix.
 
-    Columns are independent; with ``threads > 1`` they are processed in
-    parallel chunks whose results are written into a preallocated array, so
-    the output is bit-identical to serial execution.
+    Each column's utility is bit-identical to `rc_utility` on that column.
     """
     y = as_finite_vector(y_col, "y_col")
     x = np.asarray(x, dtype=float)
@@ -127,33 +121,17 @@ def rc_utilities(y_col, x, threads: int = 1) -> np.ndarray:
     if n < 2:
         raise InvalidInput("need at least 2 observations")
     ry = leq_counts(y)
+    rx = leq_counts_matrix(x)
+    c = dominance_counts_matrix(y, x)
     out = np.empty(p)
-
-    def fill(lo: int, hi: int):
-        block = x[:, lo:hi]
-        rx = leq_counts_matrix(block)
-        c = dominance_counts_matrix(y, block)
-        for j in range(hi - lo):
-            rho = _rho_from_counts(c[:, j], ry, rx[:, j], n)
-            out[lo + j] = np.mean(rho * rho)
-
-    if threads <= 1 or p == 1:
-        fill(0, p)
-    else:
-        n_chunks = min(threads, p)
-        bounds = np.linspace(0, p, n_chunks + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(fill, int(bounds[i]), int(bounds[i + 1]))
-                for i in range(n_chunks)
-            ]
-            for f in futures:
-                f.result()
+    for j in range(p):
+        rho = _rho_from_counts(c[:, j], ry, rx[:, j], n)
+        out[j] = np.mean(rho * rho)
     return out
 
 
-def rc_screen(dataset: Dataset, selection: Selection | None = None,
-              threads: int = 1) -> ScreeningReport:
+def rc_screen(dataset: Dataset,
+              selection: Selection | None = None) -> ScreeningReport:
     """Rank all covariates by RC utility and select a subset.
 
     Parameters
@@ -166,7 +144,7 @@ def rc_screen(dataset: Dataset, selection: Selection | None = None,
     dataset.require_finite()
     if dataset.n < 2:
         raise InvalidInput("need at least 2 observations")
-    utilities = rc_utilities(dataset.y, dataset.x, threads=threads)
+    utilities = rc_utilities(dataset.y, dataset.x)
     if selection is None:
         selection = TopD(default_top_d(dataset.n))
     return build_report("RC-SIS", utilities, selection, dataset.n)
@@ -301,8 +279,8 @@ class BootstrapTestResult:
 
 def _rademacher_matrix(seed: int, n: int, n_boot: int) -> np.ndarray:
     """(n, n_boot) matrix of +-1 draws; column d comes from the d-th child
-    stream of ``SeedSequence(seed)`` so replicates parallelize
-    deterministically."""
+    stream of ``SeedSequence(seed)``, so each replicate's draws depend only
+    on the seed and the replicate index."""
     children = np.random.SeedSequence(seed).spawn(n_boot)
     out = np.empty((n, n_boot))
     for d, child in enumerate(children):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InvalidInput, SingularDesign
-from .rc_screen import rc_utilities, rc_utility, robust_corr
+from .rc_screen import rc_utilities, rc_utility
 from .report import Selection, ScreeningReport, TopD, build_report, default_top_d
 from .spline import (
     BasisConfig,
@@ -25,7 +25,6 @@ from .spline import (
 __all__ = [
     "ResidualMatrix",
     "residualize",
-    "robust_partial_corr",
     "rpc_utility",
     "rpc_screen",
 ]
@@ -128,11 +127,6 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
                           loss="l1", basis=basis, diagnostics=diagnostics)
 
 
-def robust_partial_corr(u: float, v: float, eps_y, eps_xj) -> float:
-    """Indicator correlation of a residual pair at the point ``(u, v)``."""
-    return robust_corr(u, v, eps_y, eps_xj)
-
-
 def rpc_utility(eps_y, eps_xj) -> float:
     """RC utility of a residual pair; same contract as `rc_utility`."""
     return rc_utility(eps_y, eps_xj)
@@ -141,8 +135,7 @@ def rpc_utility(eps_y, eps_xj) -> float:
 def rpc_screen(dataset: Dataset, loss: str = "l2",
                basis_config: BasisConfig = BasisConfig(),
                selection: Selection | None = None,
-               lad_config: LadConfig = LadConfig(),
-               threads: int = 1) -> ScreeningReport:
+               lad_config: LadConfig = LadConfig()) -> ScreeningReport:
     """Exposure-adjusted screening: residualize, then rank by RC utility of
     the residual pairs.
 
@@ -150,7 +143,7 @@ def rpc_screen(dataset: Dataset, loss: str = "l2",
     """
     residuals = residualize(dataset, basis_config=basis_config, loss=loss,
                             lad_config=lad_config)
-    utilities = rc_utilities(residuals.eps_y, residuals.eps_x, threads=threads)
+    utilities = rc_utilities(residuals.eps_y, residuals.eps_x)
     if selection is None:
         selection = TopD(default_top_d(dataset.n))
     tag = f"RPC-SIS({loss.upper()})"

@@ -2,7 +2,7 @@
 paths.
 
 Every count here is derived by explicit enumeration (nested Python loops),
-independently of the sorting / Fenwick / einsum machinery under test.  The
+independently of the sorted sweeps and sign matrices under test.  The
 final floating-point expressions mirror the library's documented formulas so
 exact equality is well defined.
 """

@@ -104,14 +104,6 @@ class TestRunReplications:
         for ma, mb in zip(a.per_method, b.per_method):
             assert np.array_equal(ma.mms_values, mb.mms_values)
 
-    def test_threaded_matches_serial(self):
-        a = run_replications(_duplicate_generator(), ["rc"], 6, base_seed=4,
-                             threads=1)
-        b = run_replications(_duplicate_generator(), ["rc"], 6, base_seed=4,
-                             threads=3)
-        assert np.array_equal(a.per_method[0].mms_values,
-                              b.per_method[0].mms_values)
-
     def test_proportion_monotone_in_budget(self):
         sc = make_scenario("E1", n=50, p=60)
         loose = run_replications(sc, ["rc"], 8, base_seed=5, d_n=20)

@@ -237,3 +237,17 @@ class TestTestCommand:
         code = main(["test", "--input", small_csv, "--response", "y",
                      "--covariate", "nope"])
         assert code == 1
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("argv", [
+        ["screen", "--method", "rc"],
+        ["test", "--all", "--n-boot", "20"],
+        ["simulate", "--scenario", "E1", "--n", "30", "--p", "20",
+         "--reps", "1"],
+    ])
+    def test_accepted_without_effect(self, argv, small_csv, capsys):
+        if argv[0] != "simulate":
+            argv = argv + ["--input", small_csv, "--response", "y"]
+        code = main(argv + ["--threads", "2", "--seed", "1"])
+        assert code == 0

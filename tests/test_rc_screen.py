@@ -3,7 +3,13 @@ import pytest
 
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput
-from rankscreen.rc_screen import rc_screen, rc_utilities, rc_utility, robust_corr
+from rankscreen.rc_screen import (
+    _rho_from_counts,
+    rc_screen,
+    rc_utilities,
+    rc_utility,
+    robust_corr,
+)
 from rankscreen.report import TopD, UtilityThreshold, default_top_d
 
 from oracles import rc_utility_oracle
@@ -114,12 +120,13 @@ class TestRcUtilitiesBatch:
         for j in range(9):
             assert batch[j] == rc_utility(y, x[:, j])
 
-    def test_threaded_equals_serial_bitwise(self):
-        rng = np.random.default_rng(9)
-        y = rng.standard_normal(50)
-        x = rng.standard_normal((50, 23))
-        assert np.array_equal(rc_utilities(y, x, threads=4),
-                              rc_utilities(y, x, threads=1))
+    def test_rho_exact_at_large_n(self):
+        # identity counts c = ry = rx give rho = 1 exactly; the radicand
+        # product exceeds int64 here, so it must not be formed in int64
+        n = 120_000
+        counts = np.arange(1, n + 1, dtype=np.int64)
+        rho = _rho_from_counts(counts, counts, counts, n)
+        assert np.all(rho == 1.0)
 
 
 def _noise_dataset(seed=10, n=100, p=4):

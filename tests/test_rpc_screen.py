@@ -3,10 +3,9 @@ import pytest
 
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput
-from rankscreen.rc_screen import rc_screen, rc_utilities
+from rankscreen.rc_screen import rc_screen, rc_utilities, robust_corr
 from rankscreen.rpc_screen import (
     residualize,
-    robust_partial_corr,
     rpc_screen,
     rpc_utility,
 )
@@ -101,20 +100,20 @@ class TestRobustPartialCorr:
         rng = np.random.default_rng(7)
         eps = rng.standard_normal(41)
         med = np.median(eps)
-        assert robust_partial_corr(med, med, eps, eps) == 1.0
+        assert robust_corr(med, med, eps, eps) == 1.0
 
     def test_hand_residual_pairs(self):
         # same arithmetic as the raw-data estimator applied to residuals
         eps_y = [1, 2, 3, 4]
         eps_x = [4, 3, 2, 1]
-        assert robust_partial_corr(2, 2, eps_y, eps_x) == pytest.approx(
+        assert robust_corr(2, 2, eps_y, eps_x) == pytest.approx(
             -2 / 3, abs=1e-15)
 
     def test_independent_residuals_average_small(self):
         rng = np.random.default_rng(8)
         e1 = rng.standard_normal(200)
         e2 = rng.standard_normal(200)
-        vals = [abs(robust_partial_corr(a, b, e1, e2))
+        vals = [abs(robust_corr(a, b, e1, e2))
                 for a, b in zip(e1, e2)]
         assert np.mean(vals) < 0.15
 

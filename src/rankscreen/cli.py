@@ -51,8 +51,10 @@ def load_csv(path: str, response_name: str,
 
     The response (and optional exposure) columns are extracted by name; all
     remaining columns become covariates in header order.  Cells must parse
-    as finite numbers; violations are reported with their row and column
-    (rows are counted as in the file, header = row 1).
+    as finite numbers; the first violation in file order is reported with
+    its row and column (rows are counted as in the file, header = row 1).
+    The table is parsed as one array; the cell-by-cell scan runs only when
+    that parse fails or finds a non-finite value.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -72,16 +74,22 @@ def load_csv(path: str, response_name: str,
     x_idx = [j for j in range(len(header)) if j != y_idx and j != z_idx]
     if not x_idx:
         raise InvalidInput(f"{path}: no covariate columns remain")
-    data = np.empty((len(rows), len(header)))
-    for i, row in enumerate(rows):
-        file_row = i + 2
-        if len(row) != len(header):
-            raise InvalidInput(
-                f"{path}: row {file_row} has {len(row)} cells, expected "
-                f"{len(header)}"
-            )
-        for j, cell in enumerate(row):
-            data[i, j] = _parse_cell(cell, file_row, header[j])
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = np.empty(0)
+    if data.shape != (len(rows), len(header)) or not np.isfinite(data).all():
+        # locate the first bad row or cell in file order
+        data = np.empty((len(rows), len(header)))
+        for i, row in enumerate(rows):
+            file_row = i + 2
+            if len(row) != len(header):
+                raise InvalidInput(
+                    f"{path}: row {file_row} has {len(row)} cells, expected "
+                    f"{len(header)}"
+                )
+            for j, cell in enumerate(row):
+                data[i, j] = _parse_cell(cell, file_row, header[j])
     return Dataset(
         y=data[:, y_idx],
         x=data[:, x_idx],

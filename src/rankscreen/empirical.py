@@ -34,17 +34,24 @@ def as_finite_vector(sample, name: str = "sample") -> np.ndarray:
 
 
 def leq_counts(col: np.ndarray) -> np.ndarray:
-    """``r[i] = #{k : col_k <= col_i}`` for one column, O(n log n)."""
-    return np.searchsorted(np.sort(col), col, side="right").astype(np.int64)
+    """``r[i] = #{k : col_k <= col_i}`` for one column."""
+    return leq_counts_matrix(np.asarray(col)[:, None])[:, 0]
 
 
 def leq_counts_matrix(x: np.ndarray) -> np.ndarray:
-    """Per-column weak-rank counts for an (n, p) matrix."""
-    n, p = x.shape
-    out = np.empty((n, p), dtype=np.int64)
-    for j in range(p):
-        col = x[:, j]
-        out[:, j] = np.searchsorted(np.sort(col), col, side="right")
+    """Per-column weak-rank counts ``r[i, j] = #{k : x[k, j] <= x[i, j]}``,
+    exact int64: after one sort of every column, the count at a sorted
+    position is one past the last position of its tie group.
+    """
+    n = x.shape[0]
+    order = np.argsort(x, axis=0)
+    xs = np.take_along_axis(x, order, axis=0)
+    counts = np.full(x.shape, n, dtype=np.int64)
+    np.copyto(counts[:-1], np.arange(1, n)[:, None], where=xs[:-1] != xs[1:])
+    del xs
+    np.minimum.accumulate(counts[::-1], axis=0, out=counts[::-1])
+    out = np.empty_like(counts)
+    np.put_along_axis(out, order, counts, axis=0)
     return out
 
 

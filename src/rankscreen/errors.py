@@ -10,7 +10,10 @@ class InvalidInput(RankscreenError):
 
 
 class SingularDesign(RankscreenError):
-    """Spline design matrix is numerically rank deficient."""
+    """Spline design matrix is numerically rank deficient; ``target`` is the
+    index of the failing fit when a stack of fits is solved together."""
+
+    target: int | None = None
 
 
 class OutOfSupport(RankscreenError):

@@ -55,6 +55,16 @@ def _rho_from_counts(c, ry, rx, n):
     return num / np.sqrt(rad)
 
 
+def _paired_sample(y_sample, x_sample):
+    ys = as_finite_vector(y_sample, "y_sample")
+    xs = as_finite_vector(x_sample, "x_sample")
+    if ys.size != xs.size:
+        raise InvalidInput("paired samples have different lengths")
+    if ys.size < 2:
+        raise InvalidInput("need at least 2 paired observations")
+    return ys, xs, ys.size
+
+
 def robust_corr(y: float, x: float, y_sample, x_sample) -> float:
     """Indicator-correlation estimate at the point ``(y, x)``.
 
@@ -74,13 +84,7 @@ def robust_corr(y: float, x: float, y_sample, x_sample) -> float:
     -------
     float in [-1, 1]
     """
-    ys = as_finite_vector(y_sample, "y_sample")
-    xs = as_finite_vector(x_sample, "x_sample")
-    if ys.size != xs.size:
-        raise InvalidInput("paired samples have different lengths")
-    n = ys.size
-    if n < 2:
-        raise InvalidInput("need at least 2 paired observations")
+    ys, xs, n = _paired_sample(y_sample, x_sample)
     ry = int(np.sum(ys <= y))
     rx = int(np.sum(xs <= x))
     if ry == 0 or rx == 0:
@@ -120,6 +124,10 @@ def rc_utilities(y_col, x) -> np.ndarray:
         raise InvalidInput("response length does not match covariate rows")
     if n < 2:
         raise InvalidInput("need at least 2 observations")
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise InvalidInput(
+            f"covariate column {np.argmin(finite)} is not finite")
     ry = leq_counts(y)
     rx = leq_counts_matrix(x)
     c = dominance_counts_matrix(y, x)
@@ -142,8 +150,6 @@ def rc_screen(dataset: Dataset,
         Defaults to keeping the top ``floor(n / ln n)`` columns.
     """
     dataset.require_finite()
-    if dataset.n < 2:
-        raise InvalidInput("need at least 2 observations")
     utilities = rc_utilities(dataset.y, dataset.x)
     if selection is None:
         selection = TopD(default_top_d(dataset.n))
@@ -165,47 +171,13 @@ class PointwiseCi:
     upper: float
 
 
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
-
-
 def _norm_ppf(prob: float) -> float:
-    """Standard normal quantile via a rational approximation plus one
-    Halley refinement step (accuracy well below 1e-8; no tables)."""
+    """Standard normal quantile."""
+    # imported here: the module costs every command about 0.5 MB of RSS
+    from statistics import NormalDist
     if not 0.0 < prob < 1.0:
         raise InvalidInput("probability must be in (0, 1)")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if prob < p_low:
-        q = math.sqrt(-2.0 * math.log(prob))
-        z = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-              + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif prob <= 1.0 - p_low:
-        q = prob - 0.5
-        r = q * q
-        z = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-              + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r
-                + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - prob))
-        z = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-               + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    # Halley polish using the exact normal CDF via erfc.
-    err = 0.5 * math.erfc(-z / math.sqrt(2.0)) - prob
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(z * z / 2.0)
-    return z - u / (1.0 + z * u / 2.0)
+    return NormalDist().inv_cdf(prob)
 
 
 def robust_corr_ci(y: float, x: float, y_sample, x_sample,
@@ -225,13 +197,7 @@ def robust_corr_ci(y: float, x: float, y_sample, x_sample,
     """
     if not 0.0 < level < 1.0:
         raise InvalidInput("level must be in (0, 1)")
-    ys = as_finite_vector(y_sample, "y_sample")
-    xs = as_finite_vector(x_sample, "x_sample")
-    if ys.size != xs.size:
-        raise InvalidInput("paired samples have different lengths")
-    n = ys.size
-    if n < 2:
-        raise InvalidInput("need at least 2 paired observations")
+    ys, xs, n = _paired_sample(y_sample, x_sample)
     iy = (ys <= y).astype(float)
     ix = (xs <= x).astype(float)
     fy = iy.sum() / (n + 1)
@@ -277,16 +243,24 @@ class BootstrapTestResult:
     seed: int
 
 
+_last_rademacher: dict = {}
+
+
 def _rademacher_matrix(seed: int, n: int, n_boot: int) -> np.ndarray:
     """(n, n_boot) matrix of +-1 draws; column d comes from the d-th child
     stream of ``SeedSequence(seed)``, so each replicate's draws depend only
-    on the seed and the replicate index."""
-    children = np.random.SeedSequence(seed).spawn(n_boot)
-    out = np.empty((n, n_boot))
-    for d, child in enumerate(children):
-        gen = np.random.Generator(np.random.Philox(child))
-        out[:, d] = gen.integers(0, 2, size=n) * 2.0 - 1.0
-    return out
+    on the seed and the replicate index.  The last matrix is kept and
+    returned again, read-only, when the same arguments come back."""
+    key = (seed, n, n_boot)
+    if _last_rademacher.get("key") != key:
+        children = np.random.SeedSequence(seed).spawn(n_boot)
+        out = np.empty((n, n_boot))
+        for d, child in enumerate(children):
+            gen = np.random.Generator(np.random.Philox(child))
+            out[:, d] = gen.integers(0, 2, size=n) * 2.0 - 1.0
+        out.flags.writeable = False
+        _last_rademacher.update(key=key, matrix=out)
+    return _last_rademacher["matrix"]
 
 
 def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,

@@ -109,9 +109,3 @@ class ScreeningReport:
         pos = np.empty(self.p, dtype=np.int64)
         pos[self.ranking] = np.arange(1, self.p + 1)
         return pos
-
-    def rank_of(self, column: int) -> int:
-        """1-based rank of one column index."""
-        if not 0 <= column < self.p:
-            raise InvalidInput(f"column index {column} out of range")
-        return int(np.flatnonzero(self.ranking == column)[0]) + 1

@@ -17,9 +17,10 @@ from .spline import (
     BasisConfig,
     LadConfig,
     SplineBasis,
+    _irls,
+    _solve_normal_equations,
     basis_build,
     design_matrix,
-    fit_l1,
 )
 
 __all__ = [
@@ -81,7 +82,8 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
 
     The same basis, with knots from the exposure sample, is reused across
     all ``p + 1`` regressions.  Under squared loss all fits share one
-    factorization, so the whole matrix is residualized in a single solve.
+    factorization, so the whole matrix is residualized in a single solve;
+    under absolute loss all fits run as one batched IRLS.
     """
     if dataset.z is None:
         raise InvalidInput("dataset has no exposure column to residualize on")
@@ -97,34 +99,21 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
         raise InvalidInput("need at least n_basis + 2 observations")
     b = design_matrix(basis, z)
     targets = np.column_stack([dataset.y, dataset.x])
-    names = [dataset.y_name] + list(dataset.x_names)
+    diagnostics = {}
     if loss == "l2":
-        gram = b.T @ b
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise SingularDesign(
-                "spline design on the exposure is rank deficient; "
-                "lower n_basis"
-            ) from None
-        coefs = np.linalg.solve(gram, b.T @ targets)
+        coefs, _ = _solve_normal_equations(b.T @ b, b.T @ targets)
         resid = targets - b @ coefs
-        return ResidualMatrix(eps_y=resid[:, 0], eps_x=resid[:, 1:],
-                              loss="l2", basis=basis)
-    resid = np.empty_like(targets)
-    iterations = []
-    converged = []
-    for j in range(targets.shape[1]):
+    else:
         try:
-            fit = fit_l1(basis, z, targets[:, j], config=lad_config)
+            coefs, iterations, converged, _ = _irls(b, targets.T, lad_config)
         except SingularDesign as exc:
-            raise SingularDesign(f"column '{names[j]}': {exc}") from None
-        resid[:, j] = targets[:, j] - b @ fit.coef
-        iterations.append(fit.iterations)
-        converged.append(fit.converged)
-    diagnostics = {"iterations": iterations, "converged": converged}
-    return ResidualMatrix(eps_y=resid[:, 0], eps_x=resid[:, 1:],
-                          loss="l1", basis=basis, diagnostics=diagnostics)
+            name = ([dataset.y_name] + dataset.x_names)[exc.target]
+            raise SingularDesign(f"column '{name}': {exc}") from None
+        resid = targets - (b @ coefs[..., None])[..., 0].T
+        diagnostics = {"iterations": iterations.tolist(),
+                       "converged": converged.tolist()}
+    return ResidualMatrix(eps_y=resid[:, 0], eps_x=resid[:, 1:], loss=loss,
+                          basis=basis, diagnostics=diagnostics)
 
 
 def rpc_utility(eps_y, eps_xj) -> float:

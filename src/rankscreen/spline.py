@@ -12,7 +12,8 @@ across iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import contextlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,16 +47,11 @@ class BasisConfig:
 
 @dataclass(frozen=True)
 class LadConfig:
-    """IRLS settings for the absolute-loss fit.
-
-    ``track_objective`` stores the smoothed objective after every iteration
-    in the fit metadata (diagnostic; off by default to keep bulk fits lean).
-    """
+    """IRLS settings for the absolute-loss fit."""
 
     epsilon: float = 1e-6
     tol: float = 1e-8
     max_iter: int = 200
-    track_objective: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -192,26 +188,38 @@ class SplineFit:
     iterations: int = 0
     converged: bool = True
     ridged: bool = False
-    meta: dict = field(default_factory=dict)
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
     """Solve ``gram @ coef = rhs`` with a Cholesky PD check; on borderline
     failure add a trace-scaled ridge once, recording that it happened.
 
-    A zero diagonal entry means some basis function has no support points,
-    a structural rank deficiency that the ridge should not paper over.
+    A stack (m, k, k) with right-hand sides (m, k, 1) is solved at once if
+    every matrix passes; else each takes the ridge path alone, and a
+    failure there sets the exception's ``target`` to its index.  A zero
+    diagonal entry means some basis function has no support points, a
+    structural rank deficiency that the ridge should not paper over.
     """
+    if gram.ndim == 3:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+            return np.linalg.solve(gram, rhs), np.zeros(len(gram), dtype=bool)
+        coefs, ridged = np.empty(rhs.shape), np.zeros(len(gram), dtype=bool)
+        for i, g in enumerate(gram):
+            try:
+                coefs[i], ridged[i] = _solve_normal_equations(g, rhs[i])
+            except SingularDesign as exc:
+                exc.target = i
+                raise
+        return coefs, ridged
     if np.any(np.diag(gram) == 0.0):
         raise SingularDesign(
             "a basis function has no observations in its support; "
             "lower n_basis"
         )
-    try:
+    with contextlib.suppress(np.linalg.LinAlgError):
         np.linalg.cholesky(gram)
         return np.linalg.solve(gram, rhs), False
-    except np.linalg.LinAlgError:
-        pass
     jitter = 1e-10 * np.trace(gram) / gram.shape[0]
     bumped = gram + jitter * np.eye(gram.shape[0])
     try:
@@ -221,6 +229,44 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
         raise SingularDesign(
             "spline design is rank deficient; lower n_basis"
         ) from None
+
+
+def _irls(b: np.ndarray, targets: np.ndarray, config: LadConfig):
+    """Smoothed-IRLS absolute-loss fits of the rows of ``targets`` (m, n) on
+    one design ``b`` (n, k); returns (coefs, iterations, converged, ridged).
+
+    Each round solves only the targets still active: a target stops when
+    its own coefficient step drops below ``config.tol``.  Every product is
+    one matrix-vector product per target on a contiguous row (a
+    matrix-matrix product or a strided row changes the last bits), so each
+    target's iterates are exactly those of a fit on its own.
+    """
+    m, k = targets.shape[0], b.shape[1]
+    w = np.ascontiguousarray(targets)[..., None]  # rows of the active targets
+    coefs, ridged = _solve_normal_equations(
+        np.broadcast_to(b.T @ b, (m, k, k)), b.T @ w)
+    iterations = np.zeros(m, dtype=int)
+    converged = np.zeros(m, dtype=bool)
+    active = np.arange(m)
+    eps_sq = config.epsilon ** 2
+    for it in range(1, config.max_iter + 1):
+        weights = 1.0 / np.sqrt((w - b @ coefs[active]) ** 2 + eps_sq)
+        bwt = (b * weights).transpose(0, 2, 1)
+        try:
+            new, rid = _solve_normal_equations(bwt @ b, bwt @ w)
+        except SingularDesign as exc:
+            exc.target = int(active[exc.target])
+            raise
+        ridged[active] |= rid
+        done = np.max(np.abs(new - coefs[active]), axis=(1, 2)) < config.tol
+        coefs[active] = new
+        iterations[active] = it
+        converged[active[done]] = True
+        if done.any():
+            active, w = active[~done], w[~done]
+        if active.size == 0:
+            break
+    return coefs[..., 0], iterations, converged, ridged
 
 
 def fit_l2(basis: SplineBasis, z_col, w_col) -> SplineFit:
@@ -259,33 +305,10 @@ def fit_l1(basis: SplineBasis, z_col, w_col,
     if z.size != w.size:
         raise InvalidInput("z_col and w_col lengths differ")
     b = design_matrix(basis, z)
-    coef, ridged = _solve_normal_equations(b.T @ b, b.T @ w)
-    eps_sq = config.epsilon ** 2
-
-    def smoothed(c):
-        r = w - b @ c
-        return float(np.mean(np.sqrt(r * r + eps_sq)))
-
-    history = [smoothed(coef)] if config.track_objective else None
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        r = w - b @ coef
-        weights = 1.0 / np.sqrt(r * r + eps_sq)
-        bw = b * weights[:, None]
-        new_coef, rid = _solve_normal_equations(bw.T @ b, bw.T @ w)
-        ridged = ridged or rid
-        step = float(np.max(np.abs(new_coef - coef)))
-        coef = new_coef
-        if history is not None:
-            history.append(smoothed(coef))
-        if step < config.tol:
-            converged = True
-            break
-    meta = {"objective_history": history} if history is not None else {}
-    return SplineFit(basis=basis, coef=coef, loss="l1",
-                     iterations=iterations, converged=converged,
-                     ridged=ridged, meta=meta)
+    coefs, iterations, converged, ridged = _irls(b, w[None], config)
+    return SplineFit(basis=basis, coef=coefs[0], loss="l1",
+                     iterations=int(iterations[0]),
+                     converged=bool(converged[0]), ridged=bool(ridged[0]))
 
 
 def predict(fit: SplineFit, z_col) -> np.ndarray:

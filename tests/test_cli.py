@@ -53,6 +53,13 @@ class TestLoadCsv:
         with pytest.raises(InvalidInput, match=r"row 3, column 'x1'"):
             load_csv(path, "y")
 
+    def test_first_bad_cell_in_file_order_reported(self, tmp_path):
+        # a non-finite cell before a non-numeric one is the one reported
+        path = _write(tmp_path / "t.csv", "y,x1,x2\n1,2,inf\n3,x,5\n")
+        with pytest.raises(InvalidInput,
+                           match=r"row 2, column 'x2': non-finite value"):
+            load_csv(path, "y")
+
     def test_text_cell_names_location(self, tmp_path):
         path = _write(tmp_path / "t.csv", "y,x1\n1,2\nx,4\n")
         with pytest.raises(InvalidInput, match=r"row 3, column 'y'"):

@@ -172,6 +172,18 @@ class TestBatchCounts:
         mat = leq_counts_matrix(col[:, None])
         assert mat[:, 0].tolist() == [3, 1, 3, 4]
 
+    def test_leq_counts_matrix_matches_brute_force_with_ties(self):
+        rng = np.random.default_rng(5)
+        x = rng.integers(-2, 3, size=(40, 6)).astype(float)
+        x[:, 0] = rng.standard_normal(40)
+        x[:, 1] = 0.0
+        x[::2, 2] = -0.0
+        expected = (x[None, :, :] <= x[:, None, :]).sum(axis=1)
+        mat = leq_counts_matrix(x)
+        assert mat.dtype == np.int64
+        assert np.array_equal(mat, expected)
+        assert np.array_equal(leq_counts(x[:, 3]), expected[:, 3])
+
 
 class TestKernelAgainstOracle:
     @pytest.mark.parametrize("seed", [0, 1])

@@ -5,6 +5,7 @@ import scipy.special
 from rankscreen.errors import DegenerateEvaluation, InvalidInput
 from rankscreen.rc_screen import (
     _norm_ppf,
+    _rademacher_matrix,
     robust_corr,
     robust_corr_ci,
     wild_bootstrap_test,
@@ -76,6 +77,14 @@ class TestRobustCorrCi:
 
 
 class TestWildBootstrap:
+    def test_rademacher_matrix_reused_read_only(self):
+        first = _rademacher_matrix(3, 20, 8)
+        assert _rademacher_matrix(3, 20, 8) is first
+        assert not first.flags.writeable
+        other = _rademacher_matrix(4, 20, 8)
+        assert not np.array_equal(other, first)
+        assert np.array_equal(_rademacher_matrix(3, 20, 8), first)
+
     def test_fixed_seed_bit_identical(self):
         rng = np.random.default_rng(4)
         y = rng.standard_normal(80)

@@ -128,6 +128,12 @@ class TestRcUtilitiesBatch:
         rho = _rho_from_counts(counts, counts, counts, n)
         assert np.all(rho == 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_rejected_by_index(self, bad):
+        x = np.c_[np.arange(5.0), [0.0, 1.0, bad, 3.0, 4.0]]
+        with pytest.raises(InvalidInput, match=r"covariate column 1 "):
+            rc_utilities(np.arange(5.0), x)
+
 
 def _noise_dataset(seed=10, n=100, p=4):
     rng = np.random.default_rng(seed)

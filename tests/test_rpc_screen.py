@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from rankscreen.dataset import Dataset
-from rankscreen.errors import InvalidInput
+from rankscreen.errors import InvalidInput, SingularDesign
 from rankscreen.rc_screen import rc_screen, rc_utilities, robust_corr
 from rankscreen.rpc_screen import (
     residualize,
     rpc_screen,
     rpc_utility,
 )
-from rankscreen.spline import BasisConfig
+from rankscreen.simgen import make_scenario, simulate
+from rankscreen.spline import (
+    BasisConfig,
+    basis_build,
+    design_matrix,
+    fit_l1,
+    fit_l2,
+)
 
 from oracles import rc_utility_oracle
 
@@ -93,6 +100,61 @@ class TestResidualize:
         assert all(isinstance(c, bool) for c in res.diagnostics["converged"])
         # stalling short of the coefficient tolerance is reported, not raised
         assert all(i >= 1 for i in res.diagnostics["iterations"])
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_l1_batch_equals_per_column_fits_bitwise(self, order):
+        # n = 203: a strided row would change the last bits at this size
+        sim = simulate(make_scenario("E4", n=203, p=60, r2=0.3,
+                                     error="cauchy3"), seed=4).dataset
+        ds = Dataset(y=sim.y, x=np.asarray(sim.x, order=order), z=sim.z)
+        res = residualize(ds, loss="l1")
+        basis = basis_build(ds.z)
+        targets = np.column_stack([ds.y, ds.x])
+        for j in range(targets.shape[1]):
+            fit = fit_l1(basis, ds.z, targets[:, j])
+            resid = res.eps_y if j == 0 else res.eps_x[:, j - 1]
+            assert np.array_equal(resid, targets[:, j]
+                                  - design_matrix(basis, ds.z) @ fit.coef)
+            assert res.diagnostics["iterations"][j] == fit.iterations
+            assert res.diagnostics["converged"][j] is fit.converged
+
+    def test_l2_singular_message_matches_fit_l2(self):
+        z = np.array([0.0] + [0.5] * 20 + [1.0])
+        rng = np.random.default_rng(8)
+        ds = Dataset(y=rng.standard_normal(z.size),
+                     x=rng.standard_normal((z.size, 2)), z=z)
+        config = BasisConfig(degree=1, n_basis=5)
+        basis = basis_build(z, degree=1, n_basis=5)
+        with pytest.raises(SingularDesign) as from_fit:
+            fit_l2(basis, z, ds.y)
+        with pytest.raises(SingularDesign) as from_residualize:
+            residualize(ds, basis_config=config, loss="l2")
+        assert str(from_residualize.value) == str(from_fit.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_l1_singular_names_the_column(self):
+        rng = np.random.default_rng(9)
+        z = rng.random(80)
+        x = rng.standard_normal((80, 3))
+        x[:, 1] *= 1e200
+        ds = Dataset(y=rng.standard_normal(80), x=x, z=z,
+                     x_names=["a", "b", "c"])
+        with pytest.raises(SingularDesign, match=r"column 'b'"):
+            residualize(ds, loss="l1")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_l1_singular_named_after_other_fits_converge(self):
+        # the response is in the spline space and converges at once; the
+        # scaled Cauchy column passes its first IRLS step and fails later
+        rng = np.random.default_rng(4)
+        z = rng.random(40)
+        bad = rng.standard_cauchy(40) * 1e150
+        x = np.column_stack([rng.standard_normal(40), bad])
+        ds = Dataset(y=1.0 + z, x=x, z=z, x_names=["a", "b"])
+        with pytest.raises(SingularDesign, match=r"column 'b'"):
+            residualize(ds, loss="l1")
 
 
 class TestRobustPartialCorr:

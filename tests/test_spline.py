@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -192,11 +194,22 @@ class TestFitL1:
         assert med1 <= med2
 
     def test_objective_monotone_under_smoothing(self, uniform_basis):
+        # the smoothed objective never increases from the L2 start through
+        # the iterates, read off as the fits capped at 1, 2, ... iterations
         z, basis = uniform_basis
         rng = np.random.default_rng(7)
         w = np.cos(4 * z) + rng.standard_normal(z.size)
-        fit = fit_l1(basis, z, w, LadConfig(track_objective=True))
-        hist = fit.meta["objective_history"]
+        b = design_matrix(basis, z)
+        eps_sq = LadConfig().epsilon ** 2
+
+        def smoothed(coef):
+            r = w - b @ coef
+            return float(np.mean(np.sqrt(r * r + eps_sq)))
+
+        steps = fit_l1(basis, z, w).iterations
+        hist = [smoothed(fit_l2(basis, z, w).coef)]
+        hist += [smoothed(fit_l1(basis, z, w, LadConfig(max_iter=t)).coef)
+                 for t in range(1, steps + 1)]
         assert len(hist) >= 2
         assert all(hist[i + 1] <= hist[i] + 1e-10 for i in range(len(hist) - 1))
 
@@ -217,6 +230,10 @@ class TestFitL1:
         scaled = fit_l1(basis, z, -2.0 * w + 5.0)
         assert np.abs(predict(scaled, z)
                       - (-2.0 * predict(base, z) + 5.0)).max() <= 1e-4
+
+    def test_lad_config_fields(self):
+        assert [f.name for f in dataclasses.fields(LadConfig)] == [
+            "epsilon", "tol", "max_iter"]
 
     def test_nonconvergence_flag_not_error(self, uniform_basis):
         z, basis = uniform_basis

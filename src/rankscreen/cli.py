@@ -101,20 +101,23 @@ def load_csv(path: str, response_name: str,
 
 
 def save_csv(dataset: Dataset, path: str):
-    """Write a Dataset back to CSV with full round-trip precision."""
+    """Write a Dataset back to CSV with full round-trip precision.
+
+    Data cells are ``repr`` of each float, which never needs quoting, so the
+    rows are joined directly with the ``csv`` module's default ``\\r\\n``
+    line ending.
+    """
     header = [dataset.y_name]
+    columns = [dataset.y]
     if dataset.z is not None:
         header.append(dataset.z_name or "z")
+        columns.append(dataset.z)
     header.extend(dataset.x_names)
+    columns.append(dataset.x)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(dataset.y[i]))]
-            if dataset.z is not None:
-                row.append(repr(float(dataset.z[i])))
-            row.extend(repr(float(v)) for v in dataset.x[i])
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in np.column_stack(columns).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ per sample point: the marginal weak-rank counts ``#{k : y_k <= y_i}`` and
 ``#{k : x_k <= x_i}`` and the joint dominance count
 ``#{k : y_k <= y_i, x_k <= x_i}``.  This module computes those counts
 exactly; `dominance_counts_matrix` is the only joint-count kernel, and a
-single column is its p = 1 call.  The ``n/(n+1)`` boundary rescale of the
+single column is its p = 1 call.  The kernel only compares values, so any
+input with the same per-column ``<=`` order gives the same counts: the
+screening utilities pass the weak ranks ``x_k <= x_i <=> r_k <= r_i`` in the
+smallest unsigned integer type that holds n, which moves a quarter of the
+bytes of a float column or fewer.  The ``n/(n+1)`` boundary rescale of the
 empirical CDFs, ``(n/(n+1)) * (count/n) == count/(n+1)``, is applied where
 the counts are turned into correlations (``rc_screen._rho_from_counts``).
 """
@@ -63,17 +67,22 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Rows are swept in increasing y order.  Every row from the first member
     of row k's y-tie group onward has ``y >= y_k``, so row k adds its x
-    comparison to exactly those rows.  The counts are exact integers; time
-    is O(n^2 p) and memory O(n p).
+    comparison to exactly those rows.  Only ``<=`` between entries of the
+    same column is used, so x may be anything with the same per-column
+    order, such as its weak ranks (`leq_counts_matrix`) in a small integer
+    type.  No count exceeds n, so the sweep accumulates exactly in
+    ``np.min_scalar_type(n)`` (uint8 up to n = 255, uint16 up to 65,535)
+    before the result is widened to int64.  Time is O(n^2 p) and memory
+    O(n p).
     """
     n, p = x.shape
     order = np.argsort(y, kind="stable")
     ys, xs = y[order], x[order]
     start = np.searchsorted(ys, ys, side="left")
-    counts = np.zeros((n, p), dtype=np.int64)
+    counts = np.zeros((n, p), dtype=np.min_scalar_type(n))
     for k in range(n):
         s = start[k]
         counts[s:] += xs[k] <= xs[s:]
-    out = np.empty_like(counts)
+    out = np.empty((n, p), dtype=np.int64)
     out[order] = counts
     return out

@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 
+_BLOCK = 64
+
+
 def _rho_from_counts(c, ry, rx, n):
     """Correlation of rank indicators from integer counts (vectorized).
 
@@ -114,6 +117,9 @@ def rc_utilities(y_col, x) -> np.ndarray:
     """Utilities for every column of an (n, p) covariate matrix.
 
     Each column's utility is bit-identical to `rc_utility` on that column.
+    The joint counts are taken on the weak ranks of x, and counts become
+    utilities in blocks of `_BLOCK` columns, which bounds the transposed
+    copies to a block.
     """
     y = as_finite_vector(y_col, "y_col")
     x = np.asarray(x, dtype=float)
@@ -130,11 +136,15 @@ def rc_utilities(y_col, x) -> np.ndarray:
             f"covariate column {np.argmin(finite)} is not finite")
     ry = leq_counts(y)
     rx = leq_counts_matrix(x)
-    c = dominance_counts_matrix(y, x)
+    c = dominance_counts_matrix(y, rx.astype(np.min_scalar_type(n)))
     out = np.empty(p)
-    for j in range(p):
-        rho = _rho_from_counts(c[:, j], ry, rx[:, j], n)
-        out[j] = np.mean(rho * rho)
+    for j in range(0, p, _BLOCK):
+        # contiguous (block, n) rows: each row's mean is summed exactly as
+        # the 1-D np.mean of that column would be
+        cb = np.ascontiguousarray(c[:, j:j + _BLOCK].T)
+        rb = np.ascontiguousarray(rx[:, j:j + _BLOCK].T)
+        rho = _rho_from_counts(cb, ry, rb, n)
+        out[j:j + _BLOCK] = np.mean(rho * rho, axis=1)
     return out
 
 
@@ -284,11 +294,17 @@ def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
     n = y.size
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
-    statistic = rc_utility(y, x)
     dev = x - x.mean()
     iota = _rademacher_matrix(seed, n, n_boot)
-    x_star = x.mean() + iota * dev[:, None]
-    boot = rc_utilities(y, x_star)
+    # column 0 is x itself: the observed statistic comes from the same call
+    # as the replicates, and every column's utility is computed on its own
+    x_all = np.empty((n, n_boot + 1))
+    x_all[:, 0] = x
+    np.multiply(iota, dev[:, None], out=x_all[:, 1:])
+    x_all[:, 1:] += x.mean()
+    utilities = rc_utilities(y, x_all)
+    statistic = float(utilities[0])
+    boot = utilities[1:]
     k = int(math.ceil((1.0 - alpha) * n_boot - 1e-9))
     k = min(max(k, 1), n_boot)
     critical = float(np.partition(boot, k - 1)[k - 1])

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -90,6 +91,34 @@ class TestLoadCsv:
         path = _write(tmp_path / "t.csv", '"y","x1"\n"1","2"\n"3","4"\n')
         ds = load_csv(path, "y")
         assert ds.y.tolist() == [1.0, 3.0]
+
+    @pytest.mark.parametrize("z_name", ["dose, mg", None])
+    def test_bytes_equal_per_cell_writer(self, tmp_path, z_name):
+        # reference: one csv.writer row of repr strings per observation
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((6, 3))
+        x[0, 0] = -0.0
+        x[1, 1] = 5e-324
+        x[2, 2] = 1e16
+        x[3, 0] = 2.2250738585072014e-308
+        z = rng.random(6) if z_name else None
+        ds = Dataset(y=rng.standard_normal(6), x=x, z=z, z_name=z_name,
+                     x_names=["a", 'say "hi"', "c"])
+        lead = [ds.y_name] + ([z_name] if z_name else [])
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(lead + ds.x_names)
+            for i in range(ds.n):
+                cells = [ds.y[i]] + ([z[i]] if z_name else []) + list(x[i])
+                writer.writerow([repr(float(v)) for v in cells])
+        path = tmp_path / "out.csv"
+        save_csv(ds, str(path))
+        assert path.read_bytes() == ref.read_bytes()
+        back = load_csv(str(path), "y", z_name)
+        assert back.x_names == ds.x_names
+        assert np.array_equal(back.x, x)
+        assert str(back.x[0, 0]) == "-0.0"
 
     def test_round_trip_preserves_values(self, tmp_path):
         rng = np.random.default_rng(2)

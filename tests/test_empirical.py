@@ -214,6 +214,53 @@ class TestKernelAgainstOracle:
         _assert_kernel_matches_oracle(np.array(y), np.array(x))
 
 
+def _compact_ranks(x):
+    return leq_counts_matrix(x).astype(np.min_scalar_type(x.shape[0]))
+
+
+class TestCompactAccumulator:
+    """The sweep accumulates in ``np.min_scalar_type(n)``; counts reach n
+    exactly at each dtype boundary and are returned as int64."""
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_constant_margins_reach_n(self, n):
+        y = np.full(n, 2.5)
+        x = np.full((n, 2), -1.0)
+        for arg in (x, _compact_ranks(x)):
+            mat = dominance_counts_matrix(y, arg)
+            assert mat.dtype == np.int64
+            assert np.all(mat == n)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_float_and_rank_input_match_oracle(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.integers(0, 2, size=n).astype(float)
+        x = rng.standard_normal((n, 3))
+        x[:, 1] = rng.integers(0, 3, size=n)
+        x[:, 2] = 0.0
+        ranks = _compact_ranks(x)
+        assert ranks.dtype == np.min_scalar_type(n)
+        mat = dominance_counts_matrix(y, x)
+        assert mat.dtype == np.int64
+        assert np.array_equal(dominance_counts_matrix(y, ranks), mat)
+        for j in range(3):
+            assert np.array_equal(mat[:, j],
+                                  dominance_counts_oracle(y, x[:, j]))
+
+    def test_counts_past_uint16(self):
+        # 65,536 does not fit uint16: the accumulator and the ranks are
+        # uint32, and every count is n
+        n = 65536
+        y = np.zeros(n)
+        x = np.ones((n, 1))
+        ranks = _compact_ranks(x)
+        assert ranks.dtype == np.uint32
+        for arg in (x, ranks):
+            mat = dominance_counts_matrix(y, arg)
+            assert mat.dtype == np.int64
+            assert np.all(mat == n)
+
+
 class TestRankInvariance:
     @pytest.mark.parametrize("transform", [np.exp, lambda v: v ** 3])
     def test_raw_eval_invariant_at_sample_points(self, transform):

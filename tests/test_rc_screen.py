@@ -4,11 +4,13 @@ import pytest
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput
 from rankscreen.rc_screen import (
+    _rademacher_matrix,
     _rho_from_counts,
     rc_screen,
     rc_utilities,
     rc_utility,
     robust_corr,
+    wild_bootstrap_test,
 )
 from rankscreen.report import TopD, UtilityThreshold, default_top_d
 
@@ -127,6 +129,43 @@ class TestRcUtilitiesBatch:
         counts = np.arange(1, n + 1, dtype=np.int64)
         rho = _rho_from_counts(counts, counts, counts, n)
         assert np.all(rho == 1.0)
+
+    @pytest.mark.parametrize("n", [2, 7, 129, 203])
+    @pytest.mark.parametrize("p", [1, 63, 64, 65, 129])
+    def test_blocks_equal_per_column_reference_bitwise(self, p, n):
+        # utilities are reduced in column blocks; every column must equal
+        # its own 1-D np.mean of rho^2 from all-pairs counts, bit for bit
+        rng = np.random.default_rng(1000 * p + n)
+        y = rng.integers(0, max(2, n // 4), size=n).astype(float)
+        x = rng.standard_normal((n, p))
+        x[:, ::2] = rng.integers(0, 3, size=(n, (p + 1) // 2))
+        x[:, -1] = x[0, -1]
+        ley = y[None, :] <= y[:, None]
+        ry = ley.sum(axis=1)
+        expected = np.empty(p)
+        for j in range(p):
+            lex = x[None, :, j] <= x[:, None, j]
+            rho = _rho_from_counts((ley & lex).sum(axis=1), ry,
+                                   lex.sum(axis=1), n)
+            expected[j] = np.mean(rho * rho)
+        assert rc_utilities(y, x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bootstrap_statistic_is_rc_utility_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 6, size=90).astype(float)
+        x = y + rng.standard_normal(90)
+        x[::3] = 0.5
+        n_boot = 70
+        res = wild_bootstrap_test(y, x, n_boot=n_boot, alpha=0.1, seed=seed)
+        assert res.statistic == rc_utility(y, x)
+        # replicates: each sign-flipped column on its own
+        iota = _rademacher_matrix(seed, 90, n_boot)
+        boot = rc_utilities(y, x.mean() + iota * (x - x.mean())[:, None])
+        k = int(np.ceil((1.0 - 0.1) * n_boot - 1e-9))
+        assert res.critical_value == np.partition(boot, k - 1)[k - 1]
+        assert res.p_value == ((1 + int(np.sum(boot >= res.statistic)))
+                               / (n_boot + 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_column_rejected_by_index(self, bad):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -45,55 +46,102 @@ def _parse_cell(cell: str, row: int, name: str) -> float:
     return value
 
 
+def _parse_block(path: str, header: list, rows: list,
+                 first_row: int) -> np.ndarray:
+    """Parse consecutive data rows, the first of them at file row
+    ``first_row``, into a ``(len(rows), len(header))`` float array.
+
+    The rows are parsed as one array; the cell-by-cell scan runs only when
+    that fails or finds a non-finite value, to name the first bad row or
+    cell in file order.
+    """
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = np.empty(0)
+    if data.shape == (len(rows), len(header)) and np.isfinite(data).all():
+        return data
+    data = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows):
+        file_row = first_row + i
+        if len(row) != len(header):
+            raise InvalidInput(
+                f"{path}: row {file_row} has {len(row)} cells, expected "
+                f"{len(header)}"
+            )
+        for j, cell in enumerate(row):
+            data[i, j] = _parse_cell(cell, file_row, header[j])
+    return data
+
+
+# Cells parsed per block: bounds the cell strings alive at once, which take
+# about ten times the bytes of their parsed floats.
+_CELLS = 2 ** 17
+
+
 def load_csv(path: str, response_name: str,
              exposure_name: str | None = None) -> Dataset:
     """Read a headed CSV into a Dataset.
 
-    The response (and optional exposure) columns are extracted by name; all
-    remaining columns become covariates in header order.  Cells must parse
-    as finite numbers; the first violation in file order is reported with
-    its row and column (rows are counted as in the file, header = row 1).
-    The table is parsed as one array; the cell-by-cell scan runs only when
-    that parse fails or finds a non-finite value.
+    The file is read as UTF-8; a leading byte-order mark, as spreadsheets
+    write, is skipped.  Header names must be distinct.  The response (and
+    optional exposure) columns are extracted by name; all remaining columns
+    become covariates in header order.  Cells must parse as finite numbers;
+    the first violation in file order is reported with its row and column
+    (rows are counted as in the file, header = row 1).
+
+    Rows are parsed in blocks of about ``_CELLS`` cells (at least two rows),
+    so the cell strings of one block, not of the whole file, are alive at
+    once.  The returned arrays share no memory with the parse; ``x`` is
+    column-major (Fortran order).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise InvalidInput(f"{path}: file is empty") from None
-        rows = list(reader)
-    if response_name not in header:
-        raise InvalidInput(f"{path}: no column named '{response_name}'")
-    if exposure_name is not None and exposure_name not in header:
-        raise InvalidInput(f"{path}: no column named '{exposure_name}'")
-    if len(rows) < 2:
-        raise InvalidInput(f"{path}: need at least 2 data rows")
-    y_idx = header.index(response_name)
-    z_idx = header.index(exposure_name) if exposure_name is not None else None
-    x_idx = [j for j in range(len(header)) if j != y_idx and j != z_idx]
-    if not x_idx:
-        raise InvalidInput(f"{path}: no covariate columns remain")
-    try:
-        data = np.array(rows, dtype=float)
-    except ValueError:
-        data = np.empty(0)
-    if data.shape != (len(rows), len(header)) or not np.isfinite(data).all():
-        # locate the first bad row or cell in file order
-        data = np.empty((len(rows), len(header)))
-        for i, row in enumerate(rows):
-            file_row = i + 2
-            if len(row) != len(header):
+        if response_name not in header:
+            raise InvalidInput(f"{path}: no column named '{response_name}'")
+        if exposure_name is not None and exposure_name not in header:
+            raise InvalidInput(f"{path}: no column named '{exposure_name}'")
+        first = {}
+        for j, name in enumerate(header):
+            if name in first:
                 raise InvalidInput(
-                    f"{path}: row {file_row} has {len(row)} cells, expected "
-                    f"{len(header)}"
+                    f"{path}: columns {first[name] + 1} and {j + 1} are "
+                    f"both named '{name}'"
                 )
-            for j, cell in enumerate(row):
-                data[i, j] = _parse_cell(cell, file_row, header[j])
+            first[name] = j
+        block_rows = max(2, _CELLS // len(header))
+        block = list(itertools.islice(reader, block_rows))
+        if len(block) < 2:
+            raise InvalidInput(f"{path}: need at least 2 data rows")
+        y_idx = first[response_name]
+        z_idx = first[exposure_name] if exposure_name is not None else None
+        x_idx = [j for j in range(len(header)) if j != y_idx and j != z_idx]
+        if not x_idx:
+            raise InvalidInput(f"{path}: no covariate columns remain")
+        y_parts, z_parts, x_parts = [], [], []
+        n = 0
+        while block:
+            data = _parse_block(path, header, block, n + 2)
+            n += len(block)
+            block = None  # free this block's strings before reading more
+            # copies, not views, so that no full-width block stays alive
+            y_parts.append(data[:, y_idx].copy())
+            if z_idx is not None:
+                z_parts.append(data[:, z_idx].copy())
+            x_parts.append(data[:, x_idx])
+            block = list(itertools.islice(reader, block_rows))
+    # column-major, as a column selection of the whole table was: each
+    # covariate is contiguous, and column reductions (Pearson's moments)
+    # depend on the layout in their last bits
+    x = np.concatenate(x_parts, out=np.empty((n, len(x_idx)), order="F"))
     return Dataset(
-        y=data[:, y_idx],
-        x=data[:, x_idx],
-        z=data[:, z_idx] if z_idx is not None else None,
+        y=np.concatenate(y_parts),
+        x=x,
+        z=np.concatenate(z_parts) if z_idx is not None else None,
         y_name=response_name,
         z_name=exposure_name,
         x_names=[header[j] for j in x_idx],

@@ -1,9 +1,11 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rankscreen import cli
 from rankscreen.cli import load_csv, main, save_csv
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput
@@ -131,6 +133,136 @@ class TestLoadCsv:
         assert np.array_equal(back.y, ds.y)
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.z, ds.z)
+
+    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x1\r\n1,2\r\n3,4\r\n")
+        ds = load_csv(str(path), "y")
+        assert ds.x_names == ["x1"]
+        assert ds.y.tolist() == [1.0, 3.0]
+        assert ds.x[:, 0].tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("header, message", [
+        ("y,x1,x1", "columns 2 and 3 are both named 'x1'"),
+        ("y,x1,y", "columns 1 and 3 are both named 'y'"),
+        ("a,y,b,a,b", "columns 1 and 4 are both named 'a'"),
+    ])
+    def test_duplicate_column_names_rejected(self, tmp_path, header,
+                                             message):
+        width = header.count(",") + 1
+        row = ",".join(["1"] * width)
+        path = _write(tmp_path / "t.csv", f"{header}\n{row}\n{row}\n")
+        with pytest.raises(InvalidInput, match=message):
+            load_csv(path, "y")
+
+
+def _grid(n, width):
+    """Cell strings of an n-row table whose cell (i, j) is i * width + j."""
+    return [[str(i * width + j) for j in range(width)] for i in range(n)]
+
+
+def _write_grid(tmp_path, rows, width):
+    header = ",".join(["y"] + [f"x{j}" for j in range(1, width)])
+    text = "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+    return _write(tmp_path / "grid.csv", text)
+
+
+def _set_block_cells(monkeypatch, cells):
+    """Shrink the parse block to ``cells`` cells; None keeps the default."""
+    if cells is not None:
+        monkeypatch.setattr(cli, "_CELLS", cells)
+
+
+class TestBlockParse:
+    """Files spanning several parse blocks (``cli._CELLS`` shrunk so that
+    small files do) report the same errors and values as one block."""
+
+    # 4 columns and 12 cells per block: file rows 2-4, 5-7, 8-10, 11-13, ...
+    @pytest.mark.parametrize("cells", [12, None])
+    @pytest.mark.parametrize("file_row", [5, 10, 12])
+    @pytest.mark.parametrize("cell, message", [
+        ("abc", "row {r}, column 'x2': non-numeric value 'abc'"),
+        ("-inf", "row {r}, column 'x2': non-finite value '-inf'"),
+        (None, "{path}: row {r} has 5 cells, expected 4"),
+    ])
+    def test_bad_row_in_later_block_named_as_in_one_block(
+            self, tmp_path, monkeypatch, cells, file_row, cell, message):
+        _set_block_cells(monkeypatch, cells)
+        rows = _grid(20, 4)
+        if cell is None:
+            rows[file_row - 2].append("7")
+        else:
+            rows[file_row - 2][2] = cell
+        path = _write_grid(tmp_path, rows, 4)
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value) == message.format(r=file_row, path=path)
+
+    @pytest.mark.parametrize("cells", [12, None])
+    @pytest.mark.parametrize("ragged_first", [False, True])
+    def test_first_problem_in_file_order_across_blocks(
+            self, tmp_path, monkeypatch, cells, ragged_first):
+        # file row 3 is in the first block, file row 15 in the fifth
+        _set_block_cells(monkeypatch, cells)
+        rows = _grid(20, 4)
+        rows[1 if ragged_first else 13].append("7")
+        rows[13 if ragged_first else 1][3] = "nan"
+        path = _write_grid(tmp_path, rows, 4)
+        expected = (f"{path}: row 3 has 5 cells, expected 4" if ragged_first
+                    else "row 3, column 'x3': non-finite value 'nan'")
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("cells", [1, None])
+    def test_one_row_with_bad_cell_needs_two_rows(self, tmp_path,
+                                                  monkeypatch, cells):
+        _set_block_cells(monkeypatch, cells)
+        path = _write(tmp_path / "t.csv", "y,x1\nabc,inf\n")
+        with pytest.raises(InvalidInput, match="need at least 2 data rows"):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize("n, p, exposure, cells", [
+        (7, 40, "z", 64),       # 42 columns > 64 // 2: two rows per block
+        (10_000, 2, None, 2 ** 10),
+        (10_000, 2, None, None),
+    ])
+    def test_values_round_trip_bitwise(self, tmp_path, monkeypatch, n, p,
+                                       exposure, cells):
+        _set_block_cells(monkeypatch, cells)
+        rng = np.random.default_rng(n + p)
+        x = rng.standard_normal((n, p))
+        x.flat[:4] = [-0.0, 5e-324, 1e16, -2.2250738585072014e-308]
+        ds = Dataset(y=rng.standard_normal(n), x=x, z_name=exposure,
+                     z=rng.random(n) if exposure else None)
+        path = str(tmp_path / "rt.csv")
+        save_csv(ds, path)
+        back = load_csv(path, "y", exposure)
+        assert back.y.tobytes() == ds.y.tobytes()
+        assert back.x.tobytes() == ds.x.tobytes()
+        if exposure:
+            assert back.z.tobytes() == ds.z.tobytes()
+        assert back.x.flags.f_contiguous
+        for arr in (back.y, back.x, back.z):
+            assert arr is None or arr.flags.owndata
+
+    def test_traced_peak_below_four_times_output(self, tmp_path):
+        # numpy reports its buffers to tracemalloc, so the peak counts the
+        # cell strings and every float array alive during the parse
+        rng = np.random.default_rng(4)
+        ds = Dataset(y=rng.standard_normal(300),
+                     x=rng.standard_normal((300, 2998)),
+                     z=rng.random(300), z_name="z")
+        path = str(tmp_path / "mem.csv")
+        save_csv(ds, path)
+        tracemalloc.start()
+        try:
+            back = load_csv(path, "y", "z")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = back.y.nbytes + back.x.nbytes + back.z.nbytes
+        assert peak < 4 * output
 
 
 class TestScreenCommand:

@@ -1,10 +1,11 @@
 """Reference screeners used as comparators: absolute Pearson correlation and
 absolute tie-corrected Kendall rank correlation.
 
-The Kendall fast path derives the concordance sum and tie counts as exact
-integers from sign matrices; the final tau-b expression is shared with the
-brute-force pair-count oracle in the test suite, so both produce identical
-floating point values.
+Kendall's tau-b is derived from the counting kernel shared with the RC
+utilities: weak ranks and weak joint counts of 256-column chunks give the
+concordance sum and the tie counts as exact integers, and no n x n array is
+formed.  The final tau-b expression is the one of the brute-force pair-count
+oracle in the test suite, so both produce identical floating point values.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import warnings
 import numpy as np
 
 from .dataset import Dataset
-from .empirical import as_finite_vector
+from .empirical import (
+    as_finite_vector,
+    dominance_counts_matrix,
+    leq_counts,
+    leq_counts_matrix,
+)
 from .errors import InvalidInput
 from .report import Selection, ScreeningReport, TopD, build_report, default_top_d
 
@@ -44,47 +50,59 @@ def pearson_utility(y_col, x_col) -> float:
     return abs(float(yc @ xc) / denom)
 
 
-def _tie_pair_count(col: np.ndarray) -> int:
-    """Number of tied pairs: sum over tie groups of t*(t-1)/2."""
-    _, counts = np.unique(col, return_counts=True)
-    return int(np.sum(counts * (counts - 1)) // 2)
+# Columns counted per kernel call: bounds the (n, chunk) count arrays.
+_CHUNK = 256
 
 
-def _concordance_sum(y_sign: np.ndarray, x: np.ndarray) -> int:
-    """Concordant minus discordant pair count via sign matrices (exact)."""
-    x_sign = np.sign(x[:, None] - x[None, :])
-    total = np.einsum("ik,ik->", y_sign, x_sign, dtype=np.float64)
-    return int(round(total)) // 2
-
-
-def _tau_b(y_sign: np.ndarray, n2: int, x: np.ndarray) -> float:
-    """Tau-b of x against the response whose sign matrix is ``y_sign`` and
-    whose tied-pair count is ``n2``; NaN when either column is constant."""
-    n = x.size
-    n0 = n * (n - 1) // 2
-    n1 = _tie_pair_count(x)
+def _tau_b(s: int, n0: int, n1: int, n2: int) -> float:
+    """Tau-b from the concordant-minus-discordant sum ``s``, the pair count
+    ``n0`` and the tied-pair counts ``n1`` of x and ``n2`` of y, all Python
+    ints; NaN when either column is constant."""
     if n0 == n1 or n0 == n2:
         return math.nan
-    s = _concordance_sum(y_sign, x)
     return s / math.sqrt((n0 - n1) * (n0 - n2))
 
 
-def kendall_tau_b(y_col, x_col) -> float:
-    """Tie-corrected Kendall rank correlation.
+def _kendall_taus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tau-b of every column of the (n, p) array x against y, from the
+    shared kernel's exact counts; NaN where a column is constant.
 
-    O(n^2) vectorized over sign matrices with integer accumulation; chosen
-    over the merge-sort algorithm because the screening sample sizes are
-    moderate and the arithmetic stays exactly reproducible.
+    With weak ranks ``r = leq(v)``, ``sum(r) = n + n0 + t`` for a column with
+    ``t`` tied pairs, so ``n1``, ``n2`` and the pairs ``n3`` tied in both
+    (ties of the key ``ry * (n + 1) + rx``) come from sums of weak ranks.
+    The weak joint counts ``c`` sum to ``n + P + n1 + n2`` over the ``P``
+    concordant pairs, and ``Q = n0 - P - n1 - n2 + n3`` pairs are
+    discordant, so ``S = P - Q = 2 sum(c) - 2n - n0 - n1 - n2 - n3``.
+    """
+    n, p = x.shape
+    n0 = n * (n - 1) // 2
+    ry = leq_counts(y)
+    n2 = int(ry.sum()) - n - n0
+    taus = np.empty(p)
+    for lo in range(0, p, _CHUNK):
+        rx = leq_counts_matrix(x[:, lo:lo + _CHUNK])
+        c = dominance_counts_matrix(y, rx.astype(np.min_scalar_type(n)))
+        n1 = rx.sum(axis=0) - n - n0
+        n3 = leq_counts_matrix(ry[:, None] * (n + 1) + rx).sum(axis=0) - n - n0
+        s = 2 * c.sum(axis=0) - 2 * n - n0 - n1 - n2 - n3
+        for j, (s_j, n1_j) in enumerate(zip(s.tolist(), n1.tolist())):
+            taus[lo + j] = _tau_b(s_j, n0, n1_j, n2)
+    return taus
+
+
+def kendall_tau_b(y_col, x_col) -> float:
+    """Tie-corrected Kendall rank correlation; NaN when a column is constant.
+
+    The one-column call of the batch path: O(n^2) time with exact integer
+    counts and O(n) memory.
     """
     y = as_finite_vector(y_col, "y_col")
     x = as_finite_vector(x_col, "x_col")
     if y.size != x.size:
         raise InvalidInput("column lengths differ")
-    n = y.size
-    if n < 2:
+    if y.size < 2:
         raise InvalidInput("need at least 2 observations")
-    y_sign = np.sign(y[:, None] - y[None, :])
-    return _tau_b(y_sign, _tie_pair_count(y), x)
+    return float(_kendall_taus(y, x[:, None])[0])
 
 
 def kendall_utility(y_col, x_col) -> float:
@@ -124,20 +142,12 @@ def kendall_sis(dataset: Dataset, selection: Selection | None = None) -> Screeni
     dataset.require_finite()
     if dataset.n < 2:
         raise InvalidInput("need at least 2 observations")
-    y = dataset.y
-    y_sign = np.sign(y[:, None] - y[None, :])
-    n2 = _tie_pair_count(y)
-    utilities = np.zeros(dataset.p)
-    warned = False
-    for j in range(dataset.p):
-        tau = _tau_b(y_sign, n2, dataset.x[:, j])
-        if math.isnan(tau):
-            if not warned:
-                warnings.warn("constant column; Kendall utility set to 0",
-                              stacklevel=2)
-                warned = True
-            continue
-        utilities[j] = abs(tau)
+    taus = _kendall_taus(dataset.y, dataset.x)
+    constant = np.isnan(taus)
+    if constant.any():
+        warnings.warn("constant column; Kendall utility set to 0",
+                      stacklevel=2)
+    utilities = np.where(constant, 0.0, np.abs(taus))
     if selection is None:
         selection = TopD(default_top_d(dataset.n))
     return build_report("Kendall-SIS", utilities, selection, dataset.n)

@@ -32,16 +32,16 @@ SCHEMA_VERSION = 1
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-def _parse_cell(cell: str, row: int, name: str) -> float:
+def _parse_cell(path: str, cell: str, row: int, name: str) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise InvalidInput(
-            f"row {row}, column '{name}': non-numeric value {cell!r}"
+            f"{path}: row {row}, column '{name}': non-numeric value {cell!r}"
         ) from None
     if not math.isfinite(value):
         raise InvalidInput(
-            f"row {row}, column '{name}': non-finite value {cell!r}"
+            f"{path}: row {row}, column '{name}': non-finite value {cell!r}"
         )
     return value
 
@@ -70,7 +70,7 @@ def _parse_block(path: str, header: list, rows: list,
                 f"{len(header)}"
             )
         for j, cell in enumerate(row):
-            data[i, j] = _parse_cell(cell, file_row, header[j])
+            data[i, j] = _parse_cell(path, cell, file_row, header[j])
     return data
 
 

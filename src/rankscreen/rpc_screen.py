@@ -49,7 +49,9 @@ class ResidualMatrix:
     basis : SplineBasis or None
         The shared basis; None when the degenerate centering fallback ran.
     diagnostics : dict
-        Per-fit iteration counts / convergence flags for the L1 loss.
+        Per-fit iteration counts, convergence flags and ridge flags
+        (``"iterations"``, ``"converged"``, ``"ridged"``; response first)
+        for the L1 loss.
     """
 
     eps_y: np.ndarray
@@ -105,13 +107,15 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
         resid = targets - b @ coefs
     else:
         try:
-            coefs, iterations, converged, _ = _irls(b, targets.T, lad_config)
+            coefs, iterations, converged, ridged = _irls(b, targets.T,
+                                                         lad_config)
         except SingularDesign as exc:
             name = ([dataset.y_name] + dataset.x_names)[exc.target]
             raise SingularDesign(f"column '{name}': {exc}") from None
         resid = targets - (b @ coefs[..., None])[..., 0].T
         diagnostics = {"iterations": iterations.tolist(),
-                       "converged": converged.tolist()}
+                       "converged": converged.tolist(),
+                       "ridged": ridged.tolist()}
     return ResidualMatrix(eps_y=resid[:, 0], eps_x=resid[:, 1:], loss=loss,
                           basis=basis, diagnostics=diagnostics)
 

@@ -13,6 +13,8 @@ across iterations.
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +56,18 @@ class LadConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidInput("epsilon must be positive")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be >= 1")
+        # epsilon ** 2 enters every weight: it must be finite and nonzero
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0
+                and 0.0 < self.epsilon * self.epsilon < math.inf):
+            raise InvalidInput(
+                "epsilon must be finite and positive, with a finite nonzero "
+                "square"
+            )
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise InvalidInput("tol must be finite and >= 0")
+        if (not isinstance(self.max_iter, numbers.Integral)
+                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+            raise InvalidInput("max_iter must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -240,8 +250,19 @@ def _irls(b: np.ndarray, targets: np.ndarray, config: LadConfig):
     one matrix-vector product per target on a contiguous row (a
     matrix-matrix product or a strided row changes the last bits), so each
     target's iterates are exactly those of a fit on its own.
+
+    The weights ``1/sqrt((w - b c)^2 + eps^2)`` are computed in place, one
+    operation at a time in the order of that expression, so they carry the
+    expression's bits.  The weighted design ``b * weights`` is formed as the
+    weights repeated k times along each row, multiplied in place by the
+    flattened design: a broadcast of the (a, n, 1) weights against b runs
+    numpy's inner loop over only k elements at a time.  The product is the
+    same (a, n, k) C-order array, element for element and stride for
+    stride, so the gram and right-hand-side products see byte-identical
+    operands.  A contiguous (a, k, n) layout would be faster still but
+    changes those products' last bits.
     """
-    m, k = targets.shape[0], b.shape[1]
+    (m, n), k = targets.shape, b.shape[1]
     w = np.ascontiguousarray(targets)[..., None]  # rows of the active targets
     coefs, ridged = _solve_normal_equations(
         np.broadcast_to(b.T @ b, (m, k, k)), b.T @ w)
@@ -249,9 +270,19 @@ def _irls(b: np.ndarray, targets: np.ndarray, config: LadConfig):
     converged = np.zeros(m, dtype=bool)
     active = np.arange(m)
     eps_sq = config.epsilon ** 2
+    b_flat = np.ascontiguousarray(b).reshape(n * k)
     for it in range(1, config.max_iter + 1):
-        weights = 1.0 / np.sqrt((w - b @ coefs[active]) ** 2 + eps_sq)
-        bwt = (b * weights).transpose(0, 2, 1)
+        a = active.size
+        weights = b @ coefs[active]
+        np.subtract(w, weights, out=weights)
+        np.square(weights, out=weights)
+        weights += eps_sq
+        np.sqrt(weights, out=weights)
+        np.reciprocal(weights, out=weights)
+        bwt = np.repeat(weights.reshape(a, n), k, axis=1)
+        del weights  # freed before the products: a lower peak RSS
+        bwt *= b_flat
+        bwt = bwt.reshape(a, n, k).transpose(0, 2, 1)
         try:
             new, rid = _solve_normal_equations(bwt @ b, bwt @ w)
         except SingularDesign as exc:

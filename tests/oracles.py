@@ -2,14 +2,19 @@
 paths.
 
 Every count here is derived by explicit enumeration (nested Python loops),
-independently of the sorted sweeps and sign matrices under test.  The
-final floating-point expressions mirror the library's documented formulas so
-exact equality is well defined.
+independently of the sorted sweeps and the shared counting kernel under
+test.  The final floating-point expressions mirror the library's documented
+formulas so exact equality is well defined.  `irls_oracle` is the exception:
+it is the plain IRLS step, one target at a time, through the library's
+normal-equation solver, so that the batched fit can be checked against it
+bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from rankscreen.spline import _solve_normal_equations
 
 
 def ecdf_count_oracle(sample, t) -> int:
@@ -98,3 +103,33 @@ def mms_prefix_oracle(ranking, active) -> int:
         if active <= seen:
             return i
     raise AssertionError("active set not contained in the ranking")
+
+
+def irls_oracle(b, targets, config):
+    """Smoothed IRLS of each row of ``targets`` on ``b``, one target at a
+    time with the textbook step ``weights = 1/sqrt((w - b c)^2 + eps^2)``
+    and the weighted design formed by broadcasting; returns (coefs,
+    iterations, converged, ridged) like ``spline._irls``."""
+    m, k = targets.shape[0], b.shape[1]
+    coefs = np.empty((m, k))
+    iterations = np.zeros(m, dtype=int)
+    converged = np.zeros(m, dtype=bool)
+    ridged = np.zeros(m, dtype=bool)
+    eps_sq = config.epsilon ** 2
+    for i in range(m):
+        w = np.ascontiguousarray(targets[i])[None, :, None]
+        coef, rid = _solve_normal_equations((b.T @ b)[None], b.T @ w)
+        ridged[i] = rid[0]
+        for it in range(1, config.max_iter + 1):
+            weights = 1.0 / np.sqrt((w - b @ coef) ** 2 + eps_sq)
+            bwt = (b * weights).transpose(0, 2, 1)
+            new, rid = _solve_normal_equations(bwt @ b, bwt @ w)
+            ridged[i] |= rid[0]
+            step = np.max(np.abs(new - coef))
+            coef = new
+            iterations[i] = it
+            if step < config.tol:
+                converged[i] = True
+                break
+        coefs[i] = coef[0, :, 0]
+    return coefs, iterations, converged, ridged

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +89,68 @@ class TestKendall:
     def test_constant_column_warns(self):
         with pytest.warns(UserWarning):
             assert kendall_utility([1, 2, 3], [7, 7, 7]) == 0.0
+
+
+    def test_n2(self):
+        assert kendall_tau_b([1.0, 2.0], [5.0, 3.0]) == -1.0
+        assert math.isnan(kendall_tau_b([1.0, 2.0], [4.0, 4.0]))
+
+    def test_memory_linear_in_n(self):
+        # an n x n float64 sign matrix alone would take 200 MB here
+        n = 5000
+        rng = np.random.default_rng(12)
+        y = rng.standard_normal(n)
+        x = rng.integers(0, 50, n).astype(float)
+        tracemalloc.start()
+        try:
+            kendall_tau_b(y, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * n * 8
+
+
+class TestKendallBatch:
+    """`kendall_sis` utilities equal the pair-count oracle column by column."""
+
+    @staticmethod
+    def _assert_matches_oracle(y, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            utilities = kendall_sis(Dataset(y=y, x=x)).utilities
+        for j in range(x.shape[1]):
+            tau = kendall_tau_oracle(list(y), list(x[:, j]))
+            assert utilities[j] == (0.0 if math.isnan(tau) else abs(tau))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bernoulli_y_few_level_x(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        y = rng.integers(0, 2, n).astype(float)
+        x = rng.integers(0, 3, (n, 12)).astype(float)
+        x[:, 5] = rng.standard_normal(n)
+        x[:, 7] = 2.0  # constant column
+        self._assert_matches_oracle(y, x)
+
+    def test_constant_y(self):
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 4, (20, 5)).astype(float)
+        with pytest.warns(UserWarning, match="constant"):
+            report = kendall_sis(Dataset(y=np.full(20, 1.5), x=x))
+        assert np.array_equal(report.utilities, np.zeros(5))
+
+    def test_two_observations(self):
+        x = np.array([[1.0, 3.0, 2.0], [2.0, 1.0, 2.0]])
+        self._assert_matches_oracle(np.array([0.0, 1.0]), x)
+
+    @pytest.mark.parametrize("p", [255, 256, 257])
+    def test_chunk_boundary(self, p):
+        rng = np.random.default_rng(p)
+        n = 12
+        y = rng.integers(0, 4, n).astype(float)
+        x = rng.integers(0, 5, (n, p)).astype(float)
+        x[:, p - 1] = -1.0  # constant last column, alone in its chunk at 257
+        self._assert_matches_oracle(y, np.asfortranarray(x))
 
 
 class TestScreeners:

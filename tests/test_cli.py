@@ -63,6 +63,13 @@ class TestLoadCsv:
                            match=r"row 2, column 'x2': non-finite value"):
             load_csv(path, "y")
 
+    def test_bad_cell_message_starts_with_path(self, tmp_path):
+        path = _write(tmp_path / "t.csv", "y,x1\n1,2\n3,abc\n")
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value) == (
+            f"{path}: row 3, column 'x1': non-numeric value 'abc'")
+
     def test_text_cell_names_location(self, tmp_path):
         path = _write(tmp_path / "t.csv", "y,x1\n1,2\nx,4\n")
         with pytest.raises(InvalidInput, match=r"row 3, column 'y'"):
@@ -181,8 +188,8 @@ class TestBlockParse:
     @pytest.mark.parametrize("cells", [12, None])
     @pytest.mark.parametrize("file_row", [5, 10, 12])
     @pytest.mark.parametrize("cell, message", [
-        ("abc", "row {r}, column 'x2': non-numeric value 'abc'"),
-        ("-inf", "row {r}, column 'x2': non-finite value '-inf'"),
+        ("abc", "{path}: row {r}, column 'x2': non-numeric value 'abc'"),
+        ("-inf", "{path}: row {r}, column 'x2': non-finite value '-inf'"),
         (None, "{path}: row {r} has 5 cells, expected 4"),
     ])
     def test_bad_row_in_later_block_named_as_in_one_block(
@@ -209,7 +216,7 @@ class TestBlockParse:
         rows[13 if ragged_first else 1][3] = "nan"
         path = _write_grid(tmp_path, rows, 4)
         expected = (f"{path}: row 3 has 5 cells, expected 4" if ragged_first
-                    else "row 3, column 'x3': non-finite value 'nan'")
+                    else f"{path}: row 3, column 'x3': non-finite value 'nan'")
         with pytest.raises(InvalidInput) as info:
             load_csv(path, "y")
         assert str(info.value) == expected

@@ -98,6 +98,8 @@ class TestResidualize:
         res = residualize(ds, loss="l1")
         assert len(res.diagnostics["iterations"]) == 4  # response + 3 columns
         assert all(isinstance(c, bool) for c in res.diagnostics["converged"])
+        assert all(isinstance(r, bool) for r in res.diagnostics["ridged"])
+        assert len(res.diagnostics["ridged"]) == 4
         # stalling short of the coefficient tolerance is reported, not raised
         assert all(i >= 1 for i in res.diagnostics["iterations"])
 
@@ -119,6 +121,7 @@ class TestBatchedSolver:
                                   - design_matrix(basis, ds.z) @ fit.coef)
             assert res.diagnostics["iterations"][j] == fit.iterations
             assert res.diagnostics["converged"][j] is fit.converged
+            assert res.diagnostics["ridged"][j] is fit.ridged
 
     def test_l2_singular_message_matches_fit_l2(self):
         z = np.array([0.0] + [0.5] * 20 + [1.0])

@@ -13,8 +13,12 @@ from rankscreen.spline import (
     fit_l1,
     fit_l2,
     l1_objective,
+    _irls,
     predict,
 )
+from rankscreen.simgen import make_scenario, simulate
+
+from oracles import irls_oracle
 
 
 @pytest.fixture
@@ -235,6 +239,27 @@ class TestFitL1:
         assert [f.name for f in dataclasses.fields(LadConfig)] == [
             "epsilon", "tol", "max_iter"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("epsilon", 0.0),
+        ("epsilon", 1e-200),  # its square underflows to 0
+        ("tol", float("nan")),
+        ("tol", float("inf")),
+        ("tol", -1.0),
+        ("max_iter", 2.5),
+        ("max_iter", 0),
+        ("max_iter", True),
+    ])
+    def test_lad_config_rejects_invalid_settings(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            LadConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"max_iter": np.int64(5)}, {"epsilon": 1e-150}])
+    def test_lad_config_accepts_edge_settings(self, kwargs):
+        LadConfig(**kwargs)
+
     def test_nonconvergence_flag_not_error(self, uniform_basis):
         z, basis = uniform_basis
         rng = np.random.default_rng(10)
@@ -242,6 +267,41 @@ class TestFitL1:
         fit = fit_l1(basis, z, w, LadConfig(max_iter=1))
         assert not fit.converged
         assert fit.iterations == 1
+
+
+class TestIrlsStep:
+    """The batched IRLS forms its weighted design in place; every output
+    must equal the textbook step run one target at a time, bit for bit."""
+
+    @staticmethod
+    def _design(n, seed, ridge):
+        sim = simulate(make_scenario("E4", n=n, p=30, r2=0.3,
+                                     error="cauchy3"), seed=seed).dataset
+        b = design_matrix(basis_build(sim.z), sim.z)
+        if ridge:
+            # a near copy of a basis column: most weighted grams then fail
+            # the Cholesky check and take the ridge
+            rng = np.random.default_rng(seed)
+            b = np.column_stack([b, b[:, 1] + 1e-7 * rng.standard_normal(n)])
+        return b, np.column_stack([sim.y, sim.x]).T
+
+    @pytest.mark.parametrize("n", [200, 203])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference_loop_bitwise(self, n, seed):
+        b, targets = self._design(n, seed, ridge=False)
+        got = _irls(b, targets, LadConfig())
+        want = irls_oracle(b, targets, LadConfig())
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_ridged_case_matches_reference_loop_bitwise(self):
+        b, targets = self._design(200, 1, ridge=True)
+        got = _irls(b, targets, LadConfig())
+        want = irls_oracle(b, targets, LadConfig())
+        assert 0 < got[3].sum() < got[3].size
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestPredict:

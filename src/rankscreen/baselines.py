@@ -1,5 +1,7 @@
 """Reference screeners used as comparators: absolute Pearson correlation and
 absolute tie-corrected Kendall rank correlation.
+Each pairwise function is the one-column call of its screener's batch path,
+so the two agree bit for bit.
 
 Kendall's tau-b is derived from the counting kernel shared with the RC
 utilities: weak ranks and weak joint counts of 256-column chunks give the
@@ -17,13 +19,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .empirical import (
-    as_finite_vector,
+    as_finite_pair,
     dominance_counts_matrix,
     leq_counts,
     leq_counts_matrix,
 )
 from .errors import InvalidInput
-from .report import Selection, ScreeningReport, TopD, build_report, default_top_d
+from .report import Selection, ScreeningReport, build_report
 
 __all__ = [
     "pearson_utility",
@@ -33,25 +35,45 @@ __all__ = [
 ]
 
 
+# Columns per chunk: bounds the (chunk, n) and (n, chunk) working arrays.
+_CHUNK = 256
+_PEARSON_ZERO = "zero-variance column(s); Pearson utility set to 0"
+_KENDALL_ZERO = "constant column; Kendall utility set to 0"
+
+
+def _abs_or_zero(corrs: np.ndarray, warning: str) -> np.ndarray:
+    """Absolute correlations; 0, with one warning, where one is NaN."""
+    nan = np.isnan(corrs)
+    if nan.any():
+        warnings.warn(warning, stacklevel=3)
+    return np.where(nan, 0.0, np.abs(corrs))
+
+
+def _pearson_corrs(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Pearson correlation of every column of the (n, p) array x with y; NaN
+    where y or a column is constant (all entries equal) or a variance is 0.
+    Chunks are taken as contiguous (chunk, n) rows, so every mean and sum is
+    the 1-D sum of one column, whatever the layout of x and its width."""
+    corrs = np.full(x.shape[1], math.nan)
+    if np.all(y == y[0]):
+        return corrs
+    yc = y - y.mean()
+    ss_y = (yc * yc).sum()
+    for lo in range(0, x.shape[1], _CHUNK):
+        xt = np.ascontiguousarray(x[:, lo:lo + _CHUNK].T)
+        xc = xt - xt.mean(axis=1)[:, None]
+        denom = np.sqrt(ss_y * (xc * xc).sum(axis=1))
+        denom[np.all(xt == xt[:, :1], axis=1)] = 0.0
+        np.divide((xc * yc).sum(axis=1), denom, out=corrs[lo:lo + _CHUNK],
+                  where=denom > 0.0)
+    return corrs
+
+
 def pearson_utility(y_col, x_col) -> float:
     """Absolute sample Pearson correlation; 0 (with a warning) for a
-    zero-variance column."""
-    y = as_finite_vector(y_col, "y_col")
-    x = as_finite_vector(x_col, "x_col")
-    if y.size != x.size:
-        raise InvalidInput("column lengths differ")
-    yc = y - y.mean()
-    xc = x - x.mean()
-    denom = math.sqrt(float(yc @ yc) * float(xc @ xc))
-    if denom == 0.0:
-        warnings.warn("zero-variance column; Pearson utility set to 0",
-                      stacklevel=2)
-        return 0.0
-    return abs(float(yc @ xc) / denom)
-
-
-# Columns counted per kernel call: bounds the (n, chunk) count arrays.
-_CHUNK = 256
+    zero-variance column.  The one-column call of `pearson_sis`'s path."""
+    y, x = as_finite_pair(y_col, x_col)
+    return float(_abs_or_zero(_pearson_corrs(y, x[:, None]), _PEARSON_ZERO)[0])
 
 
 def _tau_b(s: int, n0: int, n1: int, n2: int) -> float:
@@ -96,23 +118,14 @@ def kendall_tau_b(y_col, x_col) -> float:
     The one-column call of the batch path: O(n^2) time with exact integer
     counts and O(n) memory.
     """
-    y = as_finite_vector(y_col, "y_col")
-    x = as_finite_vector(x_col, "x_col")
-    if y.size != x.size:
-        raise InvalidInput("column lengths differ")
-    if y.size < 2:
-        raise InvalidInput("need at least 2 observations")
+    y, x = as_finite_pair(y_col, x_col, min_size=2)
     return float(_kendall_taus(y, x[:, None])[0])
 
 
 def kendall_utility(y_col, x_col) -> float:
     """Absolute tau-b; 0 (with a warning) when a column is constant."""
-    tau = kendall_tau_b(y_col, x_col)
-    if math.isnan(tau):
-        warnings.warn("constant column; Kendall utility set to 0",
-                      stacklevel=2)
-        return 0.0
-    return abs(tau)
+    tau = np.array([kendall_tau_b(y_col, x_col)])
+    return float(_abs_or_zero(tau, _KENDALL_ZERO)[0])
 
 
 def pearson_sis(dataset: Dataset, selection: Selection | None = None) -> ScreeningReport:
@@ -120,20 +133,8 @@ def pearson_sis(dataset: Dataset, selection: Selection | None = None) -> Screeni
     dataset.require_finite()
     if dataset.n < 3:
         raise InvalidInput("need at least 3 observations")
-    y = dataset.y
-    yc = y - y.mean()
-    ss_y = float(yc @ yc)
-    xc = dataset.x - dataset.x.mean(axis=0)
-    ss_x = np.einsum("ij,ij->j", xc, xc)
-    cov = yc @ xc
-    utilities = np.zeros(dataset.p)
-    ok = (ss_x > 0.0) & (ss_y > 0.0)
-    if not np.all(ok):
-        warnings.warn("zero-variance column(s); Pearson utility set to 0",
-                      stacklevel=2)
-    utilities[ok] = np.abs(cov[ok] / np.sqrt(ss_y * ss_x[ok]))
-    if selection is None:
-        selection = TopD(default_top_d(dataset.n))
+    utilities = _abs_or_zero(_pearson_corrs(dataset.y, dataset.x),
+                             _PEARSON_ZERO)
     return build_report("Pearson-SIS", utilities, selection, dataset.n)
 
 
@@ -142,12 +143,6 @@ def kendall_sis(dataset: Dataset, selection: Selection | None = None) -> Screeni
     dataset.require_finite()
     if dataset.n < 2:
         raise InvalidInput("need at least 2 observations")
-    taus = _kendall_taus(dataset.y, dataset.x)
-    constant = np.isnan(taus)
-    if constant.any():
-        warnings.warn("constant column; Kendall utility set to 0",
-                      stacklevel=2)
-    utilities = np.where(constant, 0.0, np.abs(taus))
-    if selection is None:
-        selection = TopD(default_top_d(dataset.n))
+    utilities = _abs_or_zero(_kendall_taus(dataset.y, dataset.x),
+                             _KENDALL_ZERO)
     return build_report("Kendall-SIS", utilities, selection, dataset.n)

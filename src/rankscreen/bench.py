@@ -10,8 +10,8 @@ budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,12 +19,20 @@ from .baselines import kendall_sis, pearson_sis
 from .dataset import Dataset
 from .errors import HarnessError, InvalidInput
 from .rc_screen import rc_screen
-from .report import ScreeningReport, Selection, TopD, default_top_d
+from .report import (
+    SCHEMA_VERSION,
+    ScreeningReport,
+    Selection,
+    TopD,
+    default_top_d,
+)
 from .rpc_screen import rpc_screen
 from .simgen import Scenario, simulate
 from .spline import BasisConfig
 
 __all__ = [
+    "Method",
+    "METHODS",
     "METHOD_NAMES",
     "get_method",
     "mms",
@@ -36,29 +44,38 @@ __all__ = [
 
 RSD_SCALE = 1.349  # normal-consistent IQR scale
 
-METHOD_NAMES = ("rc", "rpc-l2", "rpc-l1", "pearson", "kendall")
-
 Screener = Callable[[Dataset, Selection], ScreeningReport]
+
+
+class Method(NamedTuple):
+    """``screen(dataset, selection, basis_config)`` and its exposure need."""
+
+    screen: Callable[[Dataset, Selection, BasisConfig], ScreeningReport]
+    needs_exposure: bool = False
+
+
+# The screeners are looked up in this module when called, not bound here,
+# so a wrapper installed on a module attribute (a tracer) sees every call.
+METHODS = {
+    "rc": Method(lambda ds, sel, basis: rc_screen(ds, sel)),
+    "rpc-l2": Method(lambda ds, sel, basis: rpc_screen(
+        ds, loss="l2", selection=sel, basis_config=basis), True),
+    "rpc-l1": Method(lambda ds, sel, basis: rpc_screen(
+        ds, loss="l1", selection=sel, basis_config=basis), True),
+    "pearson": Method(lambda ds, sel, basis: pearson_sis(ds, sel)),
+    "kendall": Method(lambda ds, sel, basis: kendall_sis(ds, sel)),
+}
+METHOD_NAMES = tuple(METHODS)
 
 
 def get_method(name: str,
                basis_config: BasisConfig = BasisConfig()) -> Screener:
     """Resolve a CLI method name to a screener callable."""
-    if name == "rc":
-        return rc_screen
-    if name == "pearson":
-        return pearson_sis
-    if name == "kendall":
-        return kendall_sis
-    if name == "rpc-l2":
-        return lambda ds, sel: rpc_screen(ds, loss="l2", selection=sel,
-                                          basis_config=basis_config)
-    if name == "rpc-l1":
-        return lambda ds, sel: rpc_screen(ds, loss="l1", selection=sel,
-                                          basis_config=basis_config)
-    raise InvalidInput(
-        f"unknown method '{name}'; valid: {', '.join(METHOD_NAMES)}"
-    )
+    if name not in METHODS:
+        raise InvalidInput(f"unknown method '{name}'; valid: "
+                           f"{', '.join(METHOD_NAMES)}")
+    screen = METHODS[name].screen
+    return lambda ds, sel: screen(ds, sel, basis_config)
 
 
 def mms(ranking, active) -> int:
@@ -114,7 +131,7 @@ class MetricsReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "scenario": self.scenario,
             "n_reps": self.n_reps,
             "n_failures": self.n_failures,
@@ -176,17 +193,12 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
         raise InvalidInput("need at least one replication")
     if not methods:
         raise InvalidInput("need at least one method")
-    for m in methods:
-        get_method(m)  # validate names up front
+    screeners = {name: get_method(name, basis_config=basis_config)
+                 for name in methods}
 
     if isinstance(scenario, Scenario):
         make = lambda seq: simulate(scenario, seq)  # noqa: E731
-        scenario_echo = {
-            "id": scenario.id, "n": scenario.n, "p": scenario.p,
-            "rho0": scenario.rho0, "w0": scenario.w0,
-            "error": scenario.error, "r2": scenario.r2,
-            "case": scenario.case,
-        }
+        scenario_echo = asdict(scenario)
     else:
         make = scenario
         scenario_echo = {"id": "custom"}
@@ -196,12 +208,8 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
         sim = make(seq)
         budget = d_n if d_n is not None else default_top_d(sim.dataset.n)
         sel = TopD(budget)
-        ranks = {}
-        for name in methods:
-            report = get_method(name, basis_config=basis_config)(sim.dataset,
-                                                                 sel)
-            pos = report.ranks()
-            ranks[name] = pos[sim.active]
+        ranks = {name: screen(sim.dataset, sel).ranks()[sim.active]
+                 for name, screen in screeners.items()}
         return budget, sim.active, ranks
 
     kept: list = []

@@ -15,17 +15,15 @@ import sys
 
 import numpy as np
 
-from .bench import METHOD_NAMES, get_method, run_replications
+from .bench import METHOD_NAMES, METHODS, get_method, run_replications
 from .dataset import Dataset
 from .errors import InvalidInput, RankscreenError
 from .rc_screen import wild_bootstrap_test
-from .report import ScreeningReport, TopD, UtilityThreshold, default_top_d
+from .report import SCHEMA_VERSION, ScreeningReport, TopD, UtilityThreshold
 from .simgen import make_scenario, scenario_from_config
 from .spline import BasisConfig
 
 __all__ = ["main", "load_csv", "save_csv"]
-
-SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +133,7 @@ def load_csv(path: str, response_name: str,
             x_parts.append(data[:, x_idx])
             block = list(itertools.islice(reader, block_rows))
     # column-major, as a column selection of the whole table was: each
-    # covariate is contiguous, and column reductions (Pearson's moments)
-    # depend on the layout in their last bits
+    # covariate is contiguous for the per-column sorts and sums
     x = np.concatenate(x_parts, out=np.empty((n, len(x_idx)), order="F"))
     return Dataset(
         y=np.concatenate(y_parts),
@@ -214,17 +211,16 @@ def _resolve_seed(seed: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_screen(args, parser) -> int:
-    if args.method.startswith("rpc") and args.exposure is None:
+    if METHODS[args.method].needs_exposure and args.exposure is None:
         parser.error(f"method '{args.method}' requires --exposure")
     if args.top_d is not None and args.threshold is not None:
         parser.error("pass at most one of --top-d / --threshold")
     dataset = load_csv(args.input, args.response, args.exposure)
+    selection = None  # the default budget floor(n / ln n)
     if args.top_d is not None:
         selection = TopD(args.top_d)
     elif args.threshold is not None:
         selection = UtilityThreshold(args.threshold)
-    else:
-        selection = TopD(default_top_d(dataset.n))
     basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
     report = get_method(args.method, basis_config=basis)(dataset, selection)
     payload = _report_json(report, dataset, args.seed)
@@ -249,10 +245,6 @@ def _cmd_screen(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     methods = args.method or ["rc"]
-    for m in methods:
-        if m not in METHOD_NAMES:
-            parser.error(f"unknown method '{m}'; valid: "
-                         f"{', '.join(METHOD_NAMES)}")
     try:
         if args.scenario_file:
             with open(args.scenario_file, encoding="utf-8") as fh:
@@ -266,7 +258,8 @@ def _cmd_simulate(args, parser) -> int:
             parser.error("pass --scenario or --scenario-file")
     except InvalidInput as exc:
         parser.error(str(exc))
-    if any(m.startswith("rpc") for m in methods) and not scenario.needs_exposure:
+    if (any(METHODS[m].needs_exposure for m in methods)
+            and not scenario.needs_exposure):
         parser.error(f"scenario {scenario.id} has no exposure; rpc-* methods "
                      "do not apply")
     reps = args.reps if args.reps is not None else (200 if args.full else 50)
@@ -431,10 +424,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    except RankscreenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RankscreenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

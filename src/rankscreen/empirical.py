@@ -37,6 +37,17 @@ def as_finite_vector(sample, name: str = "sample") -> np.ndarray:
     return arr
 
 
+def as_finite_pair(a, b, names=("y_col", "x_col"), min_size: int = 1):
+    """Paired samples as finite float vectors of one length >= min_size."""
+    a, b = as_finite_vector(a, names[0]), as_finite_vector(b, names[1])
+    if a.size != b.size:
+        raise InvalidInput(f"{names[0]} and {names[1]} lengths differ "
+                           f"({a.size} vs {b.size})")
+    if a.size < min_size:
+        raise InvalidInput(f"need at least {min_size} observations")
+    return a, b
+
+
 def leq_counts(col: np.ndarray) -> np.ndarray:
     """``r[i] = #{k : col_k <= col_i}`` for one column."""
     return leq_counts_matrix(np.asarray(col)[:, None])[:, 0]

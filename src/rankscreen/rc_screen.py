@@ -23,13 +23,14 @@ import numpy as np
 
 from .dataset import Dataset
 from .empirical import (
+    as_finite_pair,
     as_finite_vector,
     dominance_counts_matrix,
     leq_counts,
     leq_counts_matrix,
 )
 from .errors import DegenerateEvaluation, InvalidInput
-from .report import Selection, ScreeningReport, TopD, build_report, default_top_d
+from .report import Selection, ScreeningReport, build_report
 
 __all__ = [
     "robust_corr",
@@ -44,6 +45,7 @@ __all__ = [
 
 
 _BLOCK = 64
+_SAMPLES = ("y_sample", "x_sample")
 
 
 def _rho_from_counts(c, ry, rx, n):
@@ -56,16 +58,6 @@ def _rho_from_counts(c, ry, rx, n):
     num = (n + 1.0) * c - ry * rx
     rad = np.multiply(ry * (n + 1 - ry), rx * (n + 1 - rx), dtype=float)
     return num / np.sqrt(rad)
-
-
-def _paired_sample(y_sample, x_sample):
-    ys = as_finite_vector(y_sample, "y_sample")
-    xs = as_finite_vector(x_sample, "x_sample")
-    if ys.size != xs.size:
-        raise InvalidInput("paired samples have different lengths")
-    if ys.size < 2:
-        raise InvalidInput("need at least 2 paired observations")
-    return ys, xs, ys.size
 
 
 def robust_corr(y: float, x: float, y_sample, x_sample) -> float:
@@ -87,13 +79,13 @@ def robust_corr(y: float, x: float, y_sample, x_sample) -> float:
     -------
     float in [-1, 1]
     """
-    ys, xs, n = _paired_sample(y_sample, x_sample)
+    ys, xs = as_finite_pair(y_sample, x_sample, _SAMPLES, min_size=2)
     ry = int(np.sum(ys <= y))
     rx = int(np.sum(xs <= x))
     if ry == 0 or rx == 0:
         return 0.0
     c = int(np.sum((ys <= y) & (xs <= x)))
-    return float(_rho_from_counts(c, ry, rx, n))
+    return float(_rho_from_counts(c, ry, rx, ys.size))
 
 
 def rc_utility(y_col, x_col) -> float:
@@ -104,12 +96,7 @@ def rc_utility(y_col, x_col) -> float:
     ``[0, 1]``; equals 1 exactly when ``x_col`` is a strictly increasing
     function of ``y_col`` (no ties).
     """
-    y = as_finite_vector(y_col, "y_col")
-    x = as_finite_vector(x_col, "x_col")
-    if y.size != x.size:
-        raise InvalidInput(
-            f"column lengths differ ({y.size} vs {x.size})"
-        )
+    y, x = as_finite_pair(y_col, x_col)
     return float(rc_utilities(y, x[:, None])[0])
 
 
@@ -161,8 +148,6 @@ def rc_screen(dataset: Dataset,
     """
     dataset.require_finite()
     utilities = rc_utilities(dataset.y, dataset.x)
-    if selection is None:
-        selection = TopD(default_top_d(dataset.n))
     return build_report("RC-SIS", utilities, selection, dataset.n)
 
 
@@ -207,7 +192,8 @@ def robust_corr_ci(y: float, x: float, y_sample, x_sample,
     """
     if not 0.0 < level < 1.0:
         raise InvalidInput("level must be in (0, 1)")
-    ys, xs, n = _paired_sample(y_sample, x_sample)
+    ys, xs = as_finite_pair(y_sample, x_sample, _SAMPLES, min_size=2)
+    n = ys.size
     iy = (ys <= y).astype(float)
     ix = (xs <= x).astype(float)
     fy = iy.sum() / (n + 1)
@@ -287,10 +273,7 @@ def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
         raise InvalidInput("need at least 2 bootstrap replicates")
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("alpha must be in (0, 1)")
-    y = as_finite_vector(y_col, "y_col")
-    x = as_finite_vector(x_col, "x_col")
-    if y.size != x.size:
-        raise InvalidInput("column lengths differ")
+    y, x = as_finite_pair(y_col, x_col)
     n = y.size
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)

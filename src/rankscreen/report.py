@@ -14,6 +14,7 @@ __all__ = [
     "TopD",
     "UtilityThreshold",
     "Selection",
+    "SCHEMA_VERSION",
     "default_top_d",
     "rank_columns",
     "build_report",
@@ -41,6 +42,9 @@ class UtilityThreshold:
 
 Selection = Union[TopD, UtilityThreshold]
 
+# Version of the JSON reports' layout, written as their "schema" field.
+SCHEMA_VERSION = 1
+
 
 def default_top_d(n: int) -> int:
     """Default screening budget floor(n / ln n)."""
@@ -55,8 +59,11 @@ def rank_columns(utilities: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(p), -utilities))
 
 
-def build_report(method: str, utilities: np.ndarray, selection: Selection,
-                 n: int) -> "ScreeningReport":
+def build_report(method: str, utilities: np.ndarray,
+                 selection: Selection | None, n: int) -> "ScreeningReport":
+    """Rank and select; a None selection means TopD(default_top_d(n))."""
+    if selection is None:
+        selection = TopD(default_top_d(n))
     utilities = np.asarray(utilities, dtype=float)
     p = utilities.shape[0]
     ranking = rank_columns(utilities)

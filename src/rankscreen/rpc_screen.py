@@ -12,13 +12,13 @@ import numpy as np
 from .dataset import Dataset
 from .errors import InvalidInput, SingularDesign
 from .rc_screen import rc_utilities, rc_utility
-from .report import Selection, ScreeningReport, TopD, build_report, default_top_d
+from .report import Selection, ScreeningReport, build_report
 from .spline import (
     BasisConfig,
     LadConfig,
     SplineBasis,
+    _fit_l2,
     _irls,
-    _solve_normal_equations,
     basis_build,
     design_matrix,
 )
@@ -83,9 +83,9 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
     exposure and return observed minus fitted at the training points.
 
     The same basis, with knots from the exposure sample, is reused across
-    all ``p + 1`` regressions.  Under squared loss all fits share one
-    factorization, so the whole matrix is residualized in a single solve;
-    under absolute loss all fits run as one batched IRLS.
+    all ``p + 1`` regressions, which run as one batch: the squared-loss fits
+    are the start of the absolute-loss IRLS.  Every residual column equals
+    the target minus `predict` of its own `fit_l2` or `fit_l1`, bit for bit.
     """
     if dataset.z is None:
         raise InvalidInput("dataset has no exposure column to residualize on")
@@ -103,8 +103,8 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
     targets = np.column_stack([dataset.y, dataset.x])
     diagnostics = {}
     if loss == "l2":
-        coefs, _ = _solve_normal_equations(b.T @ b, b.T @ targets)
-        resid = targets - b @ coefs
+        # one gram for every target: a singular one is the design's fault
+        coefs, _ = _fit_l2(b, np.ascontiguousarray(targets.T)[..., None])
     else:
         try:
             coefs, iterations, converged, ridged = _irls(b, targets.T,
@@ -112,10 +112,12 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
         except SingularDesign as exc:
             name = ([dataset.y_name] + dataset.x_names)[exc.target]
             raise SingularDesign(f"column '{name}': {exc}") from None
-        resid = targets - (b @ coefs[..., None])[..., 0].T
+        coefs = coefs[..., None]
         diagnostics = {"iterations": iterations.tolist(),
                        "converged": converged.tolist(),
                        "ridged": ridged.tolist()}
+    # one matrix-vector product per target, as `predict` forms it
+    resid = targets - (b @ coefs)[..., 0].T
     return ResidualMatrix(eps_y=resid[:, 0], eps_x=resid[:, 1:], loss=loss,
                           basis=basis, diagnostics=diagnostics)
 
@@ -137,7 +139,5 @@ def rpc_screen(dataset: Dataset, loss: str = "l2",
     residuals = residualize(dataset, basis_config=basis_config, loss=loss,
                             lad_config=lad_config)
     utilities = rc_utilities(residuals.eps_y, residuals.eps_x)
-    if selection is None:
-        selection = TopD(default_top_d(dataset.n))
     tag = f"RPC-SIS({loss.upper()})"
     return build_report(tag, utilities, selection, dataset.n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import as_finite_vector
+from .empirical import as_finite_pair, as_finite_vector
 from .errors import InvalidInput, OutOfSupport, SingularDesign
 
 __all__ = [
@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 _SUPPORT_RTOL = 1e-9
+
+
+def _is_int(value) -> bool:  # numpy's integers too, but not a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,7 @@ class LadConfig:
             )
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise InvalidInput("tol must be finite and >= 0")
-        if (not isinstance(self.max_iter, numbers.Integral)
-                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+        if not _is_int(self.max_iter) or self.max_iter < 1:
             raise InvalidInput("max_iter must be an integer >= 1")
 
 
@@ -110,10 +113,10 @@ def basis_build(z_sample, degree: int = 3, n_basis: int = 4) -> SplineBasis:
         interior knots is ``n_basis - degree - 1``.
     """
     z = as_finite_vector(z_sample, "z_sample")
-    if degree < 1:
-        raise InvalidInput("degree must be >= 1")
-    if n_basis < degree + 1:
-        raise InvalidInput("n_basis must be >= degree + 1")
+    if not _is_int(degree) or degree < 1:
+        raise InvalidInput("degree must be an integer >= 1")
+    if not _is_int(n_basis) or n_basis < degree + 1:
+        raise InvalidInput("n_basis must be an integer >= degree + 1")
     if z.size < n_basis:
         raise InvalidInput("need at least n_basis sample points")
     lo, hi = float(z.min()), float(z.max())
@@ -201,49 +204,57 @@ class SplineFit:
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
-    """Solve ``gram @ coef = rhs`` with a Cholesky PD check; on borderline
-    failure add a trace-scaled ridge once, recording that it happened.
+    """Solve the stack ``gram[i] @ coef[i] = rhs[i]``, shapes (m, k, k) and
+    (m, k, 1), with a Cholesky PD check; returns (coefs, ridged).
 
-    A stack (m, k, k) with right-hand sides (m, k, 1) is solved at once if
-    every matrix passes; else each takes the ridge path alone, and a
-    failure there sets the exception's ``target`` to its index.  A zero
-    diagonal entry means some basis function has no support points, a
-    structural rank deficiency that the ridge should not paper over.
+    The stack is solved at once if every matrix passes; else each alone,
+    adding a trace-scaled ridge once where its check fails, and a failure
+    sets the exception's ``target`` to its index.  A zero diagonal entry
+    means some basis function has no support points, a structural rank
+    deficiency that the ridge should not paper over.
     """
-    if gram.ndim == 3:
-        with contextlib.suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky(gram)
-            return np.linalg.solve(gram, rhs), np.zeros(len(gram), dtype=bool)
-        coefs, ridged = np.empty(rhs.shape), np.zeros(len(gram), dtype=bool)
-        for i, g in enumerate(gram):
-            try:
-                coefs[i], ridged[i] = _solve_normal_equations(g, rhs[i])
-            except SingularDesign as exc:
-                exc.target = i
-                raise
-        return coefs, ridged
-    if np.any(np.diag(gram) == 0.0):
-        raise SingularDesign(
-            "a basis function has no observations in its support; "
-            "lower n_basis"
-        )
+    ridged = np.zeros(len(gram), dtype=bool)
     with contextlib.suppress(np.linalg.LinAlgError):
         np.linalg.cholesky(gram)
-        return np.linalg.solve(gram, rhs), False
-    jitter = 1e-10 * np.trace(gram) / gram.shape[0]
-    bumped = gram + jitter * np.eye(gram.shape[0])
-    try:
-        np.linalg.cholesky(bumped)
-        return np.linalg.solve(bumped, rhs), True
-    except np.linalg.LinAlgError:
-        raise SingularDesign(
-            "spline design is rank deficient; lower n_basis"
-        ) from None
+        return np.linalg.solve(gram, rhs), ridged
+    coefs = np.empty(rhs.shape)
+    for i, g in enumerate(gram):
+        try:
+            if np.any(np.diag(g) == 0.0):
+                raise SingularDesign("a basis function has no observations "
+                                     "in its support; lower n_basis")
+            with contextlib.suppress(np.linalg.LinAlgError):
+                np.linalg.cholesky(g)
+                coefs[i] = np.linalg.solve(g, rhs[i])
+                continue
+            jitter = 1e-10 * np.trace(g) / g.shape[0]
+            bumped = g + jitter * np.eye(g.shape[0])
+            try:
+                np.linalg.cholesky(bumped)
+            except np.linalg.LinAlgError:
+                raise SingularDesign("spline design is rank deficient; "
+                                     "lower n_basis") from None
+            coefs[i], ridged[i] = np.linalg.solve(bumped, rhs[i]), True
+        except SingularDesign as exc:
+            exc.target = i
+            raise
+    return coefs, ridged
+
+
+def _fit_l2(b: np.ndarray, w: np.ndarray):
+    """Least-squares fits of the contiguous rows of ``w`` (m, n, 1) on one
+    design ``b`` (n, k): (coefs (m, k, 1), ridged (m,)).  Each right-hand
+    side is one matrix-vector product, so each target's fit is bit-identical
+    to a fit on its own; `fit_l2` is the m = 1 call."""
+    m, k = w.shape[0], b.shape[1]
+    return _solve_normal_equations(np.broadcast_to(b.T @ b, (m, k, k)),
+                                   b.T @ w)
 
 
 def _irls(b: np.ndarray, targets: np.ndarray, config: LadConfig):
     """Smoothed-IRLS absolute-loss fits of the rows of ``targets`` (m, n) on
-    one design ``b`` (n, k); returns (coefs, iterations, converged, ridged).
+    one design ``b`` (n, k), started from their `_fit_l2` solutions; returns
+    (coefs, iterations, converged, ridged).
 
     Each round solves only the targets still active: a target stops when
     its own coefficient step drops below ``config.tol``.  Every product is
@@ -264,8 +275,7 @@ def _irls(b: np.ndarray, targets: np.ndarray, config: LadConfig):
     """
     (m, n), k = targets.shape, b.shape[1]
     w = np.ascontiguousarray(targets)[..., None]  # rows of the active targets
-    coefs, ridged = _solve_normal_equations(
-        np.broadcast_to(b.T @ b, (m, k, k)), b.T @ w)
+    coefs, ridged = _fit_l2(b, w)
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     active = np.arange(m)
@@ -305,13 +315,10 @@ def fit_l2(basis: SplineBasis, z_col, w_col) -> SplineFit:
 
     Residuals are orthogonal to every basis column up to solver tolerance.
     """
-    z = as_finite_vector(z_col, "z_col")
-    w = as_finite_vector(w_col, "w_col")
-    if z.size != w.size:
-        raise InvalidInput("z_col and w_col lengths differ")
-    b = design_matrix(basis, z)
-    coef, ridged = _solve_normal_equations(b.T @ b, b.T @ w)
-    return SplineFit(basis=basis, coef=coef, loss="l2", ridged=ridged)
+    z, w = as_finite_pair(z_col, w_col, ("z_col", "w_col"))
+    coefs, ridged = _fit_l2(design_matrix(basis, z), w[None, :, None])
+    return SplineFit(basis=basis, coef=coefs[0, :, 0], loss="l2",
+                     ridged=bool(ridged[0]))
 
 
 def l1_objective(basis: SplineBasis, coef: np.ndarray, z_col, w_col) -> float:
@@ -331,10 +338,7 @@ def fit_l1(basis: SplineBasis, z_col, w_col,
     The returned fit's exact L1 objective never exceeds the squared-loss
     solution's L1 objective by more than ``config.epsilon``.
     """
-    z = as_finite_vector(z_col, "z_col")
-    w = as_finite_vector(w_col, "w_col")
-    if z.size != w.size:
-        raise InvalidInput("z_col and w_col lengths differ")
+    z, w = as_finite_pair(z_col, w_col, ("z_col", "w_col"))
     b = design_matrix(basis, z)
     coefs, iterations, converged, ridged = _irls(b, w[None], config)
     return SplineFit(basis=basis, coef=coefs[0], loss="l1",

@@ -44,6 +44,14 @@ class TestPearson:
         with pytest.warns(UserWarning):
             assert pearson_utility([1, 2, 3], [5, 5, 5]) == 0.0
 
+    def test_constant_column_is_exactly_zero(self):
+        # the mean of ten 0.3s is not 0.3, so the centred column is not zero
+        y = np.arange(10.0) % 7
+        with pytest.warns(UserWarning, match="zero-variance"):
+            assert pearson_utility(y, np.full(10, 0.3)) == 0.0
+        with pytest.warns(UserWarning, match="zero-variance"):
+            assert pearson_utility(np.full(10, 0.3), y) == 0.0
+
     def test_affine_equivariance_only(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal(50)
@@ -175,9 +183,31 @@ class TestScreeners:
         p_report = pearson_sis(ds)
         k_report = kendall_sis(ds)
         for j in range(ds.p):
-            assert p_report.utilities[j] == pytest.approx(
-                pearson_utility(ds.y, ds.x[:, j]), rel=1e-12)
+            assert p_report.utilities[j] == pearson_utility(ds.y, ds.x[:, j])
             assert k_report.utilities[j] == kendall_utility(ds.y, ds.x[:, j])
+
+    @pytest.mark.parametrize("n, p", [(5, 300), (203, 9), (1000, 3)])
+    def test_pearson_bits_independent_of_layout_and_width(self, n, p):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n)
+        x = rng.standard_normal((n, p)) * rng.random(p) * 10 + rng.random(p)
+        pairwise = [pearson_utility(y, x[:, j]) for j in range(p)]
+        for order in "CF":
+            ds = Dataset(y=y, x=np.asarray(x, order=order))
+            assert pearson_sis(ds).utilities.tolist() == pairwise
+        # a column's bits do not depend on the other columns
+        tail = pearson_sis(Dataset(y=y, x=x[:, p // 2:])).utilities
+        assert tail.tolist() == pairwise[p // 2:]
+
+    def test_pearson_constant_column_is_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((10, 3))
+        x[:, 1] = 0.3
+        ds = Dataset(y=np.arange(10.0) % 7, x=x)
+        with pytest.warns(UserWarning, match="zero-variance"):
+            report = pearson_sis(ds)
+        assert report.utilities[1] == 0.0
+        assert report.ranking[-1] == 1
 
     def test_pearson_needs_three_observations(self):
         ds = Dataset(y=np.array([1.0, 2.0]), x=np.ones((2, 2)))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from rankscreen import bench
 from rankscreen.bench import (
+    METHOD_NAMES,
+    METHODS,
     MetricsReport,
     get_method,
     mms,
@@ -11,6 +14,7 @@ from rankscreen.bench import (
 from rankscreen.dataset import Dataset
 from rankscreen.errors import HarnessError, InvalidInput
 from rankscreen.rc_screen import rc_screen
+from rankscreen.report import SCHEMA_VERSION, TopD
 from rankscreen.simgen import SimDataset, make_scenario
 
 from oracles import mms_prefix_oracle
@@ -121,7 +125,7 @@ class TestRunReplications:
         sc = make_scenario("E1", n=50, p=60)
         report = run_replications(sc, ["rc"], 3, base_seed=6)
         payload = report.to_json_dict()
-        assert payload["schema"] == 1
+        assert payload["schema"] == SCHEMA_VERSION == 1
         assert payload["scenario"]["id"] == "E1"
         assert payload["methods"][0]["method"] == "rc"
         rows = report.to_csv_rows()
@@ -150,6 +154,18 @@ class TestRunReplications:
 
         with pytest.raises(HarnessError):
             run_replications(broken, ["rc"], 10, base_seed=8)
+
+    def test_each_screener_resolved_once(self, monkeypatch):
+        calls = []
+
+        def counting(name, basis_config):
+            calls.append(name)
+            return get_method(name, basis_config)
+
+        monkeypatch.setattr(bench, "get_method", counting)
+        run_replications(_duplicate_generator(), ["rc", "kendall"], 4,
+                         base_seed=3)
+        assert calls == ["rc", "kendall"]
 
     def test_unknown_method_rejected_up_front(self):
         with pytest.raises(InvalidInput):
@@ -185,12 +201,28 @@ class TestGetMethod:
         for name in ("rc", "pearson", "kendall", "rpc-l2", "rpc-l1"):
             assert callable(get_method(name))
 
+    def test_names_and_exposure_come_from_the_table(self):
+        assert METHOD_NAMES == ("rc", "rpc-l2", "rpc-l1", "pearson",
+                                "kendall")
+        assert [m for m in METHOD_NAMES if METHODS[m].needs_exposure] == [
+            "rpc-l2", "rpc-l1"]
+
+    def test_unknown_name_message_lists_the_table(self):
+        with pytest.raises(InvalidInput,
+                           match="unknown method 'x'; valid: rc, rpc-l2"):
+            get_method("x")
+
+    @pytest.mark.parametrize("name", ["rc", "pearson", "kendall"])
+    def test_default_selection_is_the_default_budget(self, name):
+        ds = _duplicate_generator(n=60)(np.random.SeedSequence(1)).dataset
+        report = get_method(name)(ds, None)
+        assert report.selection == TopD(14)  # floor(60 / ln 60)
+        assert report.selected.size == 8  # capped at p
+
     def test_rpc_method_runs_on_exposure_dataset(self):
         rng = np.random.default_rng(12)
         z = rng.random(50)
         ds = Dataset(y=np.exp(z) + rng.standard_normal(50),
                      x=rng.standard_normal((50, 4)), z=z)
-        from rankscreen.report import TopD
-
         report = get_method("rpc-l1")(ds, TopD(2))
         assert report.method == "RPC-SIS(L1)"

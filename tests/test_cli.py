@@ -363,6 +363,11 @@ class TestSimulateCommand:
                      "pearson", "--reps", "2", "--seed", "1"])
         assert code == 0
 
+    def test_unknown_method_is_invalid_choice(self, capsys):
+        code = main(["simulate", "--scenario", "E1", "--method", "bogus"])
+        assert code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_rpc_on_exposure_free_scenario_is_usage_error(self, capsys):
         code = main(["simulate", "--scenario", "E1", "--n", "40", "--p",
                      "30", "--method", "rpc-l2", "--reps", "1",

@@ -16,6 +16,7 @@ from rankscreen.spline import (
     design_matrix,
     fit_l1,
     fit_l2,
+    predict,
 )
 
 from oracles import rc_utility_oracle
@@ -122,6 +123,20 @@ class TestBatchedSolver:
             assert res.diagnostics["iterations"][j] == fit.iterations
             assert res.diagnostics["converged"][j] is fit.converged
             assert res.diagnostics["ridged"][j] is fit.ridged
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_l2_batch_equals_per_column_fits_bitwise(self, order):
+        sim = simulate(make_scenario("E4", n=203, p=60, r2=0.3,
+                                     error="cauchy3"), seed=4).dataset
+        ds = Dataset(y=sim.y, x=np.asarray(sim.x, order=order), z=sim.z)
+        res = residualize(ds, loss="l2")
+        basis = basis_build(ds.z)
+        targets = np.column_stack([ds.y, ds.x])
+        for j in range(targets.shape[1]):
+            fit = fit_l2(basis, ds.z, targets[:, j])
+            resid = res.eps_y if j == 0 else res.eps_x[:, j - 1]
+            assert np.array_equal(resid,
+                                  targets[:, j] - predict(fit, ds.z))
 
     def test_l2_singular_message_matches_fit_l2(self):
         z = np.array([0.0] + [0.5] * 20 + [1.0])

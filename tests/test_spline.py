@@ -73,6 +73,24 @@ class TestBasisBuild:
         with pytest.raises(InvalidInput):
             basis_build(np.linspace(0, 1, 30), degree=3, n_basis=3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_basis", 6.5),
+        ("n_basis", float("nan")),
+        ("n_basis", True),
+        ("degree", 2.5),
+        ("degree", float("nan")),
+        ("degree", True),
+    ])
+    def test_rejects_non_integer_sizes(self, field, value):
+        kwargs = {"degree": 3, "n_basis": 6, field: value}
+        with pytest.raises(InvalidInput, match=field):
+            basis_build(np.linspace(0, 1, 30), **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        basis = basis_build(np.linspace(0, 1, 30), degree=np.int64(2),
+                            n_basis=np.int32(5))
+        assert basis.n_basis == 5
+
 
 class TestBasisEval:
     def test_left_endpoint(self, uniform_basis):

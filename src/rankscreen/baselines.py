@@ -4,10 +4,11 @@ Each pairwise function is the one-column call of its screener's batch path,
 so the two agree bit for bit.
 
 Kendall's tau-b is derived from the counting kernel shared with the RC
-utilities: weak ranks and weak joint counts of 256-column chunks give the
-concordance sum and the tie counts as exact integers, and no n x n array is
-formed.  The final tau-b expression is the one of the brute-force pair-count
-oracle in the test suite, so both produce identical floating point values.
+utilities: the weak ranks and weak joint counts of each column chunk of
+`~rankscreen.empirical.count_chunks` give the concordance sum and the tie
+counts as exact integers, and no n x n array is formed.  The final tau-b
+expression is the one of the brute-force pair-count oracle in the test
+suite, so both produce identical floating point values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .dataset import Dataset
 from .empirical import (
     as_finite_pair,
-    dominance_counts_matrix,
+    count_chunks,
     leq_counts,
     leq_counts_matrix,
 )
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 
-# Columns per chunk: bounds the (chunk, n) and (n, chunk) working arrays.
+# Columns per Pearson chunk: bounds the (chunk, n) working arrays.
 _CHUNK = 256
 _PEARSON_ZERO = "zero-variance column(s); Pearson utility set to 0"
 _KENDALL_ZERO = "constant column; Kendall utility set to 0"
@@ -101,9 +102,7 @@ def _kendall_taus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     ry = leq_counts(y)
     n2 = int(ry.sum()) - n - n0
     taus = np.empty(p)
-    for lo in range(0, p, _CHUNK):
-        rx = leq_counts_matrix(x[:, lo:lo + _CHUNK])
-        c = dominance_counts_matrix(y, rx.astype(np.min_scalar_type(n)))
+    for lo, rx, c in count_chunks(y, x):
         n1 = rx.sum(axis=0) - n - n0
         n3 = leq_counts_matrix(ry[:, None] * (n + 1) + rx).sum(axis=0) - n - n0
         s = 2 * c.sum(axis=0) - 2 * n - n0 - n1 - n2 - n3

@@ -176,7 +176,8 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
         Either a simulation scenario or a callable ``f(seed) -> SimDataset``
         (the seed is a ``numpy.random.SeedSequence``).
     methods : sequence of str
-        Names from `METHOD_NAMES`.
+        Names from `METHOD_NAMES`; a repeated name is run and reported
+        once, in the order of its first occurrence.
     n_reps : int
         Number of replications.
     base_seed : int
@@ -193,6 +194,7 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
         raise InvalidInput("need at least one replication")
     if not methods:
         raise InvalidInput("need at least one method")
+    methods = list(dict.fromkeys(methods))
     screeners = {name: get_method(name, basis_config=basis_config)
                  for name in methods}
 

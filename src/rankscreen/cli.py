@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -72,8 +73,52 @@ def _parse_block(path: str, header: list, rows: list,
     return data
 
 
-# Cells parsed per block: bounds the cell strings alive at once, which take
-# about ten times the bytes of their parsed floats.
+def _parse_lines(path: str, header: list, lines: list,
+                 first_row: int) -> np.ndarray:
+    """Parse raw lines, each one unquoted record, the first of them at file
+    row ``first_row``, into a ``(len(lines), len(header))`` float array.
+
+    numpy's C parser reads the block; whatever it rejects, skips (a blank
+    line) or reads as non-finite goes through `_parse_block` on the
+    ``csv.reader`` rows of the same lines, which gives every value and
+    message of a cell-by-cell parse.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an all-blank block is "no data" here, an error in the fallback
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              dtype=float)
+    except ValueError:
+        data = np.empty(0)
+    if data.shape == (len(lines), len(header)) and np.isfinite(data).all():
+        return data
+    return _parse_block(path, header, list(csv.reader(lines)), first_row)
+
+
+def _data_blocks(fh, block_rows: int):
+    """The data records after the header, ``block_rows`` at a time, as
+    ``(parse, block)`` pairs.
+
+    Until a quote character appears, every line is one record: ``block``
+    holds the raw lines and ``parse`` is `_parse_lines`.  A quoted record
+    may span lines, so from the first block with a quote on, ``csv.reader``
+    splits the rest of the file, that block's lines included, into the
+    records that `_parse_block` parses.
+    """
+    lines = list(itertools.islice(fh, block_rows))
+    while lines and not any('"' in line for line in lines):
+        yield _parse_lines, lines
+        lines = list(itertools.islice(fh, block_rows))
+    reader = csv.reader(itertools.chain(lines, fh))
+    lines = None  # the reader frees them once it has split them
+    rows = list(itertools.islice(reader, block_rows))
+    while rows:
+        yield _parse_block, rows
+        rows = list(itertools.islice(reader, block_rows))
+
+
+# Cells parsed per block: bounds the text alive at once.
 _CELLS = 2 ** 17
 
 
@@ -84,19 +129,22 @@ def load_csv(path: str, response_name: str,
     The file is read as UTF-8; a leading byte-order mark, as spreadsheets
     write, is skipped.  Header names must be distinct.  The response (and
     optional exposure) columns are extracted by name; all remaining columns
-    become covariates in header order.  Cells must parse as finite numbers;
-    the first violation in file order is reported with its row and column
-    (rows are counted as in the file, header = row 1).
+    become covariates in header order.  Cells must parse as finite numbers
+    (``float``'s syntax); the first violation in file order is reported
+    with its row and column (rows are counted as in the file, header = row
+    1, a quoted record spanning lines as one row).
 
     Rows are parsed in blocks of about ``_CELLS`` cells (at least two rows),
-    so the cell strings of one block, not of the whole file, are alive at
-    once.  The returned arrays share no memory with the parse; ``x`` is
+    so the text of one block, not of the whole file, is alive at once.  A
+    block of unquoted lines is parsed by ``np.loadtxt``; a block it
+    rejects, and every block from the first quote character on, is parsed
+    cell by cell through ``csv.reader`` and ``float``, with the same values.
+    The returned arrays share no memory with the parse; ``x`` is
     column-major (Fortran order).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise InvalidInput(f"{path}: file is empty") from None
         if response_name not in header:
@@ -111,8 +159,8 @@ def load_csv(path: str, response_name: str,
                     f"both named '{name}'"
                 )
             first[name] = j
-        block_rows = max(2, _CELLS // len(header))
-        block = list(itertools.islice(reader, block_rows))
+        blocks = _data_blocks(fh, max(2, _CELLS // len(header)))
+        parse, block = next(blocks, (None, []))
         if len(block) < 2:
             raise InvalidInput(f"{path}: need at least 2 data rows")
         y_idx = first[response_name]
@@ -123,15 +171,15 @@ def load_csv(path: str, response_name: str,
         y_parts, z_parts, x_parts = [], [], []
         n = 0
         while block:
-            data = _parse_block(path, header, block, n + 2)
+            data = parse(path, header, block, n + 2)
             n += len(block)
-            block = None  # free this block's strings before reading more
+            block = None  # free this block's text before reading more
             # copies, not views, so that no full-width block stays alive
             y_parts.append(data[:, y_idx].copy())
             if z_idx is not None:
                 z_parts.append(data[:, z_idx].copy())
             x_parts.append(data[:, x_idx])
-            block = list(itertools.islice(reader, block_rows))
+            parse, block = next(blocks, (None, []))
     # column-major, as a column selection of the whole table was: each
     # covariate is contiguous for the per-column sorts and sums
     x = np.concatenate(x_parts, out=np.empty((n, len(x_idx)), order="F"))

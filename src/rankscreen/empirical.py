@@ -12,6 +12,9 @@ smallest unsigned integer type that holds n, which moves a quarter of the
 bytes of a float column or fewer.  The ``n/(n+1)`` boundary rescale of the
 empirical CDFs, ``(n/(n+1)) * (count/n) == count/(n+1)``, is applied where
 the counts are turned into correlations (``rc_screen._rho_from_counts``).
+
+`count_chunks` streams a wide x through both steps a chunk of columns at a
+time, so the working arrays beyond x stay O(n * chunk) whatever p is.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ __all__ = [
     "leq_counts",
     "leq_counts_matrix",
     "dominance_counts_matrix",
+    "count_chunks",
 ]
+
+# Cells of one chunk's (n, w) count arrays; the width w is a multiple of
+# _STEP columns, and at least _STEP.
+_CELLS = 2 ** 17
+_STEP = 64
 
 
 def as_finite_vector(sample, name: str = "sample") -> np.ndarray:
@@ -97,3 +106,21 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.empty((n, p), dtype=np.int64)
     out[order] = counts
     return out
+
+
+def count_chunks(y: np.ndarray, x: np.ndarray):
+    """Weak ranks and joint counts of x, one chunk of columns at a time.
+
+    Yields ``(lo, rx, c)`` for consecutive column chunks ``x[:, lo:lo + w]``:
+    ``rx`` is the chunk's `leq_counts_matrix` and ``c`` its
+    `dominance_counts_matrix` against y, both (n, w) int64.  The width
+    ``w = max(_STEP, _CELLS // n // _STEP * _STEP)`` keeps a chunk near
+    ``_CELLS`` cells, so memory beyond x does not grow with p; every count
+    is an exact integer, so no count depends on the width.
+    """
+    n, p = x.shape
+    w = max(_STEP, _CELLS // n // _STEP * _STEP)
+    small = np.min_scalar_type(n)
+    for lo in range(0, p, w):
+        rx = leq_counts_matrix(x[:, lo:lo + w])
+        yield lo, rx, dominance_counts_matrix(y, rx.astype(small))

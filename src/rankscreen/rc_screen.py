@@ -10,8 +10,9 @@ where ``ry``, ``rx`` are the marginal weak-rank counts at the point and
 ``c`` the joint dominance count.  Every code path (single pair, batch
 screening, bootstrap replicates) takes ``rho`` from `_rho_from_counts`, and
 the utility paths take their counts from the one batch kernel
-`~rankscreen.empirical.dominance_counts_matrix`, so results are
-bit-identical across them.  All computation is serial.
+`~rankscreen.empirical.dominance_counts_matrix`, streamed over column chunks
+by `~rankscreen.empirical.count_chunks`, so results are bit-identical across
+them.  All computation is serial.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .dataset import Dataset
 from .empirical import (
     as_finite_pair,
     as_finite_vector,
-    dominance_counts_matrix,
+    count_chunks,
     leq_counts,
-    leq_counts_matrix,
 )
 from .errors import DegenerateEvaluation, InvalidInput
 from .report import Selection, ScreeningReport, build_report
@@ -104,9 +104,11 @@ def rc_utilities(y_col, x) -> np.ndarray:
     """Utilities for every column of an (n, p) covariate matrix.
 
     Each column's utility is bit-identical to `rc_utility` on that column.
-    The joint counts are taken on the weak ranks of x, and counts become
-    utilities in blocks of `_BLOCK` columns, which bounds the transposed
-    copies to a block.
+    Columns stream through `~rankscreen.empirical.count_chunks`, which
+    takes the joint counts on the weak ranks of one chunk of x at a time,
+    and each chunk's counts become utilities in blocks of `_BLOCK` columns,
+    which bounds the transposed copies to a block.  Memory beyond x and the
+    result is O(n * chunk), independent of p.
     """
     y = as_finite_vector(y_col, "y_col")
     x = np.asarray(x, dtype=float)
@@ -117,21 +119,21 @@ def rc_utilities(y_col, x) -> np.ndarray:
         raise InvalidInput("response length does not match covariate rows")
     if n < 2:
         raise InvalidInput("need at least 2 observations")
-    finite = np.isfinite(x).all(axis=0)
+    # min and max propagate NaN and reach any infinity: no (n, p) mask
+    finite = np.isfinite(x.min(axis=0)) & np.isfinite(x.max(axis=0))
     if not finite.all():
         raise InvalidInput(
             f"covariate column {np.argmin(finite)} is not finite")
     ry = leq_counts(y)
-    rx = leq_counts_matrix(x)
-    c = dominance_counts_matrix(y, rx.astype(np.min_scalar_type(n)))
     out = np.empty(p)
-    for j in range(0, p, _BLOCK):
-        # contiguous (block, n) rows: each row's mean is summed exactly as
-        # the 1-D np.mean of that column would be
-        cb = np.ascontiguousarray(c[:, j:j + _BLOCK].T)
-        rb = np.ascontiguousarray(rx[:, j:j + _BLOCK].T)
-        rho = _rho_from_counts(cb, ry, rb, n)
-        out[j:j + _BLOCK] = np.mean(rho * rho, axis=1)
+    for lo, rx, c in count_chunks(y, x):
+        for j in range(0, rx.shape[1], _BLOCK):
+            # contiguous (block, n) rows: each row's mean is summed exactly
+            # as the 1-D np.mean of that column would be
+            cb = np.ascontiguousarray(c[:, j:j + _BLOCK].T)
+            rb = np.ascontiguousarray(rx[:, j:j + _BLOCK].T)
+            rho = _rho_from_counts(cb, ry, rb, n)
+            out[lo + j:lo + j + _BLOCK] = np.mean(rho * rho, axis=1)
     return out
 
 

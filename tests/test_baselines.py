@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rankscreen import empirical
 from rankscreen.baselines import (
     kendall_sis,
     kendall_tau_b,
@@ -157,8 +158,31 @@ class TestKendallBatch:
         n = 12
         y = rng.integers(0, 4, n).astype(float)
         x = rng.integers(0, 5, (n, p)).astype(float)
-        x[:, p - 1] = -1.0  # constant last column, alone in its chunk at 257
+        x[:, p - 1] = -1.0  # constant last column
         self._assert_matches_oracle(y, np.asfortranarray(x))
+
+    @pytest.mark.parametrize("p", [64, 65, 129])
+    def test_columns_across_count_chunks(self, monkeypatch, p):
+        # a cell budget of 64 columns at n = 12: at 129 the constant last
+        # column is alone in the third chunk
+        monkeypatch.setattr(empirical, "_CELLS", 12 * 64)
+        rng = np.random.default_rng(p)
+        n = 12
+        y = rng.integers(0, 4, n).astype(float)
+        x = rng.integers(0, 5, (n, p)).astype(float)
+        x[:, p - 1] = -1.0
+        self._assert_matches_oracle(y, np.asfortranarray(x))
+
+    def test_real_budget_width_crossed(self):
+        # at n = 2100 the real budget gives 64-column chunks; every column
+        # equals its own one-column call
+        rng = np.random.default_rng(21)
+        n, p = 2100, 65
+        y = rng.integers(0, 3, n).astype(float)
+        x = rng.integers(0, 40, (n, p)).astype(float)
+        utilities = kendall_sis(Dataset(y=y, x=x)).utilities
+        assert utilities[63:].tolist() == [
+            kendall_utility(y, x[:, j]) for j in (63, 64)]
 
 
 class TestScreeners:

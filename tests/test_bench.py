@@ -167,6 +167,15 @@ class TestRunReplications:
                          base_seed=3)
         assert calls == ["rc", "kendall"]
 
+    def test_repeated_method_reported_once(self):
+        gen = _duplicate_generator()
+        once = run_replications(gen, ["kendall", "rc"], 4, base_seed=5)
+        again = run_replications(gen, ["kendall", "rc", "kendall", "rc"], 4,
+                                 base_seed=5)
+        assert [m.method for m in again.per_method] == ["kendall", "rc"]
+        assert again.to_json_dict() == once.to_json_dict()
+        assert again.to_csv_rows() == once.to_csv_rows()
+
     def test_unknown_method_rejected_up_front(self):
         with pytest.raises(InvalidInput):
             run_replications(_duplicate_generator(), ["mystery"], 2,

@@ -253,6 +253,84 @@ class TestBlockParse:
         for arr in (back.y, back.x, back.z):
             assert arr is None or arr.flags.owndata
 
+    # file row 12 is the third row of the fourth 12-cell block
+    @pytest.mark.parametrize("cells", [12, None])
+    @pytest.mark.parametrize("cell, value", [
+        ('"7"', 7.0),
+        ("1_0", 10.0),
+        ("\uff17", 7.0),  # full-width digit seven
+        (" 7 ", 7.0),
+    ])
+    def test_cell_only_float_accepts_in_later_block(
+            self, tmp_path, monkeypatch, cells, cell, value):
+        _set_block_cells(monkeypatch, cells)
+        rows = _grid(20, 4)
+        rows[10][2] = cell
+        ds = load_csv(_write_grid(tmp_path, rows, 4), "y")
+        expected = np.array(_grid(20, 4), dtype=float)
+        expected[10, 2] = value
+        assert np.column_stack([ds.y, ds.x]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cells", [12, None])
+    @pytest.mark.parametrize("line, message", [
+        ("", "{path}: row 12 has 0 cells, expected 4"),
+        ("   ", "{path}: row 12 has 1 cells, expected 4"),
+        ("1,2#x,3,4",
+         "{path}: row 12, column 'x1': non-numeric value '2#x'"),
+    ])
+    def test_line_only_csv_reader_splits_in_later_block(
+            self, tmp_path, monkeypatch, cells, line, message):
+        _set_block_cells(monkeypatch, cells)
+        rows = _grid(20, 4)
+        rows[10] = [line]
+        path = _write_grid(tmp_path, rows, 4)
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("cells", [12, None])
+    @pytest.mark.parametrize("bad_row", [None, 15])
+    def test_multi_line_record_counts_as_one_row(
+            self, tmp_path, monkeypatch, cells, bad_row):
+        # file row 10 spans two lines, the second in the next block's lines
+        _set_block_cells(monkeypatch, cells)
+        rows = _grid(20, 4)
+        rows[8][2] = '"7\n"'
+        if bad_row is not None:
+            rows[bad_row - 2][1] = "abc"
+        path = _write_grid(tmp_path, rows, 4)
+        if bad_row is not None:
+            with pytest.raises(InvalidInput) as info:
+                load_csv(path, "y")
+            assert str(info.value) == (
+                f"{path}: row 15, column 'x1': non-numeric value 'abc'")
+            return
+        ds = load_csv(path, "y")
+        expected = np.array(_grid(20, 4), dtype=float)
+        expected[8, 2] = 7.0
+        assert np.column_stack([ds.y, ds.x]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cells", [12, None])
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_carriage_return_line_endings(self, tmp_path, monkeypatch,
+                                          cells, bad):
+        _set_block_cells(monkeypatch, cells)
+        rows = _grid(20, 4)
+        if bad:
+            rows[10][3] = "nan"
+        text = "\r".join(["y,x1,x2,x3"] + [",".join(r) for r in rows])
+        path = tmp_path / "cr.csv"
+        path.write_bytes((text + "\r").encode())
+        if bad:
+            with pytest.raises(InvalidInput) as info:
+                load_csv(str(path), "y")
+            assert str(info.value) == (
+                f"{path}: row 12, column 'x3': non-finite value 'nan'")
+            return
+        ds = load_csv(str(path), "y")
+        expected = np.array(_grid(20, 4), dtype=float)
+        assert np.column_stack([ds.y, ds.x]).tobytes() == expected.tobytes()
+
     def test_traced_peak_below_four_times_output(self, tmp_path):
         # numpy reports its buffers to tracemalloc, so the peak counts the
         # cell strings and every float array alive during the parse
@@ -270,6 +348,50 @@ class TestBlockParse:
             tracemalloc.stop()
         output = back.y.nbytes + back.x.nbytes + back.z.nbytes
         assert peak < 4 * output
+
+
+def _loadtxt_cells(rng):
+    """Cell strings whose ``float`` values the C parser must reproduce:
+    ``repr`` of extreme and random doubles, random 17-digit decimals, and
+    forms ``float`` reads with an exponent sign, blanks or an explicit
+    sign."""
+    doubles = [-0.0, 5e-324, 1e308, -2.2250738585072014e-308]
+    doubles += (rng.standard_normal(60)
+                * 10.0 ** rng.integers(-300, 300, 60)).tolist()
+    cells = [repr(v) for v in doubles]
+    cells += [f"{v:.16e}" for v in rng.standard_normal(60)
+              * 10.0 ** rng.integers(-300, 300, 60)]
+    return cells + ["1.5E+3", " 1 ", "+inf", "-1e-400", "0.1"]
+
+
+class TestLoadtxtPath:
+    """The block parse is ``np.loadtxt``; it must give ``float``'s bits."""
+
+    def test_values_equal_per_cell_float_bitwise(self):
+        cells = _loadtxt_cells(np.random.default_rng(5))
+        width = 5
+        rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+        rows[-1] += ["0"] * (width - len(rows[-1]))
+        data = np.loadtxt([",".join(r) + "\n" for r in rows], delimiter=",",
+                          comments=None, ndmin=2, dtype=float)
+        expected = np.array([[float(c) for c in r] for r in rows])
+        assert data.tobytes() == expected.tobytes()
+
+    def test_finite_blocks_never_fall_back(self, tmp_path, monkeypatch):
+        cells = [c for c in _loadtxt_cells(np.random.default_rng(6))
+                 if c != "+inf"]
+        rows = [cells[:2], cells[2:4]] + [[c, "1"] for c in cells[4:]]
+        path = _write(tmp_path / "v.csv", "y,x1\n" + "".join(
+            ",".join(r) + "\n" for r in rows))
+
+        def no_fallback(*args):
+            raise AssertionError("block left the loadtxt path")
+
+        monkeypatch.setattr(cli, "_parse_block", no_fallback)
+        _set_block_cells(monkeypatch, 8)
+        ds = load_csv(path, "y")
+        expected = np.array([[float(c) for c in r] for r in rows])
+        assert np.column_stack([ds.y, ds.x]).tobytes() == expected.tobytes()
 
 
 class TestScreenCommand:
@@ -342,6 +464,23 @@ class TestSimulateCommand:
         payload = json.loads(out.read_text())
         assert payload["seed"] == 7
         assert payload["methods"][0]["method"] == "rc"
+
+    def test_repeated_method_gives_one_row(self, capsys, tmp_path):
+        outputs = {}
+        for methods in (["rc", "pearson"], ["rc", "pearson", "rc", "rc"]):
+            argv = ["simulate", "--scenario", "E1", "--n", "40", "--p", "30",
+                    "--reps", "2", "--seed", "4",
+                    "--output", str(tmp_path / "sim.json"),
+                    "--csv-output", str(tmp_path / "sim.csv")]
+            for m in methods:
+                argv += ["--method", m]
+            assert main(argv) == 0
+            outputs[len(methods)] = (capsys.readouterr().out,
+                                     (tmp_path / "sim.json").read_bytes(),
+                                     (tmp_path / "sim.csv").read_bytes())
+        assert outputs[4] == outputs[2]
+        rows = [ln.split()[0] for ln in outputs[4][0].splitlines()[2:]]
+        assert rows == ["rc", "pearson"]
 
     def test_unknown_scenario_exits_2_and_lists_ids(self, capsys):
         code = main(["simulate", "--scenario", "E9", "--reps", "1"])

@@ -7,8 +7,12 @@ the BLAS and libm in their last bits.  An intended output change replaces
 the expected file and says so in CHANGES.md.
 """
 
+import importlib
 from pathlib import Path
 
+import pytest
+
+from rankscreen import cli, empirical
 from rankscreen.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -17,6 +21,17 @@ DATA = str(GOLDEN / "ties.csv")
 
 def _expected(name: str) -> bytes:
     return (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(autouse=True, params=["real", "shrunk"])
+def budgets(request, monkeypatch):
+    if request.param == "shrunk":
+        monkeypatch.setattr(cli, "_CELLS", 1)
+        monkeypatch.setattr(empirical, "_CELLS", 1)
+        monkeypatch.setattr(empirical, "_STEP", 1)
+        # the package's ``rc_screen`` attribute is the function
+        rc_module = importlib.import_module("rankscreen.rc_screen")
+        monkeypatch.setattr(rc_module, "_BLOCK", 1)
 
 
 def test_screen_rc_json_and_stdout(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rankscreen import empirical
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput
 from rankscreen.rc_screen import (
@@ -166,6 +169,38 @@ class TestRcUtilitiesBatch:
         assert res.critical_value == np.partition(boot, k - 1)[k - 1]
         assert res.p_value == ((1 + int(np.sum(boot >= res.statistic)))
                                / (n_boot + 1))
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_count_chunks_equal_one_chunk_bitwise(self, monkeypatch, width):
+        # 300 columns at n = 50: one chunk at the real budget; 64- or
+        # 128-column chunks with a ragged last one under a shrunk budget
+        rng = np.random.default_rng(width)
+        n, p = 50, 300
+        y = rng.integers(0, 3, size=n).astype(float)
+        x = rng.standard_normal((n, p))
+        x[:, 1::3] = rng.integers(0, 4, size=(n, p // 3))
+        whole = rc_utilities(y, x)
+        monkeypatch.setattr(empirical, "_CELLS", n * width)
+        assert rc_utilities(y, x).tobytes() == whole.tobytes()
+        assert rc_utilities(y, np.asfortranarray(x)).tobytes() == \
+            whole.tobytes()
+
+    def test_traced_peak_independent_of_p(self):
+        # numpy reports its buffers to tracemalloc; x and the result aside,
+        # the pass holds a chunk's arrays, not arrays as large as x
+        rng = np.random.default_rng(9)
+        n = 500
+        y = rng.integers(0, 2, size=n).astype(float)
+        peaks = {}
+        for p in (2000, 8000):
+            x = np.asfortranarray(rng.standard_normal((n, p)))
+            tracemalloc.start()
+            try:
+                rc_utilities(y, x)
+                peaks[p] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8000] < 1.1 * peaks[2000]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_column_rejected_by_index(self, bad):

@@ -129,7 +129,6 @@ def kendall_utility(y_col, x_col) -> float:
 
 def pearson_sis(dataset: Dataset, selection: Selection | None = None) -> ScreeningReport:
     """Screen by absolute Pearson correlation with the response."""
-    dataset.require_finite()
     if dataset.n < 3:
         raise InvalidInput("need at least 3 observations")
     utilities = _abs_or_zero(_pearson_corrs(dataset.y, dataset.x),
@@ -139,7 +138,6 @@ def pearson_sis(dataset: Dataset, selection: Selection | None = None) -> Screeni
 
 def kendall_sis(dataset: Dataset, selection: Selection | None = None) -> ScreeningReport:
     """Screen by absolute tie-corrected Kendall correlation with the response."""
-    dataset.require_finite()
     if dataset.n < 2:
         raise InvalidInput("need at least 2 observations")
     utilities = _abs_or_zero(_kendall_taus(dataset.y, dataset.x),

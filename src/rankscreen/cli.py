@@ -31,10 +31,19 @@ __all__ = ["main", "load_csv", "save_csv"]
 # CSV I/O
 # ---------------------------------------------------------------------------
 
+def _require_utf8(path: str, text: str, where: str):
+    """Reject bytes that are not UTF-8, which ``surrogateescape`` (the
+    file's decoding) keeps in ``text`` as lone surrogates."""
+    raw = text.encode("utf-8", "surrogateescape")
+    if raw != text.encode("utf-8", "replace"):
+        raise InvalidInput(f"{path}: {where}: bytes {raw!r} are not UTF-8")
+
+
 def _parse_cell(path: str, cell: str, row: int, name: str) -> float:
     try:
         value = float(cell)
     except ValueError:
+        _require_utf8(path, cell, f"row {row}, column '{name}'")
         raise InvalidInput(
             f"{path}: row {row}, column '{name}': non-numeric value {cell!r}"
         ) from None
@@ -45,21 +54,16 @@ def _parse_cell(path: str, cell: str, row: int, name: str) -> float:
     return value
 
 
-def _parse_block(path: str, header: list, rows: list,
+def _parse_block(path: str, header: list, lines: list,
                  first_row: int) -> np.ndarray:
-    """Parse consecutive data rows, the first of them at file row
-    ``first_row``, into a ``(len(rows), len(header))`` float array.
-
-    The rows are parsed as one array; the cell-by-cell scan runs only when
-    that fails or finds a non-finite value, to name the first bad row or
-    cell in file order.
-    """
+    """Parse lines of whole records, the first at file row ``first_row``,
+    cell by cell into a float array, naming the first bad row or cell."""
+    rows = []
     try:
-        data = np.array(rows, dtype=float)
-    except ValueError:
-        data = np.empty(0)
-    if data.shape == (len(rows), len(header)) and np.isfinite(data).all():
-        return data
+        rows.extend(csv.reader(lines))
+    except csv.Error as exc:
+        raise InvalidInput(
+            f"{path}: row {first_row + len(rows)}: {exc}") from None
     data = np.empty((len(rows), len(header)))
     for i, row in enumerate(rows):
         file_row = first_row + i
@@ -75,47 +79,39 @@ def _parse_block(path: str, header: list, rows: list,
 
 def _parse_lines(path: str, header: list, lines: list,
                  first_row: int) -> np.ndarray:
-    """Parse raw lines, each one unquoted record, the first of them at file
-    row ``first_row``, into a ``(len(lines), len(header))`` float array.
-
-    numpy's C parser reads the block; whatever it rejects, skips (a blank
-    line) or reads as non-finite goes through `_parse_block` on the
-    ``csv.reader`` rows of the same lines, which gives every value and
-    message of a cell-by-cell parse.
-    """
+    """What `_parse_block` returns, read by numpy's C parser where it can:
+    a block that it rejects, reads as non-finite or reads as anything but
+    one row per line (it skips a blank line; a quoted record may span
+    lines) goes through `_parse_block` itself."""
     try:
         with warnings.catch_warnings():
             # an all-blank block is "no data" here, an error in the fallback
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                              dtype=float)
+                              dtype=float, quotechar='"')
     except ValueError:
         data = np.empty(0)
     if data.shape == (len(lines), len(header)) and np.isfinite(data).all():
         return data
-    return _parse_block(path, header, list(csv.reader(lines)), first_row)
+    return _parse_block(path, header, lines, first_row)
 
 
 def _data_blocks(fh, block_rows: int):
-    """The data records after the header, ``block_rows`` at a time, as
-    ``(parse, block)`` pairs.
-
-    Until a quote character appears, every line is one record: ``block``
-    holds the raw lines and ``parse`` is `_parse_lines`.  A quoted record
-    may span lines, so from the first block with a quote on, ``csv.reader``
-    splits the rest of the file, that block's lines included, into the
-    records that `_parse_block` parses.
-    """
-    lines = list(itertools.islice(fh, block_rows))
-    while lines and not any('"' in line for line in lines):
-        yield _parse_lines, lines
-        lines = list(itertools.islice(fh, block_rows))
-    reader = csv.reader(itertools.chain(lines, fh))
-    lines = None  # the reader frees them once it has split them
-    rows = list(itertools.islice(reader, block_rows))
-    while rows:
-        yield _parse_block, rows
-        rows = list(itertools.islice(reader, block_rows))
+    """The lines after the header in blocks of ``block_rows`` lines, each
+    extended one line at a time until it holds an even number of ``"``
+    characters (a record spanning lines ends in the block it starts in) or
+    the added lines, all in one open quoted cell, pass the size at which
+    ``csv.reader`` rejects that cell."""
+    while lines := list(itertools.islice(fh, block_rows)):
+        # `in` skips a line without quotes faster than `count` would
+        quotes = sum(line.count('"') for line in lines if '"' in line)
+        spanned = 0
+        while (quotes % 2 and spanned <= csv.field_size_limit()
+               and (line := next(fh, None)) is not None):
+            lines.append(line)
+            quotes += line.count('"')
+            spanned += len(line)
+        yield lines
 
 
 # Cells parsed per block: bounds the text alive at once.
@@ -126,33 +122,39 @@ def load_csv(path: str, response_name: str,
              exposure_name: str | None = None) -> Dataset:
     """Read a headed CSV into a Dataset.
 
-    The file is read as UTF-8; a leading byte-order mark, as spreadsheets
-    write, is skipped.  Header names must be distinct.  The response (and
-    optional exposure) columns are extracted by name; all remaining columns
-    become covariates in header order.  Cells must parse as finite numbers
-    (``float``'s syntax); the first violation in file order is reported
-    with its row and column (rows are counted as in the file, header = row
-    1, a quoted record spanning lines as one row).
+    The file is read as UTF-8 (a leading byte-order mark, as spreadsheets
+    write, is skipped).  Header names must be distinct.  The response (and
+    optional exposure, another column) are extracted by name; all remaining
+    columns become covariates in header order.  Cells must parse as finite
+    numbers (``float``'s syntax); the first violation in file order, bytes
+    that are not UTF-8 included, is reported with its row and column (rows
+    are counted as in the file, header = row 1, a record as one row).
 
-    Rows are parsed in blocks of about ``_CELLS`` cells (at least two rows),
-    so the text of one block, not of the whole file, is alive at once.  A
-    block of unquoted lines is parsed by ``np.loadtxt``; a block it
-    rejects, and every block from the first quote character on, is parsed
-    cell by cell through ``csv.reader`` and ``float``, with the same values.
-    The returned arrays share no memory with the parse; ``x`` is
-    column-major (Fortran order).
+    Blocks of about ``_CELLS`` cells (at least two lines, ending where the
+    count of ``"`` is even) are parsed in turn, so the text of one block,
+    not of the whole file, is alive at once: by ``np.loadtxt``, quoted or
+    not, or, where it fails, cell by cell through ``csv.reader`` and
+    ``float`` with the same values.  ``x`` is column-major; no returned
+    array shares memory with the parse.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise InvalidInput(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise InvalidInput(f"{path}: row 1: {exc}") from None
         if response_name not in header:
             raise InvalidInput(f"{path}: no column named '{response_name}'")
         if exposure_name is not None and exposure_name not in header:
             raise InvalidInput(f"{path}: no column named '{exposure_name}'")
+        if exposure_name == response_name:
+            raise InvalidInput(
+                f"{path}: the exposure '{exposure_name}' is the response")
         first = {}
         for j, name in enumerate(header):
+            _require_utf8(path, name, f"row 1, column {j + 1}")
             if name in first:
                 raise InvalidInput(
                     f"{path}: columns {first[name] + 1} and {j + 1} are "
@@ -160,7 +162,7 @@ def load_csv(path: str, response_name: str,
                 )
             first[name] = j
         blocks = _data_blocks(fh, max(2, _CELLS // len(header)))
-        parse, block = next(blocks, (None, []))
+        block = next(blocks, [])
         if len(block) < 2:
             raise InvalidInput(f"{path}: need at least 2 data rows")
         y_idx = first[response_name]
@@ -171,15 +173,17 @@ def load_csv(path: str, response_name: str,
         y_parts, z_parts, x_parts = [], [], []
         n = 0
         while block:
-            data = parse(path, header, block, n + 2)
-            n += len(block)
+            data = _parse_lines(path, header, block, n + 2)
+            n += len(data)
             block = None  # free this block's text before reading more
             # copies, not views, so that no full-width block stays alive
             y_parts.append(data[:, y_idx].copy())
             if z_idx is not None:
                 z_parts.append(data[:, z_idx].copy())
             x_parts.append(data[:, x_idx])
-            parse, block = next(blocks, (None, []))
+            block = next(blocks, [])
+    if n < 2:  # a record may span lines
+        raise InvalidInput(f"{path}: need at least 2 data rows")
     # column-major, as a column selection of the whole table was: each
     # covariate is contiguous for the per-column sorts and sums
     x = np.concatenate(x_parts, out=np.empty((n, len(x_idx)), order="F"))

@@ -15,6 +15,10 @@ __all__ = ["Dataset"]
 class Dataset:
     """A response vector, covariate matrix and optional exposure vector.
 
+    Every value is finite: construction raises InvalidInput naming the
+    first column that holds NaN or an infinity, so the screeners need not
+    check again.
+
     Parameters
     ----------
     y : ndarray, shape (n,)
@@ -62,6 +66,18 @@ class Dataset:
             )
         elif len(self.x_names) != x.shape[1]:
             raise InvalidInput("x_names length does not match number of columns")
+        # min and max propagate NaN and reach any infinity, so no (n, p)
+        # mask is built; with 0 between them their sum cannot overflow
+        finite = np.isfinite(x.min(axis=0, initial=0.0)
+                             + x.max(axis=0, initial=0.0))
+        for kind, name, ok in [
+                ("response", self.y_name, np.isfinite(y).all()),
+                ("covariate", self.x_names[np.argmin(finite)], finite.all()),
+                ("exposure", self.z_name or "z",
+                 self.z is None or np.isfinite(self.z).all())]:
+            if not ok:
+                raise InvalidInput(f"{kind} column '{name}' contains NaN or "
+                                   "infinite values")
 
     @property
     def n(self) -> int:
@@ -70,21 +86,3 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-    def require_finite(self):
-        """Raise InvalidInput naming the first offending column."""
-        if not np.all(np.isfinite(self.y)):
-            raise InvalidInput(f"response column '{self.y_name}' contains "
-                               "NaN or infinite values")
-        bad = ~np.all(np.isfinite(self.x), axis=0)
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
-            raise InvalidInput(
-                f"covariate column '{self.x_names[j]}' contains NaN or "
-                "infinite values"
-            )
-        if self.z is not None and not np.all(np.isfinite(self.z)):
-            raise InvalidInput(
-                f"exposure column '{self.z_name or 'z'}' contains NaN or "
-                "infinite values"
-            )

@@ -60,6 +60,14 @@ def _rho_from_counts(c, ry, rx, n):
     return num / np.sqrt(rad)
 
 
+def _point_counts(y: float, x: float, y_sample, x_sample):
+    """Indicators ``I(Y_i <= y)``, ``I(X_i <= x)`` and their counts
+    ``ry``, ``rx``, ``c``: the one source of both pointwise estimates."""
+    ys, xs = as_finite_pair(y_sample, x_sample, _SAMPLES, min_size=2)
+    iy, ix = ys <= y, xs <= x
+    return iy, ix, int(iy.sum()), int(ix.sum()), int((iy & ix).sum())
+
+
 def robust_corr(y: float, x: float, y_sample, x_sample) -> float:
     """Indicator-correlation estimate at the point ``(y, x)``.
 
@@ -79,13 +87,10 @@ def robust_corr(y: float, x: float, y_sample, x_sample) -> float:
     -------
     float in [-1, 1]
     """
-    ys, xs = as_finite_pair(y_sample, x_sample, _SAMPLES, min_size=2)
-    ry = int(np.sum(ys <= y))
-    rx = int(np.sum(xs <= x))
+    iy, _, ry, rx, c = _point_counts(y, x, y_sample, x_sample)
     if ry == 0 or rx == 0:
         return 0.0
-    c = int(np.sum((ys <= y) & (xs <= x)))
-    return float(_rho_from_counts(c, ry, rx, ys.size))
+    return float(_rho_from_counts(c, ry, rx, iy.size))
 
 
 def rc_utility(y_col, x_col) -> float:
@@ -148,7 +153,6 @@ def rc_screen(dataset: Dataset,
     selection : TopD or UtilityThreshold, optional
         Defaults to keeping the top ``floor(n / ln n)`` columns.
     """
-    dataset.require_finite()
     utilities = rc_utilities(dataset.y, dataset.x)
     return build_report("RC-SIS", utilities, selection, dataset.n)
 
@@ -194,14 +198,10 @@ def robust_corr_ci(y: float, x: float, y_sample, x_sample,
     """
     if not 0.0 < level < 1.0:
         raise InvalidInput("level must be in (0, 1)")
-    ys, xs = as_finite_pair(y_sample, x_sample, _SAMPLES, min_size=2)
-    n = ys.size
-    iy = (ys <= y).astype(float)
-    ix = (xs <= x).astype(float)
-    fy = iy.sum() / (n + 1)
-    fx = ix.sum() / (n + 1)
-    fyx = float(np.sum(iy * ix)) / (n + 1)
-    th1 = fyx - fy * fx
+    iy, ix, ry, rx, c = _point_counts(y, x, y_sample, x_sample)
+    n = iy.size
+    fy, fx = ry / (n + 1), rx / (n + 1)
+    th1 = c / (n + 1) - fy * fx
     th2 = fx - fx * fx
     th3 = fy - fy * fy
     if th2 <= 0.0 or th3 <= 0.0:
@@ -217,7 +217,7 @@ def robust_corr_ci(y: float, x: float, y_sample, x_sample,
     g3 = -th1 / (2.0 * th3 * s)
     influence = g1 * xi1 + g2 * xi2 + g3 * xi3
     variance = float(np.mean(influence * influence))
-    rho = th1 / s
+    rho = float(_rho_from_counts(c, ry, rx, n))
     z = _norm_ppf(1.0 - (1.0 - level) / 2.0)
     half = z * math.sqrt(variance / n)
     return PointwiseCi(estimate=rho, variance=variance, level=level,

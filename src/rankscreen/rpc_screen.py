@@ -91,7 +91,6 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
         raise InvalidInput("dataset has no exposure column to residualize on")
     if loss not in _LOSSES:
         raise InvalidInput(f"loss must be one of {_LOSSES}")
-    dataset.require_finite()
     z = dataset.z
     if np.all(z == z[0]):
         return _center_fallback(dataset, loss)

@@ -229,6 +229,27 @@ class TestBlockParse:
         with pytest.raises(InvalidInput, match="need at least 2 data rows"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("cells", [1, None])
+    @pytest.mark.parametrize("record", ['"1\n",2', '"1\n\n\n",2'])
+    def test_one_record_spanning_lines_needs_two_rows(
+            self, tmp_path, monkeypatch, cells, record):
+        # two or more lines, one record
+        _set_block_cells(monkeypatch, cells)
+        path = _write(tmp_path / "t.csv", f"y,x1\n{record}\n")
+        with pytest.raises(InvalidInput, match="need at least 2 data rows"):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize("cells", [1, None])
+    def test_first_record_longer_than_a_block(self, tmp_path, monkeypatch,
+                                              cells):
+        # the first block holds one record; the second row comes after it
+        _set_block_cells(monkeypatch, cells)
+        path = _write(tmp_path / "t.csv", 'y,x1\n"1\n\n\n",2\n3,abc\n')
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value) == (
+            f"{path}: row 3, column 'x1': non-numeric value 'abc'")
+
     @pytest.mark.parametrize("n, p, exposure, cells", [
         (7, 40, "z", 64),       # 42 columns > 64 // 2: two rows per block
         (10_000, 2, None, 2 ** 10),
@@ -309,6 +330,42 @@ class TestBlockParse:
         expected = np.array(_grid(20, 4), dtype=float)
         expected[8, 2] = 7.0
         assert np.column_stack([ds.y, ds.x]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cells", [3, 6, 9, 12, None])
+    def test_literal_quote_before_multi_line_cell_still_names_row(
+            self, tmp_path, monkeypatch, cells):
+        # csv.reader keeps the '"' of 1"2 as a character, so the record
+        # does not end where its quote count is first even; wherever the
+        # block ends, the error names that record's row
+        _set_block_cells(monkeypatch, cells)
+        rows = _grid(20, 3)
+        rows[3] = ['1"2', '"3\n4"', "5"]
+        path = _write_grid(tmp_path, rows, 3)
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value).startswith(f"{path}: row 5")
+
+    def test_open_quote_reads_one_field_limit_past_its_block(self):
+        line = "1," + "2" * 998 + "\n"
+        lines = ['"1,2\n'] + [line] * 1000
+        first = next(cli._data_blocks(iter(lines), 2))
+        # two lines, then lines until they pass the limit
+        assert len(first) == 2 + csv.field_size_limit() // len(line) + 1
+
+    @pytest.mark.parametrize("cells", [12, None])
+    def test_stray_quote_is_field_limit_error_at_its_row(
+            self, tmp_path, monkeypatch, cells):
+        _set_block_cells(monkeypatch, cells)
+        rows = _grid(2000, 4)
+        rows[5][1] = '"' + rows[5][1]
+        rows = [r + ["7" * 100] for r in rows]
+        text = "\n".join(["y,x1,x2,x3,x4"] + [",".join(r) for r in rows])
+        path = _write(tmp_path / "stray.csv", text + "\n")
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value) == (
+            f"{path}: row 7: field larger than field limit "
+            f"({csv.field_size_limit()})")
 
     @pytest.mark.parametrize("cells", [12, None])
     @pytest.mark.parametrize("bad", [False, True])
@@ -393,6 +450,28 @@ class TestLoadtxtPath:
         expected = np.array([[float(c) for c in r] for r in rows])
         assert np.column_stack([ds.y, ds.x]).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("cells", [12, None])
+    def test_quote_all_copy_never_falls_back(self, tmp_path, monkeypatch,
+                                             cells):
+        # spreadsheet "quote all" exports: every cell quoted, CRLF endings
+        rows = _grid(20, 4)
+        plain = load_csv(_write_grid(tmp_path, rows, 4), "y")
+        quoted = tmp_path / "quoted.csv"
+        with open(quoted, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerow(["y", "x1", "x2", "x3"])
+            writer.writerows(rows)
+
+        def no_fallback(*args):
+            raise AssertionError("block left the loadtxt path")
+
+        monkeypatch.setattr(cli, "_parse_block", no_fallback)
+        _set_block_cells(monkeypatch, cells)
+        ds = load_csv(str(quoted), "y")
+        assert ds.x_names == plain.x_names
+        assert ds.y.tobytes() == plain.y.tobytes()
+        assert ds.x.tobytes() == plain.x.tobytes()
+
 
 class TestScreenCommand:
     def test_duplicate_covariate_listed_first(self, small_csv, tmp_path,
@@ -449,6 +528,45 @@ class TestScreenCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "rank,column,utility,selected"
         assert lines[1].startswith("1,x1,")
+
+    @pytest.mark.parametrize("text, message", [
+        (b"y,x\xff1\n1,2\n3,4\n",
+         "row 1, column 2: bytes b'x\\xff1' are not UTF-8"),
+        (b"y,x1\n1,2\n3,4\xfe\n",
+         "row 3, column 'x1': bytes b'4\\xfe' are not UTF-8"),
+        (b'"y","x1"\n"1","2"\n"3","\xc3"\n',
+         "row 3, column 'x1': bytes b'\\xc3' are not UTF-8"),
+    ])
+    def test_bytes_not_utf8_are_input_error(self, tmp_path, capsys, text,
+                                            message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        code = main(["screen", "--input", str(path), "--response", "y"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_cell_over_field_limit_is_input_error(self, tmp_path, capsys,
+                                                  row):
+        lines = ["y,x1", "1,2", "3,4", "5,6"]
+        lines[row - 1] = '"1' + "0" * 200_000 + '",2'
+        path = _write(tmp_path / "big.csv", "\n".join(lines) + "\n")
+        code = main(["screen", "--input", path, "--response", "y"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: row {row}: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
+
+    def test_exposure_that_is_the_response_rejected(self, exposure_csv,
+                                                     capsys):
+        with pytest.raises(InvalidInput) as info:
+            load_csv(exposure_csv, "y", "y")
+        assert str(info.value) == (
+            f"{exposure_csv}: the exposure 'y' is the response")
+        code = main(["screen", "--input", exposure_csv, "--response", "y",
+                     "--exposure", "y", "--method", "rpc-l2"])
+        assert code == 1
+        assert "is the response" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -54,6 +54,20 @@ class TestRobustCorrCi:
         assert ci.estimate == pytest.approx(robust_corr(y[0], x[0], y, x),
                                             rel=1e-12)
 
+    def test_estimate_bit_identical_to_pointwise_estimator(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(30, 401))
+            if trial % 2:  # tied samples
+                y = rng.integers(0, 4, n).astype(float)
+                x = rng.integers(0, 7, n).astype(float)
+            else:
+                y = rng.standard_cauchy(n)
+                x = rng.standard_normal(n)
+            i = int(rng.integers(0, n))
+            ci = robust_corr_ci(y[i], x[i], y, x)
+            assert ci.estimate.hex() == robust_corr(y[i], x[i], y, x).hex()
+
     def test_null_ci_contains_zero_near_nominal_rate(self):
         rng = np.random.default_rng(3)
         contains = 0

@@ -21,9 +21,11 @@ import numpy as np
 from .dataset import Dataset
 from .empirical import (
     as_finite_pair,
+    as_finite_vector,
     count_chunks,
     leq_counts,
     leq_counts_matrix,
+    require_finite_columns,
 )
 from .errors import InvalidInput
 from .report import Selection, ScreeningReport, build_report
@@ -50,19 +52,26 @@ def _abs_or_zero(corrs: np.ndarray, warning: str) -> np.ndarray:
     return np.where(nan, 0.0, np.abs(corrs))
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """v scaled exactly by the power of two that brings each row's largest
+    magnitude into [0.5, 1), so its squares neither overflow nor vanish."""
+    return np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1])
+
+
 def _pearson_corrs(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Pearson correlation of every column of the (n, p) array x with y; NaN
     where y or a column is constant (all entries equal) or a variance is 0.
     Chunks are taken as contiguous (chunk, n) rows, so every mean and sum is
-    the 1-D sum of one column, whatever the layout of x and its width."""
+    the 1-D sum of one column, whatever the layout of x and its width.  A
+    non-finite y, or a non-finite column of a chunk, raises InvalidInput."""
+    as_finite_vector(y, "response")
     corrs = np.full(x.shape[1], math.nan)
-    if np.all(y == y[0]):
-        return corrs
-    yc = y - y.mean()
-    ss_y = (yc * yc).sum()
+    yc = _unit_scaled(y - y.mean())
+    ss_y = 0.0 if np.all(y == y[0]) else (yc * yc).sum()
     for lo in range(0, x.shape[1], _CHUNK):
         xt = np.ascontiguousarray(x[:, lo:lo + _CHUNK].T)
-        xc = xt - xt.mean(axis=1)[:, None]
+        require_finite_columns(xt.T, lo)
+        xc = _unit_scaled(xt - xt.mean(axis=1)[:, None])
         denom = np.sqrt(ss_y * (xc * xc).sum(axis=1))
         denom[np.all(xt == xt[:, :1], axis=1)] = 0.0
         np.divide((xc * yc).sum(axis=1), denom, out=corrs[lo:lo + _CHUNK],

@@ -389,16 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, spline=True):
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; omit for entropy (printed for replay)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect "
                             "(all computation is serial)")
-        p.add_argument("--degree", type=int, default=3,
-                       help="spline degree for rpc-* methods")
-        p.add_argument("--n-basis", type=int, default=4,
-                       help="spline basis dimension for rpc-* methods")
+        if spline:  # `test` fits no splines
+            p.add_argument("--degree", type=int, default=3,
+                           help="spline degree for rpc-* methods")
+            p.add_argument("--n-basis", type=int, default=4,
+                           help="spline basis dimension for rpc-* methods")
 
     p_screen = sub.add_parser("screen", help="rank predictors in a CSV file")
     p_screen.add_argument("--input", required=True)
@@ -463,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bootstrap replicates")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--output", default=None, help="JSON report path")
-    add_common(p_test)
+    add_common(p_test, spline=False)
     p_test.set_defaults(func=_cmd_test)
     return parser
 

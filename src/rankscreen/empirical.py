@@ -57,6 +57,16 @@ def as_finite_pair(a, b, names=("y_col", "x_col"), min_size: int = 1):
     return a, b
 
 
+def require_finite_columns(x: np.ndarray, lo: int = 0):
+    """Reject the first column of the (n, w) array x, numbered from ``lo``,
+    that holds NaN or an infinity; min and max propagate NaN and reach any
+    infinity, so no (n, w) mask is built."""
+    finite = np.isfinite(x.min(axis=0)) & np.isfinite(x.max(axis=0))
+    if not finite.all():
+        raise InvalidInput(
+            f"covariate column {lo + np.argmin(finite)} is not finite")
+
+
 def leq_counts(col: np.ndarray) -> np.ndarray:
     """``r[i] = #{k : col_k <= col_i}`` for one column."""
     return leq_counts_matrix(np.asarray(col)[:, None])[:, 0]
@@ -116,11 +126,14 @@ def count_chunks(y: np.ndarray, x: np.ndarray):
     `dominance_counts_matrix` against y, both (n, w) int64.  The width
     ``w = max(_STEP, _CELLS // n // _STEP * _STEP)`` keeps a chunk near
     ``_CELLS`` cells, so memory beyond x does not grow with p; every count
-    is an exact integer, so no count depends on the width.
+    is an exact integer, so no count depends on the width.  A non-finite y,
+    or a non-finite column of the chunk, raises InvalidInput.
     """
+    as_finite_vector(y, "response")
     n, p = x.shape
     w = max(_STEP, _CELLS // n // _STEP * _STEP)
     small = np.min_scalar_type(n)
     for lo in range(0, p, w):
+        require_finite_columns(x[:, lo:lo + w], lo)
         rx = leq_counts_matrix(x[:, lo:lo + w])
         yield lo, rx, dominance_counts_matrix(y, rx.astype(small))

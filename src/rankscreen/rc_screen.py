@@ -25,7 +25,6 @@ import numpy as np
 from .dataset import Dataset
 from .empirical import (
     as_finite_pair,
-    as_finite_vector,
     count_chunks,
     leq_counts,
 )
@@ -109,13 +108,13 @@ def rc_utilities(y_col, x) -> np.ndarray:
     """Utilities for every column of an (n, p) covariate matrix.
 
     Each column's utility is bit-identical to `rc_utility` on that column.
-    Columns stream through `~rankscreen.empirical.count_chunks`, which
-    takes the joint counts on the weak ranks of one chunk of x at a time,
-    and each chunk's counts become utilities in blocks of `_BLOCK` columns,
-    which bounds the transposed copies to a block.  Memory beyond x and the
-    result is O(n * chunk), independent of p.
+    `~rankscreen.empirical.count_chunks` checks that y and x are finite and
+    takes the joint counts on the weak ranks of one chunk of x at a time;
+    each chunk's counts become utilities in blocks of `_BLOCK` columns, so
+    transposed copies are one block.  Memory beyond x and the result is
+    O(n * chunk), independent of p.
     """
-    y = as_finite_vector(y_col, "y_col")
+    y = np.asarray(y_col, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidInput("covariate matrix must be 2-D")
@@ -124,11 +123,6 @@ def rc_utilities(y_col, x) -> np.ndarray:
         raise InvalidInput("response length does not match covariate rows")
     if n < 2:
         raise InvalidInput("need at least 2 observations")
-    # min and max propagate NaN and reach any infinity: no (n, p) mask
-    finite = np.isfinite(x.min(axis=0)) & np.isfinite(x.max(axis=0))
-    if not finite.all():
-        raise InvalidInput(
-            f"covariate column {np.argmin(finite)} is not finite")
     ry = leq_counts(y)
     out = np.empty(p)
     for lo, rx, c in count_chunks(y, x):

@@ -91,6 +91,9 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
         raise InvalidInput("dataset has no exposure column to residualize on")
     if loss not in _LOSSES:
         raise InvalidInput(f"loss must be one of {_LOSSES}")
+    if np.array_equal(dataset.y, dataset.z):
+        raise InvalidInput(f"the exposure '{dataset.z_name or 'z'}' is the "
+                           f"response '{dataset.y_name}'")
     z = dataset.z
     if np.all(z == z[0]):
         return _center_fallback(dataset, loss)

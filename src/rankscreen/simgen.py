@@ -1,14 +1,16 @@
 """Seeded data generators for the benchmark scenarios.
 
-Each scenario id names one simulation design: covariate process, response
-model (with its error family or discrete link) and the ground-truth active
-set.  Generators are pure functions of (scenario, seed), driven by a
+Each scenario id names one simulation design, stated once in `_DESIGNS`.
+Every design observes ``w0 * x0 + (1 - w0) * noise`` for its latent
+covariates x0; the noise is Cauchy, or t(3), Cauchy / 3 and N(5, 1) in S
+cases 2, 3 and 4, where ``w0`` defaults to 0.95 (1.0 in case 1).
+Generators are pure functions of (scenario, seed), driven by a
 counter-based Philox stream, so identical inputs give bit-identical data.
 
 Scenario ids
 ------------
-``E1``              linear model, AR(1) Gaussian latent covariates with
-                    Cauchy contamination, Cauchy response error.
+``E1``              linear model, AR(1) Gaussian latent covariates,
+                    Cauchy response error.
 ``E2b1 .. E2b4``    four (non)linear models on the same covariate process.
 ``E3``              additive nonparametric model, equicorrelated uniform
                     covariates, four selectable error families.
@@ -16,15 +18,17 @@ Scenario ids
                     to a target variance-explained ratio.
 ``E5d1 .. E5d3``    exposure-modulated models on contaminated covariates.
 ``E6``              exposure correlated with the covariates.
-``S1 .. S4``        Bernoulli / Poisson responses (append ``c1``-``c4`` for
-                    the contamination case, e.g. ``S3c1``).
+``S1c1 .. S4c4``    Bernoulli / Poisson responses; the suffix ``c1``-``c4``
+                    is the contamination case (``case`` overrides it).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,53 +55,25 @@ __all__ = [
 _PILOT_SEED = 20231115
 _PILOT_SIZE = 100_000
 
-ERROR_FAMILIES = ("cauchy", "cauchy3", "t3", "normal174", "mixnormal", "n51")
-
-# 0-based active predictor indices per scenario id
-_ACTIVE = {
-    "E1": (0, 1, 2, 3, 4),
-    "E2b1": (0, 1, 9),
-    "E2b2": (0, 1, 2, 3),
-    "E2b3": (0, 1, 2, 3),
-    "E2b4": (0, 1, 2, 3),
-    "E3": (0, 1, 2, 3),
-    "E4": (0, 1, 2),
-    "E5d1": (0, 1, 2),
-    "E5d2": (0, 1, 2),
-    "E5d3": (1, 99, 399, 599),
-    "E6": (0, 1, 2, 3),
-    "S1": (0, 1, 99, 399),
-    "S2": (0, 1, 99, 399),
-    "S3": (0, 1, 99, 399),
-    "S4": (0, 1, 99, 399),
+# error families, each a draw of `size` from `rng`; Cauchy draws go through
+# the inverse CDF tan(pi*(U - 1/2)), a transform of one uniform stream
+_ERRORS = {
+    "cauchy": lambda size, rng: np.tan(np.pi * (rng.random(size) - 0.5)),
+    "cauchy3": lambda size, rng: _ERRORS["cauchy"](size, rng) / 3.0,
+    "t3": lambda size, rng: rng.standard_t(3, size),
+    "normal174": lambda size, rng: math.sqrt(1.74) * rng.standard_normal(size),
+    "mixnormal": lambda size, rng: (np.where(rng.random(size) < 0.5, -2.0, 2.0)
+                                    + rng.standard_normal(size)),
+    "n51": lambda size, rng: 5.0 + rng.standard_normal(size),
 }
+ERROR_FAMILIES = tuple(_ERRORS)
 
-_DISCRETE = {"S1": "bernoulli", "S2": "bernoulli", "S3": "poisson",
-             "S4": "poisson"}
-
-_NEEDS_EXPOSURE = ("E4", "E5d1", "E5d2", "E5d3", "E6")
-
-# published benchmark settings; all overridable
-_DEFAULTS = {
-    "E1": dict(n=100, p=1000, rho0=0.8, w0=0.8, error="cauchy"),
-    "E2b1": dict(n=100, p=1000, rho0=0.5, w0=0.8, error="cauchy"),
-    "E2b2": dict(n=200, p=1000, rho0=0.8, w0=0.8, error="cauchy"),
-    "E2b3": dict(n=200, p=1000, rho0=0.8, w0=0.8, error="cauchy"),
-    "E2b4": dict(n=200, p=1000, rho0=0.5, w0=0.8, error="cauchy"),
-    "E3": dict(n=200, p=1000, rho0=0.4, w0=1.0, error="cauchy3"),
-    "E4": dict(n=200, p=1000, rho0=0.8, w0=1.0, error="cauchy3", r2=0.3),
-    "E5d1": dict(n=200, p=1000, rho0=0.8, w0=0.8, error="cauchy3"),
-    "E5d2": dict(n=200, p=1000, rho0=0.8, w0=0.8, error="cauchy3"),
-    "E5d3": dict(n=200, p=1000, rho0=0.8, w0=0.8, error="cauchy3"),
-    "E6": dict(n=200, p=1000, rho0=0.4, w0=0.8, error="cauchy3"),
-    "S1": dict(n=200, p=1000, rho0=0.4, case=1),
-    "S2": dict(n=200, p=1000, rho0=0.4, case=1),
-    "S3": dict(n=200, p=1000, rho0=0.4, case=1),
-    "S4": dict(n=200, p=1000, rho0=0.4, case=1),
-}
-
-# contamination noise per discrete-response case
+# contamination noise per discrete-response case; "cauchy" otherwise
 _CASE_NOISE = {2: "t3", 3: "cauchy3", 4: "n51"}
+
+# the overridable scenario parameters and their types
+_PARAMS = {"n": int, "p": int, "rho0": float, "w0": float, "error": str,
+           "r2": float, "case": int}
 
 
 @dataclass(frozen=True)
@@ -108,34 +84,39 @@ class Scenario:
     n: int
     p: int
     rho0: float
-    w0: float = 1.0
+    w0: float | None = None  # None: 0.95 in S cases 2-4, 1.0 otherwise
     error: str = "cauchy"
     r2: float | None = None
     case: int | None = None
 
     def __post_init__(self):
-        if self.id not in _ACTIVE:
-            raise InvalidInput(
-                f"unknown scenario '{self.id}'; valid ids: "
-                f"{', '.join(list_scenario_ids())}"
-            )
+        design = _design(self.id)
+        if self.w0 is None:
+            object.__setattr__(self, "w0",
+                               0.95 if self.case in (2, 3, 4) else 1.0)
         if self.n < 2 or self.p < 1:
             raise InvalidInput("scenario needs n >= 2 and p >= 1")
-        if self.p <= max(_ACTIVE[self.id]):
+        if self.p <= max(design.active):
             raise InvalidInput(
-                f"scenario {self.id} needs p > {max(_ACTIVE[self.id])}"
+                f"scenario {self.id} needs p > {max(design.active)}"
             )
         if self.error not in ERROR_FAMILIES:
             raise InvalidInput(
                 f"unknown error family '{self.error}'; valid: "
                 f"{', '.join(ERROR_FAMILIES)}"
             )
-        if self.id in _DISCRETE and self.case not in (1, 2, 3, 4):
+        if design.family is None and self.case is not None:
+            raise InvalidInput(f"scenario {self.id} has no contamination "
+                               "case; case applies to S1-S4")
+        if design.family is not None and self.case not in (1, 2, 3, 4):
             raise InvalidInput("discrete scenarios need case in 1..4")
+        if self.case == 1 and self.w0 < 1.0:
+            raise InvalidInput("case 1 is uncontaminated: it needs w0 = 1")
 
     @property
     def needs_exposure(self) -> bool:
-        return self.id in _NEEDS_EXPOSURE
+        design = _DESIGNS[self.id]
+        return design.covariates == "exposure" or design.draws_z
 
 
 @dataclass(frozen=True)
@@ -147,13 +128,18 @@ class SimDataset:
     scenario: Scenario
 
 
+def _design(sid: str) -> _Design:
+    if sid not in _DESIGNS:
+        raise InvalidInput(f"unknown scenario '{sid}'; valid ids: "
+                           f"{', '.join(list_scenario_ids())}")
+    return _DESIGNS[sid]
+
+
 def list_scenario_ids() -> list[str]:
     ids = []
-    for sid in _DEFAULTS:
-        if sid in _DISCRETE:
-            ids.extend(f"{sid}c{c}" for c in (1, 2, 3, 4))
-        else:
-            ids.append(sid)
+    for sid, design in _DESIGNS.items():
+        ids.extend([sid] if design.family is None
+                   else [f"{sid}c{c}" for c in (1, 2, 3, 4)])
     return ids
 
 
@@ -161,33 +147,29 @@ _S_CASE_RE = re.compile(r"^(S[1-4])c([1-4])$")
 
 
 def make_scenario(scenario_id: str, **overrides) -> Scenario:
-    """Resolve a scenario id (e.g. ``"E1"`` or ``"S3c1"``) with overrides."""
+    """Resolve a scenario id (e.g. ``"E1"`` or ``"S3c1"``, whose suffix is
+    the case) with overrides; an override of None keeps the default."""
     sid = scenario_id.strip()
     m = _S_CASE_RE.match(sid)
     if m:
         sid = m.group(1)
-        overrides.setdefault("case", int(m.group(2)))
-    if sid not in _DEFAULTS:
-        raise InvalidInput(
-            f"unknown scenario '{scenario_id}'; valid ids: "
-            f"{', '.join(list_scenario_ids())}"
-        )
-    params = dict(_DEFAULTS[sid])
+        if overrides.get("case") is None:
+            overrides["case"] = int(m.group(2))
+    params = dict(_design(sid).defaults)
     for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in ("n", "p", "rho0", "w0", "error", "r2", "case"):
+        if key not in _PARAMS:
             raise InvalidInput(f"unknown scenario parameter '{key}'")
-        params[key] = value
+        if value is not None:
+            params[key] = value
     return Scenario(id=sid, **params)
 
 
 def scenario_from_config(text: str) -> Scenario:
     """Parse a plain-text ``key = value`` scenario definition.
 
-    Recognized keys: ``scenario`` (required id), ``n``, ``p``, ``rho0``,
-    ``w0``, ``error``, ``r2``, ``case``.  Lines starting with ``#`` and blank
-    lines are ignored.
+    Recognized keys: ``scenario`` (required id) and the parameters of
+    `make_scenario`: ``n``, ``p``, ``rho0``, ``w0``, ``error``, ``r2``,
+    ``case``.  Lines starting with ``#`` and blank lines are ignored.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -202,22 +184,20 @@ def scenario_from_config(text: str) -> Scenario:
         raise InvalidInput("config is missing the 'scenario' key")
     sid = values.pop("scenario")
     overrides: dict = {}
-    casters = {"n": int, "p": int, "case": int, "rho0": float, "w0": float,
-               "r2": float, "error": str}
     for key, val in values.items():
-        if key not in casters:
+        if key not in _PARAMS:
             raise InvalidInput(f"unknown scenario parameter '{key}'")
         try:
-            overrides[key] = casters[key](val)
+            overrides[key] = _PARAMS[key](val)
         except ValueError:
             raise InvalidInput(
-                f"config value for '{key}' is not a {casters[key].__name__}"
+                f"config value for '{key}' is not a {_PARAMS[key].__name__}"
             ) from None
     return make_scenario(sid, **overrides)
 
 
 def active_set(scenario: Scenario) -> np.ndarray:
-    return np.asarray(_ACTIVE[scenario.id], dtype=np.int64)
+    return np.asarray(_DESIGNS[scenario.id].active, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -225,25 +205,10 @@ def active_set(scenario: Scenario) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def draw_error(family: str, size, rng: np.random.Generator) -> np.ndarray:
-    """Sample one of the named error families.
-
-    Cauchy draws go through the inverse CDF tan(pi*(U - 1/2)) so they are a
-    deterministic transform of one uniform stream.
-    """
-    if family == "cauchy":
-        return np.tan(np.pi * (rng.random(size) - 0.5))
-    if family == "cauchy3":
-        return np.tan(np.pi * (rng.random(size) - 0.5)) / 3.0
-    if family == "t3":
-        return rng.standard_t(3, size)
-    if family == "normal174":
-        return math.sqrt(1.74) * rng.standard_normal(size)
-    if family == "mixnormal":
-        signs = np.where(rng.random(size) < 0.5, -2.0, 2.0)
-        return signs + rng.standard_normal(size)
-    if family == "n51":
-        return 5.0 + rng.standard_normal(size)
-    raise InvalidInput(f"unknown error family '{family}'")
+    """Sample one of the named error families (`ERROR_FAMILIES`)."""
+    if family not in _ERRORS:
+        raise InvalidInput(f"unknown error family '{family}'")
+    return _ERRORS[family](size, rng)
 
 
 def gen_ar1_gaussian(n: int, p: int, rho0: float,
@@ -361,10 +326,6 @@ def gen_exposure_correlated(n: int, p: int, rho0: float,
 # response models
 # ---------------------------------------------------------------------------
 
-def _g1(u):
-    return u
-
-
 def _g2(u):
     return (3.0 * u - 1.0) ** 2
 
@@ -380,60 +341,105 @@ def _g4(u):
     return 0.1 * s + 0.2 * c + 0.3 * s ** 2 + 0.4 * c ** 3 + 0.5 * s ** 3
 
 
+@dataclass(frozen=True)
+class _Design:
+    """One simulation design (see the module docstring)."""
+
+    defaults: dict  # the published settings
+    active: tuple  # 0-based active columns
+    covariates: str  # "ar1", "uniform" or "exposure" (E6's joint x0 and z)
+    draws_z: bool  # z ~ U(0, 1) is drawn after the covariates
+    mean: Callable  # (x0, z) -> response mean, or the link argument
+    family: str | None = None  # "bernoulli" or "poisson"
+
+
+def _defaults(n, rho0, w0, error, **extra):
+    return dict(n=n, p=1000, rho0=rho0, w0=w0, error=error, **extra)
+
+
+def _s13_mean(x, z):
+    return 2.0 * x[:, 0] + 1.5 * x[:, 1] + 2.0 * x[:, 99] + 2.0 * x[:, 399]
+
+
+def _e6_mean(x, z):
+    s = np.sin(2.0 * np.pi * z)
+    return (3.0 * x[:, 0] + 4.0 * np.sqrt(z + 0.5) * x[:, 1]
+            + 2.0 * np.exp(z) * x[:, 2] + 6.0 * s * x[:, 3] / (2.0 - s))
+
+
+# E5d2 observes a transform of its response (see `gen_response`)
+_E5 = _Design(
+    _defaults(200, 0.8, 0.8, "cauchy3"), (0, 1, 2), "ar1", True,
+    lambda x, z: (2.0 * z * x[:, 0] + 5.0 * (2.0 * z - 1.0) ** 2 * x[:, 1]
+                  + 3.0 * np.sin(2.0 * np.pi * z) * x[:, 2]))
+_S = dict(n=200, p=1000, rho0=0.4, case=1)
+_S_ACTIVE = (0, 1, 99, 399)
+
+_DESIGNS = {
+    "E1": _Design(
+        _defaults(100, 0.8, 0.8, "cauchy"), (0, 1, 2, 3, 4), "ar1", False,
+        lambda x, z: (3.0 * x[:, 0] + 3.0 * x[:, 1] + 2.0 * x[:, 2]
+                      + 2.0 * x[:, 3] + 2.0 * x[:, 4])),
+    "E2b1": _Design(
+        _defaults(100, 0.5, 0.8, "cauchy"), (0, 1, 9), "ar1", False,
+        lambda x, z: (5.0 * x[:, 0] * (x[:, 0] < 0)
+                      + 5.0 * x[:, 1] * (x[:, 1] > 0)
+                      + 5.0 * np.sin(x[:, 9]))),
+    # model coefficients beta_1..beta_4 default to one
+    "E2b2": _Design(
+        _defaults(200, 0.8, 0.8, "cauchy"), (0, 1, 2, 3), "ar1", False,
+        lambda x, z: 5.0 * (x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3])),
+    "E2b3": _Design(
+        _defaults(200, 0.8, 0.8, "cauchy"), (0, 1, 2, 3), "ar1", False,
+        lambda x, z: (5.0 * x[:, 0] ** 2 + 5.0 * x[:, 1] * x[:, 2]
+                      + 5.0 * (x[:, 3] > 0))),
+    "E2b4": _Design(
+        _defaults(200, 0.5, 0.8, "cauchy"), (0, 1, 2, 3), "ar1", False,
+        lambda x, z: (np.exp(3.0 * np.sin(x[:, 0])) + 2.0 * np.exp(x[:, 1])
+                      + 3.0 * (x[:, 2] > 0)
+                      + np.log(4.0 * np.abs(x[:, 3]) + 0.5))),
+    "E3": _Design(
+        _defaults(200, 0.4, 1.0, "cauchy3"), (0, 1, 2, 3), "uniform", False,
+        lambda x, z: (6.0 * x[:, 0] + 6.0 * _g2(x[:, 1])
+                      + 3.0 * _g3(x[:, 2]) + 6.0 * _g4(x[:, 3]))),
+    "E4": _Design(
+        _defaults(200, 0.8, 1.0, "cauchy3", r2=0.3), (0, 1, 2), "ar1", True,
+        lambda x, z: (2.0 * np.exp(z) * x[:, 0]
+                      + 5.0 * (2.0 * z - 1.0) ** 2 * np.exp(x[:, 1])
+                      + 3.0 * np.sin(2.0 * np.pi * z) * x[:, 2] ** 2)),
+    "E5d1": _E5,
+    "E5d2": _E5,
+    "E5d3": _Design(
+        _defaults(200, 0.8, 0.8, "cauchy3"), (1, 99, 399, 599), "ar1", True,
+        lambda x, z: (2.0 * (z > 0.4) * x[:, 1] + (1.0 + z) * x[:, 99]
+                      + (2.0 - 3.0 * z) ** 2 * x[:, 399]
+                      + np.exp(z / (1.0 + z)) * x[:, 599])),
+    "E6": _Design(_defaults(200, 0.4, 0.8, "cauchy3"), (0, 1, 2, 3),
+                  "exposure", False, _e6_mean),
+    "S1": _Design(_S, _S_ACTIVE, "ar1", False, _s13_mean, "bernoulli"),
+    "S2": _Design(
+        _S, _S_ACTIVE, "ar1", False,
+        lambda x, z: (2.0 * x[:, 0] + 2.0 * (x[:, 1] + 0.5) ** 2
+                      + 3.0 * np.exp(-x[:, 99])
+                      + 6.0 * np.sin(np.pi * x[:, 399])), "bernoulli"),
+    "S3": _Design(_S, _S_ACTIVE, "ar1", False, _s13_mean, "poisson"),
+    "S4": _Design(
+        _S, _S_ACTIVE, "uniform", False,
+        lambda x, z: (1.5 * x[:, 0] + 0.5 * (x[:, 1] + 0.5) ** 2
+                      + 1.5 * np.exp(x[:, 99] ** 2)
+                      + 1.5 * np.sin(np.pi * x[:, 399])), "poisson"),
+}
+
+
 def response_mean(scenario_id: str, x0: np.ndarray, z: np.ndarray | None = None,
                   theta: float = 1.0) -> np.ndarray:
     """Deterministic response part (or the link argument for the discrete
-    scenarios), evaluated on the latent covariates."""
-    x = x0
-    if scenario_id == "E1":
-        return (3.0 * x[:, 0] + 3.0 * x[:, 1] + 2.0 * x[:, 2]
-                + 2.0 * x[:, 3] + 2.0 * x[:, 4])
-    if scenario_id == "E2b1":
-        return (5.0 * x[:, 0] * (x[:, 0] < 0) + 5.0 * x[:, 1] * (x[:, 1] > 0)
-                + 5.0 * np.sin(x[:, 9]))
-    if scenario_id == "E2b2":
-        # model coefficients beta_1..beta_4 default to one
-        return 5.0 * (x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3])
-    if scenario_id == "E2b3":
-        return (5.0 * x[:, 0] ** 2 + 5.0 * x[:, 1] * x[:, 2]
-                + 5.0 * (x[:, 3] > 0))
-    if scenario_id == "E2b4":
-        return (np.exp(3.0 * np.sin(x[:, 0])) + 2.0 * np.exp(x[:, 1])
-                + 3.0 * (x[:, 2] > 0) + np.log(4.0 * np.abs(x[:, 3]) + 0.5))
-    if scenario_id == "E3":
-        return (6.0 * _g1(x[:, 0]) + 6.0 * _g2(x[:, 1]) + 3.0 * _g3(x[:, 2])
-                + 6.0 * _g4(x[:, 3]))
-    if scenario_id == "E4":
-        return theta * (2.0 * np.exp(z) * x[:, 0]
-                        + 5.0 * (2.0 * z - 1.0) ** 2 * np.exp(x[:, 1])
-                        + 3.0 * np.sin(2.0 * np.pi * z) * x[:, 2] ** 2)
-    if scenario_id in ("E5d1", "E5d2"):
-        return (2.0 * z * x[:, 0] + 5.0 * (2.0 * z - 1.0) ** 2 * x[:, 1]
-                + 3.0 * np.sin(2.0 * np.pi * z) * x[:, 2])
-    if scenario_id == "E5d3":
-        return (2.0 * (z > 0.4) * x[:, 1] + (1.0 + z) * x[:, 99]
-                + (2.0 - 3.0 * z) ** 2 * x[:, 399]
-                + np.exp(z / (1.0 + z)) * x[:, 599])
-    if scenario_id == "E6":
-        s = np.sin(2.0 * np.pi * z)
-        return (3.0 * x[:, 0] + 4.0 * np.sqrt(z + 0.5) * x[:, 1]
-                + 2.0 * np.exp(z) * x[:, 2] + 6.0 * s * x[:, 3] / (2.0 - s))
-    if scenario_id in ("S1", "S3"):
-        return (2.0 * x[:, 0] + 1.5 * x[:, 1] + 2.0 * x[:, 99]
-                + 2.0 * x[:, 399])
-    if scenario_id == "S2":
-        return (2.0 * x[:, 0] + 2.0 * (x[:, 1] + 0.5) ** 2
-                + 3.0 * np.exp(-x[:, 99]) + 6.0 * np.sin(np.pi * x[:, 399]))
-    if scenario_id == "S4":
-        return (1.5 * x[:, 0] + 0.5 * (x[:, 1] + 0.5) ** 2
-                + 1.5 * np.exp(x[:, 99] ** 2)
-                + 1.5 * np.sin(np.pi * x[:, 399]))
-    raise InvalidInput(f"unknown scenario '{scenario_id}'")
+    scenarios), evaluated on the latent covariates and scaled by ``theta``
+    (E4's calibrated signal strength)."""
+    return theta * _design(scenario_id).mean(x0, z)
 
 
-_theta_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _calibrated_theta(r2: float, error_family: str) -> float:
     """Signal scale for the exposure-modulated model so the explained
     variance ratio hits the target.
@@ -444,9 +450,6 @@ def _calibrated_theta(r2: float, error_family: str) -> float:
     scale solves theta^2 * var(mu0) = r2/(1-r2) * var_eps by bisection;
     results are cached per (r2, family).
     """
-    key = (float(r2), error_family)
-    if key in _theta_cache:
-        return _theta_cache[key]
     if not 0.0 < r2 < 1.0:
         raise InvalidInput("target variance ratio must be in (0, 1)")
     var_eps = 3.0
@@ -458,15 +461,7 @@ def _calibrated_theta(r2: float, error_family: str) -> float:
     mu0 = response_mean("E4", x0, z, theta=1.0)
     v0 = float(np.var(mu0))
     hi = 2.0 * math.sqrt(target / v0) + 1.0
-    theta = _bisect_increasing(lambda t: t * t * v0, target, 0.0, hi)
-    _theta_cache[key] = theta
-    return theta
-
-
-def _noise_family(scenario: Scenario) -> str:
-    if scenario.id in _DISCRETE:
-        return _CASE_NOISE.get(scenario.case, "cauchy")
-    return "cauchy"
+    return _bisect_increasing(lambda t: t * t * v0, target, 0.0, hi)
 
 
 def simulate(scenario: Scenario, seed) -> SimDataset:
@@ -476,33 +471,20 @@ def simulate(scenario: Scenario, seed) -> SimDataset:
     order is fixed: latent covariates, exposure, contamination noise,
     response error.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    design = _DESIGNS[scenario.id]
+    n, p, rho0 = scenario.n, scenario.p, scenario.rho0
+    if design.covariates == "exposure":
+        x0, z = gen_exposure_correlated(n, p, rho0, 0.4, rng)
     else:
-        seq = np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(seq))
-    n, p = scenario.n, scenario.p
-    sid = scenario.id
-
-    z = None
-    if sid == "E3":
-        x0 = gen_equicorrelated_uniform(n, p, scenario.rho0, rng)
-    elif sid == "S4":
-        x0 = gen_equicorrelated_uniform(n, p, scenario.rho0, rng)
-    elif sid == "E6":
-        x0, z = gen_exposure_correlated(n, p, scenario.rho0, 0.4, rng)
-    else:
-        x0 = gen_ar1_gaussian(n, p, scenario.rho0, rng)
-    if sid in ("E4", "E5d1", "E5d2", "E5d3"):
-        z = rng.random(n)
-
-    if scenario.id in _DISCRETE and scenario.case == 1:
-        x = x0.copy()
-    elif scenario.id in _DISCRETE:
-        x = gen_contaminated(x0, 0.95, _noise_family(scenario), rng)
-    else:
-        x = gen_contaminated(x0, scenario.w0, _noise_family(scenario), rng)
-
+        gen = (gen_ar1_gaussian if design.covariates == "ar1"
+               else gen_equicorrelated_uniform)
+        x0 = gen(n, p, rho0, rng)
+        z = rng.random(n) if design.draws_z else None
+    x = gen_contaminated(x0, scenario.w0,
+                         _CASE_NOISE.get(scenario.case, "cauchy"), rng)
     y = gen_response(scenario, x0, z, rng)
     dataset = Dataset(y=y, x=x, z=z, z_name="z" if z is not None else None)
     return SimDataset(dataset=dataset, active=active_set(scenario),
@@ -515,23 +497,21 @@ def gen_response(scenario: Scenario, x0: np.ndarray, z: np.ndarray | None,
     exposure for the exposure-adjusted designs): deterministic part plus an
     error draw, or a Bernoulli/Poisson draw through the scenario's link."""
     sid = scenario.id
-    kind = _DISCRETE.get(sid)
-    if kind == "bernoulli":
-        eta = response_mean(sid, x0)
-        prob = 1.0 / (1.0 + np.exp(-eta))
-        return (rng.random(eta.shape[0]) < prob).astype(float)
-    if kind == "poisson":
-        eta = response_mean(sid, x0)
-        lam = np.exp(eta)
-        if not np.all(np.isfinite(lam)):
-            raise InvalidInput("Poisson rate overflowed; check the scenario")
-        return rng.poisson(lam).astype(float)
     theta = 1.0
     if sid == "E4":
         if scenario.r2 is None:
             raise InvalidInput("scenario E4 needs a target r2")
         theta = _calibrated_theta(scenario.r2, scenario.error)
     mu = response_mean(sid, x0, z, theta=theta)
+    family = _DESIGNS[sid].family
+    if family == "bernoulli":
+        prob = 1.0 / (1.0 + np.exp(-mu))
+        return (rng.random(mu.shape[0]) < prob).astype(float)
+    if family == "poisson":
+        lam = np.exp(mu)
+        if not np.all(np.isfinite(lam)):
+            raise InvalidInput("Poisson rate overflowed; check the scenario")
+        return rng.poisson(lam).astype(float)
     eps = draw_error(scenario.error, mu.shape[0], rng)
     if sid == "E5d2":
         # invert log(0.5*exp(1.25*y) - 1) = mu + eps, stably

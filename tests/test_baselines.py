@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rankscreen import empirical
+from rankscreen import baselines, empirical
 from rankscreen.baselines import (
     kendall_sis,
     kendall_tau_b,
@@ -15,8 +15,13 @@ from rankscreen.baselines import (
 )
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput
+from rankscreen.rc_screen import rc_screen
 
 from oracles import kendall_tau_oracle, pearson_oracle
+
+
+def _pearson_sis_utilities(y, x):
+    return pearson_sis(Dataset(y=y, x=x)).utilities.tolist()
 
 
 class TestPearson:
@@ -52,6 +57,25 @@ class TestPearson:
             assert pearson_utility(y, np.full(10, 0.3)) == 0.0
         with pytest.warns(UserWarning, match="zero-variance"):
             assert pearson_utility(np.full(10, 0.3), y) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_column_scales(self, scale):
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal(50)
+        x = y + rng.standard_normal(50)
+        base = pearson_utility(y, x)
+        assert 0.6 < base < 0.8
+        assert pearson_utility(y, x * scale) == pytest.approx(base, rel=1e-14)
+        assert pearson_utility(y * scale, x) == pytest.approx(base, rel=1e-14)
+
+    @pytest.mark.parametrize("power", [-1000, -40, 3, 900])
+    def test_power_of_two_scale_is_bit_identical(self, power):
+        rng = np.random.default_rng(2)
+        y = rng.standard_t(3, 80)
+        x = rng.standard_t(3, (80, 4)) + y[:, None]
+        base = _pearson_sis_utilities(y, x)
+        assert _pearson_sis_utilities(y, np.ldexp(x, power)) == base
+        assert _pearson_sis_utilities(np.ldexp(y, power), x) == base
 
     def test_affine_equivariance_only(self):
         rng = np.random.default_rng(1)
@@ -236,6 +260,29 @@ class TestScreeners:
     def test_pearson_needs_three_observations(self):
         ds = Dataset(y=np.array([1.0, 2.0]), x=np.ones((2, 2)))
         with pytest.raises(InvalidInput):
+            pearson_sis(ds)
+
+    @pytest.mark.parametrize("screen", [pearson_sis, kendall_sis, rc_screen])
+    @pytest.mark.parametrize("shrunk", [False, True])
+    def test_non_finite_written_after_construction(self, screen, shrunk,
+                                                   monkeypatch):
+        if shrunk:  # one column per chunk: the global index is named
+            monkeypatch.setattr(empirical, "_CELLS", 1)
+            monkeypatch.setattr(empirical, "_STEP", 1)
+            monkeypatch.setattr(baselines, "_CHUNK", 1)
+        ds = self._dataset(seed=9, n=30, p=4)
+        ds.x[3, 2] = np.nan
+        with pytest.raises(InvalidInput, match="^covariate column 2 is not"):
+            screen(ds)
+        ds = self._dataset(seed=9, n=30, p=4)
+        ds.y[5] = np.inf
+        with pytest.raises(InvalidInput, match="^response contains non-fin"):
+            screen(ds)
+
+    def test_constant_response_still_checks_columns(self):
+        ds = Dataset(y=np.ones(10), x=np.ones((10, 2)))
+        ds.x[0, 1] = np.nan
+        with pytest.raises(InvalidInput, match="covariate column 1"):
             pearson_sis(ds)
 
     def test_kendall_invariance_of_full_report(self):

@@ -631,6 +631,28 @@ class TestSimulateCommand:
                      "--seed", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra, case, w0", [
+        ([], 2, 0.95),
+        (["--case", "3"], 3, 0.95),
+        (["--w0", "0.9"], 2, 0.9),
+        (["--case", "1"], 1, 1.0),
+    ])
+    def test_s_id_simulates_its_own_case(self, tmp_path, capsys, extra,
+                                         case, w0):
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--scenario", "S1c2", "--n", "60", "--p",
+                     "400", "--reps", "2", "--seed", "1", "--method", "rc",
+                     "--output", str(out)] + extra)
+        assert code == 0
+        echo = json.loads(out.read_text())["scenario"]
+        assert (echo["id"], echo["case"], echo["w0"]) == ("S1", case, w0)
+
+    def test_case_on_continuous_design_is_usage_error(self, capsys):
+        code = main(["simulate", "--scenario", "E1", "--case", "2",
+                     "--reps", "1", "--seed", "1"])
+        assert code == 2
+        assert "case applies to S1-S4" in capsys.readouterr().err
+
     def test_auto_seed_printed(self, capsys):
         code = main(["simulate", "--scenario", "E1", "--n", "50", "--p",
                      "30", "--method", "rc", "--reps", "1"])
@@ -674,6 +696,13 @@ class TestTestCommand:
         code = main(["test", "--input", small_csv, "--response", "y",
                      "--covariate", "nope"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", [["--degree", "9"], ["--n-basis", "2"]])
+    def test_spline_flags_rejected(self, small_csv, capsys, flag):
+        code = main(["test", "--input", small_csv, "--response", "y",
+                     "--all", "--n-boot", "20", "--seed", "1"] + flag)
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestThreadsFlag:

@@ -37,6 +37,18 @@ class TestResidualize:
         res = residualize(ds, loss="l2")
         assert np.abs(res.eps_x[:, 0]).max() <= 1e-6
 
+    @pytest.mark.parametrize("loss", ["l2", "l1"])
+    def test_exposure_equal_to_response_rejected(self, loss):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(60)
+        ds = Dataset(y=y, x=rng.standard_normal((60, 3)), z=y.copy(),
+                     z_name="dose")
+        with pytest.raises(InvalidInput, match="exposure 'dose' is the "
+                                               "response 'y'"):
+            residualize(ds, loss=loss)
+        with pytest.raises(InvalidInput):
+            rpc_screen(ds)
+
     def test_l2_residuals_are_mean_zero(self):
         rng = np.random.default_rng(3)
         z = rng.random(120)

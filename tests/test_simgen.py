@@ -260,6 +260,9 @@ class TestScenarios:
         sc = make_scenario("S2c3")
         assert sc.id == "S2"
         assert sc.case == 3
+        # the suffix is the default case: None keeps it, a case overrides it
+        assert make_scenario("S2c3", case=None).case == 3
+        assert make_scenario("S2c3", case=1).case == 1
 
     def test_exposure_present_only_where_needed(self):
         assert simulate(make_scenario("E4", n=30, p=5), 0).dataset.z is not None
@@ -294,6 +297,35 @@ class TestScenarios:
         # same latent stream, case 4 shifts columns by positive noise
         assert not np.array_equal(base.dataset.x, cont.dataset.x)
 
+    @pytest.mark.parametrize("sid, case, w0", [
+        ("S1c1", 1, 1.0), ("S2c2", 2, 0.95), ("S3c3", 3, 0.95),
+        ("S4c4", 4, 0.95),
+    ])
+    def test_discrete_weight_echoes_the_one_used(self, sid, case, w0):
+        sc = make_scenario(sid)
+        assert (sc.case, sc.w0) == (case, w0)
+        assert make_scenario(sid[:2], case=case).w0 == w0
+        direct = Scenario(id=sid[:2], n=200, p=1000, rho0=0.4, case=case)
+        assert direct == sc
+
+    def test_case_one_is_uncontaminated(self):
+        with pytest.raises(InvalidInput, match="case 1"):
+            make_scenario("S1c1", w0=0.95)
+
+    def test_case_only_for_discrete_designs(self):
+        with pytest.raises(InvalidInput, match="S1-S4"):
+            make_scenario("E1", case=2)
+
+    @pytest.mark.parametrize("sid, w0, noise", [
+        ("S1c2", 0.9, "t3"), ("S3c4", 0.5, "n51"), ("E1", 0.7, "cauchy"),
+    ])
+    def test_contamination_follows_w0(self, sid, w0, noise):
+        sc = make_scenario(sid, n=30, p=400, w0=w0)
+        rng = _rng(41)
+        x0 = gen_ar1_gaussian(30, 400, sc.rho0, rng)
+        expected = gen_contaminated(x0, w0, noise, rng)
+        assert np.array_equal(simulate(sc, 41).dataset.x, expected)
+
     def test_scenario_ids_listed(self):
         ids = list_scenario_ids()
         assert "E1" in ids and "S3c1" in ids and "E5d2" in ids
@@ -320,6 +352,10 @@ class TestScenarioConfig:
     def test_unknown_key(self):
         with pytest.raises(InvalidInput):
             scenario_from_config("scenario = E1\nbogus = 3")
+
+    def test_discrete_case_sets_default_weight(self):
+        sc = scenario_from_config("scenario = S2\ncase = 3\np = 400")
+        assert (sc.id, sc.case, sc.w0) == ("S2", 3, 0.95)
 
     def test_bad_value_type(self):
         with pytest.raises(InvalidInput):

@@ -22,10 +22,10 @@ from .dataset import Dataset
 from .empirical import (
     as_finite_pair,
     as_finite_vector,
+    column_chunks,
     count_chunks,
     leq_counts,
     leq_counts_matrix,
-    require_finite_columns,
 )
 from .errors import InvalidInput
 from .report import Selection, ScreeningReport, build_report
@@ -38,8 +38,6 @@ __all__ = [
 ]
 
 
-# Columns per Pearson chunk: bounds the (chunk, n) working arrays.
-_CHUNK = 256
 _PEARSON_ZERO = "zero-variance column(s); Pearson utility set to 0"
 _KENDALL_ZERO = "constant column; Kendall utility set to 0"
 
@@ -61,20 +59,20 @@ def _unit_scaled(v: np.ndarray) -> np.ndarray:
 def _pearson_corrs(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Pearson correlation of every column of the (n, p) array x with y; NaN
     where y or a column is constant (all entries equal) or a variance is 0.
-    Chunks are taken as contiguous (chunk, n) rows, so every mean and sum is
-    the 1-D sum of one column, whatever the layout of x and its width.  A
-    non-finite y, or a non-finite column of a chunk, raises InvalidInput."""
+    The chunks of `column_chunks` are taken as contiguous (chunk, n) rows, so
+    every mean and sum is the 1-D sum of one column, whatever the layout of
+    x and the chunk's width.  A non-finite y, or a non-finite column of a
+    chunk, raises InvalidInput."""
     as_finite_vector(y, "response")
     corrs = np.full(x.shape[1], math.nan)
     yc = _unit_scaled(y - y.mean())
     ss_y = 0.0 if np.all(y == y[0]) else (yc * yc).sum()
-    for lo in range(0, x.shape[1], _CHUNK):
-        xt = np.ascontiguousarray(x[:, lo:lo + _CHUNK].T)
-        require_finite_columns(xt.T, lo)
+    for lo, chunk in column_chunks(x):
+        xt = np.ascontiguousarray(chunk.T)
         xc = _unit_scaled(xt - xt.mean(axis=1)[:, None])
         denom = np.sqrt(ss_y * (xc * xc).sum(axis=1))
         denom[np.all(xt == xt[:, :1], axis=1)] = 0.0
-        np.divide((xc * yc).sum(axis=1), denom, out=corrs[lo:lo + _CHUNK],
+        np.divide((xc * yc).sum(axis=1), denom, out=corrs[lo:lo + len(xt)],
                   where=denom > 0.0)
     return corrs
 

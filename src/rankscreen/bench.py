@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 RSD_SCALE = 1.349  # normal-consistent IQR scale
+MAX_FAILURE_FRACTION = 0.05  # share of replications that may fail
 
 Screener = Callable[[Dataset, Selection], ScreeningReport]
 
@@ -166,7 +167,6 @@ class MetricsReport:
 
 def run_replications(scenario, methods, n_reps: int, base_seed: int,
                      d_n: int | None = None,
-                     max_failure_fraction: float = 0.05,
                      basis_config: BasisConfig = BasisConfig()) -> MetricsReport:
     """Run every method on ``n_reps`` independently generated datasets.
 
@@ -187,8 +187,10 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
 
     Raises
     ------
+    InvalidInput
+        For a bad ``n_reps``, method or ``d_n``, before any replication.
     HarnessError
-        If more than ``max_failure_fraction`` of the replications fail.
+        If more than ``MAX_FAILURE_FRACTION`` of the replications fail.
     """
     if n_reps < 1:
         raise InvalidInput("need at least one replication")
@@ -197,6 +199,7 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
     methods = list(dict.fromkeys(methods))
     screeners = {name: get_method(name, basis_config=basis_config)
                  for name in methods}
+    fixed = TopD(d_n) if d_n is not None else None
 
     if isinstance(scenario, Scenario):
         make = lambda seq: simulate(scenario, seq)  # noqa: E731
@@ -208,11 +211,10 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
     def one_replication(r: int):
         seq = np.random.SeedSequence([base_seed, r])
         sim = make(seq)
-        budget = d_n if d_n is not None else default_top_d(sim.dataset.n)
-        sel = TopD(budget)
+        sel = fixed or TopD(default_top_d(sim.dataset.n))
         ranks = {name: screen(sim.dataset, sel).ranks()[sim.active]
                  for name, screen in screeners.items()}
-        return budget, sim.active, ranks
+        return sel.d, sim.active, ranks
 
     kept: list = []
     errors: list = []
@@ -223,7 +225,7 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
             errors.append((r, repr(exc)))
 
     n_failures = len(errors)
-    if n_failures > max_failure_fraction * n_reps:
+    if n_failures > MAX_FAILURE_FRACTION * n_reps:
         detail = "; ".join(f"rep {r}: {msg}" for r, msg in errors[:5])
         raise HarnessError(
             f"{n_failures}/{n_reps} replications failed ({detail})"

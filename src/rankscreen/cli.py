@@ -267,13 +267,16 @@ def _cmd_screen(args, parser) -> int:
         parser.error(f"method '{args.method}' requires --exposure")
     if args.top_d is not None and args.threshold is not None:
         parser.error("pass at most one of --top-d / --threshold")
+    try:
+        basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
+        selection = None  # the default budget floor(n / ln n)
+        if args.top_d is not None:
+            selection = TopD(args.top_d)
+        elif args.threshold is not None:
+            selection = UtilityThreshold(args.threshold)
+    except InvalidInput as exc:
+        parser.error(str(exc))
     dataset = load_csv(args.input, args.response, args.exposure)
-    selection = None  # the default budget floor(n / ln n)
-    if args.top_d is not None:
-        selection = TopD(args.top_d)
-    elif args.threshold is not None:
-        selection = UtilityThreshold(args.threshold)
-    basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
     report = get_method(args.method, basis_config=basis)(dataset, selection)
     payload = _report_json(report, dataset, args.seed)
     _write_json(payload, args.output)
@@ -297,28 +300,28 @@ def _cmd_screen(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     methods = args.method or ["rc"]
-    try:
+    if not (args.scenario or args.scenario_file):
+        parser.error("pass --scenario or --scenario-file")
+    reps = args.reps if args.reps is not None else (200 if args.full else 50)
+    try:  # each InvalidInput here is raised before the first replication
         if args.scenario_file:
             with open(args.scenario_file, encoding="utf-8") as fh:
                 scenario = scenario_from_config(fh.read())
-        elif args.scenario:
+        else:
             scenario = make_scenario(args.scenario, n=args.n, p=args.p,
                                      rho0=args.rho0, w0=args.w0,
                                      error=args.error, r2=args.r2,
                                      case=args.case)
-        else:
-            parser.error("pass --scenario or --scenario-file")
+        if (any(METHODS[m].needs_exposure for m in methods)
+                and not scenario.needs_exposure):
+            parser.error(f"scenario {scenario.id} has no exposure; rpc-* "
+                         "methods do not apply")
+        basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
+        seed = _resolve_seed(args.seed)
+        report = run_replications(scenario, methods, reps, seed,
+                                  d_n=args.d_n, basis_config=basis)
     except InvalidInput as exc:
         parser.error(str(exc))
-    if (any(METHODS[m].needs_exposure for m in methods)
-            and not scenario.needs_exposure):
-        parser.error(f"scenario {scenario.id} has no exposure; rpc-* methods "
-                     "do not apply")
-    reps = args.reps if args.reps is not None else (200 if args.full else 50)
-    seed = _resolve_seed(args.seed)
-    basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
-    report = run_replications(scenario, methods, reps, seed, d_n=args.d_n,
-                              basis_config=basis)
     rows = report.to_csv_rows()
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     print(f"scenario {scenario.id}: n = {scenario.n}, p = {scenario.p}, "

@@ -14,7 +14,8 @@ empirical CDFs, ``(n/(n+1)) * (count/n) == count/(n+1)``, is applied where
 the counts are turned into correlations (``rc_screen._rho_from_counts``).
 
 `count_chunks` streams a wide x through both steps a chunk of columns at a
-time, so the working arrays beyond x stay O(n * chunk) whatever p is.
+time, so the working arrays beyond x stay O(n * chunk) whatever p is;
+Pearson screening streams the same `column_chunks`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
     "count_chunks",
 ]
 
-# Cells of one chunk's (n, w) count arrays; the width w is a multiple of
+# Cells of one chunk's (n, w) working arrays; the width w is a multiple of
 # _STEP columns, and at least _STEP.
 _CELLS = 2 ** 17
 _STEP = 64
@@ -57,14 +58,22 @@ def as_finite_pair(a, b, names=("y_col", "x_col"), min_size: int = 1):
     return a, b
 
 
-def require_finite_columns(x: np.ndarray, lo: int = 0):
-    """Reject the first column of the (n, w) array x, numbered from ``lo``,
-    that holds NaN or an infinity; min and max propagate NaN and reach any
-    infinity, so no (n, w) mask is built."""
-    finite = np.isfinite(x.min(axis=0)) & np.isfinite(x.max(axis=0))
-    if not finite.all():
-        raise InvalidInput(
-            f"covariate column {lo + np.argmin(finite)} is not finite")
+def column_chunks(x: np.ndarray):
+    """Yield ``(lo, x[:, lo:lo + w])`` for consecutive chunks of the (n, p)
+    array x, ``w = max(_STEP, _CELLS // n // _STEP * _STEP)`` columns wide,
+    so that an (n, w) working array stays near ``_CELLS`` cells whatever p
+    is.  The first column that holds NaN or an infinity raises InvalidInput;
+    min and max propagate NaN and reach any infinity, so no mask is built."""
+    n, p = x.shape
+    w = max(_STEP, _CELLS // n // _STEP * _STEP)
+    for lo in range(0, p, w):
+        chunk = x[:, lo:lo + w]
+        finite = (np.isfinite(chunk.min(axis=0))
+                  & np.isfinite(chunk.max(axis=0)))
+        if not finite.all():
+            raise InvalidInput(
+                f"covariate column {lo + np.argmin(finite)} is not finite")
+        yield lo, chunk
 
 
 def leq_counts(col: np.ndarray) -> np.ndarray:
@@ -121,19 +130,14 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def count_chunks(y: np.ndarray, x: np.ndarray):
     """Weak ranks and joint counts of x, one chunk of columns at a time.
 
-    Yields ``(lo, rx, c)`` for consecutive column chunks ``x[:, lo:lo + w]``:
-    ``rx`` is the chunk's `leq_counts_matrix` and ``c`` its
-    `dominance_counts_matrix` against y, both (n, w) int64.  The width
-    ``w = max(_STEP, _CELLS // n // _STEP * _STEP)`` keeps a chunk near
-    ``_CELLS`` cells, so memory beyond x does not grow with p; every count
-    is an exact integer, so no count depends on the width.  A non-finite y,
-    or a non-finite column of the chunk, raises InvalidInput.
+    Yields ``(lo, rx, c)`` for each chunk ``x[:, lo:lo + w]`` of
+    `column_chunks`: ``rx`` is the chunk's `leq_counts_matrix` and ``c`` its
+    `dominance_counts_matrix` against y, both (n, w) int64.  Every count is
+    an exact integer, so no count depends on the width.  A non-finite y, or
+    a non-finite column of the chunk, raises InvalidInput.
     """
     as_finite_vector(y, "response")
-    n, p = x.shape
-    w = max(_STEP, _CELLS // n // _STEP * _STEP)
-    small = np.min_scalar_type(n)
-    for lo in range(0, p, w):
-        require_finite_columns(x[:, lo:lo + w], lo)
-        rx = leq_counts_matrix(x[:, lo:lo + w])
+    small = np.min_scalar_type(x.shape[0])
+    for lo, chunk in column_chunks(x):
+        rx = leq_counts_matrix(chunk)
         yield lo, rx, dominance_counts_matrix(y, rx.astype(small))

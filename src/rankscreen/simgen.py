@@ -78,14 +78,15 @@ _PARAMS = {"n": int, "p": int, "rho0": float, "w0": float, "error": str,
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved simulation settings."""
+    """Fully resolved simulation settings: a value for each parameter the
+    design reads (the keys of its defaults), None for every other one."""
 
     id: str
     n: int
     p: int
     rho0: float
     w0: float | None = None  # None: 0.95 in S cases 2-4, 1.0 otherwise
-    error: str = "cauchy"
+    error: str | None = None
     r2: float | None = None
     case: int | None = None
 
@@ -94,22 +95,23 @@ class Scenario:
         if self.w0 is None:
             object.__setattr__(self, "w0",
                                0.95 if self.case in (2, 3, 4) else 1.0)
-        if self.n < 2 or self.p < 1:
-            raise InvalidInput("scenario needs n >= 2 and p >= 1")
-        if self.p <= max(design.active):
-            raise InvalidInput(
-                f"scenario {self.id} needs p > {max(design.active)}"
-            )
-        if self.error not in ERROR_FAMILIES:
-            raise InvalidInput(
-                f"unknown error family '{self.error}'; valid: "
-                f"{', '.join(ERROR_FAMILIES)}"
-            )
-        if design.family is None and self.case is not None:
-            raise InvalidInput(f"scenario {self.id} has no contamination "
-                               "case; case applies to S1-S4")
-        if design.family is not None and self.case not in (1, 2, 3, 4):
-            raise InvalidInput("discrete scenarios need case in 1..4")
+        reads = design.defaults
+        for key in _PARAMS:
+            if (getattr(self, key) is None) == (key in reads):
+                verb = "needs" if key in reads else "does not read"
+                raise InvalidInput(f"scenario {self.id} {verb} '{key}'; it "
+                                   f"reads {', '.join(reads)}")
+        if self.n < 2 or self.p <= max(design.active):
+            raise InvalidInput(f"scenario {self.id} needs n >= 2 and "
+                               f"p > {max(design.active)}")
+        _require_weight(self.w0)
+        _COVARIATE_CONSTANTS[design.covariates](self.rho0)
+        if self.error is not None:
+            _error_sampler(self.error)
+        if self.r2 is not None:
+            _calibrated_theta(self.r2)
+        if self.case not in (None, 1, 2, 3, 4):
+            raise InvalidInput("contamination case must be in 1..4")
         if self.case == 1 and self.w0 < 1.0:
             raise InvalidInput("case 1 is uncontaminated: it needs w0 = 1")
 
@@ -169,31 +171,25 @@ def scenario_from_config(text: str) -> Scenario:
 
     Recognized keys: ``scenario`` (required id) and the parameters of
     `make_scenario`: ``n``, ``p``, ``rho0``, ``w0``, ``error``, ``r2``,
-    ``case``.  Lines starting with ``#`` and blank lines are ignored.
+    ``case``.  ``#`` starts a comment; blank lines are ignored.
     """
-    values: dict[str, str] = {}
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise InvalidInput(f"config line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    if "scenario" not in values:
-        raise InvalidInput("config is missing the 'scenario' key")
-    sid = values.pop("scenario")
-    overrides: dict = {}
-    for key, val in values.items():
-        if key not in _PARAMS:
-            raise InvalidInput(f"unknown scenario parameter '{key}'")
-        try:
-            overrides[key] = _PARAMS[key](val)
+        key, _, val = (part.strip() for part in line.partition("="))
+        try:  # make_scenario rejects an unknown key
+            values[key] = _PARAMS.get(key, str)(val)
         except ValueError:
             raise InvalidInput(
                 f"config value for '{key}' is not a {_PARAMS[key].__name__}"
             ) from None
-    return make_scenario(sid, **overrides)
+    if "scenario" not in values:
+        raise InvalidInput("config is missing the 'scenario' key")
+    return make_scenario(values.pop("scenario"), **values)
 
 
 def active_set(scenario: Scenario) -> np.ndarray:
@@ -204,11 +200,24 @@ def active_set(scenario: Scenario) -> np.ndarray:
 # low-level draws
 # ---------------------------------------------------------------------------
 
+def _error_sampler(family: str):
+    if family not in _ERRORS:
+        raise InvalidInput(f"unknown error family '{family}'; valid: "
+                           f"{', '.join(ERROR_FAMILIES)}")
+    return _ERRORS[family]
+
+
 def draw_error(family: str, size, rng: np.random.Generator) -> np.ndarray:
     """Sample one of the named error families (`ERROR_FAMILIES`)."""
-    if family not in _ERRORS:
-        raise InvalidInput(f"unknown error family '{family}'")
-    return _ERRORS[family](size, rng)
+    return _error_sampler(family)(size, rng)
+
+
+def _ar1_scale(rho0: float) -> float:
+    """Innovation scale sqrt(1 - rho0^2) of the stationary AR(1)."""
+    if not abs(rho0) < 1:
+        raise InvalidInput(f"AR(1) parameter rho0 must satisfy |rho0| < 1, "
+                           f"got {rho0}")
+    return math.sqrt(1.0 - rho0 * rho0)
 
 
 def gen_ar1_gaussian(n: int, p: int, rho0: float,
@@ -217,56 +226,65 @@ def gen_ar1_gaussian(n: int, p: int, rho0: float,
 
     Sampled exactly through the AR(1) recursion across columns.
     """
-    if not abs(rho0) < 1:
-        raise InvalidInput("AR(1) parameter must satisfy |rho0| < 1")
+    scale = _ar1_scale(rho0)
     xi = rng.standard_normal((n, p))
     x = np.empty((n, p))
     x[:, 0] = xi[:, 0]
-    scale = math.sqrt(1.0 - rho0 * rho0)
     for j in range(1, p):
         x[:, j] = rho0 * x[:, j - 1] + scale * xi[:, j]
     return x
 
 
+def _require_weight(w0: float):
+    if not 0.0 < w0 <= 1.0:
+        raise InvalidInput(f"mixing weight w0 must be in (0, 1], got {w0}")
+
+
 def gen_contaminated(x0: np.ndarray, w0: float, noise_family: str,
                      rng: np.random.Generator) -> np.ndarray:
     """Weighted sum ``w0*x0 + (1-w0)*noise``; ``w0 == 1`` returns a copy."""
-    if not 0.0 < w0 <= 1.0:
-        raise InvalidInput("mixing weight w0 must be in (0, 1]")
+    _require_weight(w0)
     if w0 == 1.0:
         return x0.copy()
     noise = draw_error(noise_family, x0.shape, rng)
     return w0 * x0 + (1.0 - w0) * noise
 
 
-def _bisect_increasing(func, target, lo, hi, iters: int = 200) -> float:
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if func(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _uniform_mix_weight(rho0: float) -> float:
-    """t solving corr = t^2/(1+t^2) = rho0 for the shared-uniform mix."""
-    if rho0 == 0.0:
-        return 0.0
-    return _bisect_increasing(lambda t: t * t / (1.0 + t * t), rho0, 0.0,
-                              math.sqrt(rho0 / (1.0 - rho0)) + 1.0)
+    """t = sqrt(rho0 / (1 - rho0)), which solves corr = t^2/(1+t^2) = rho0
+    for the shared-uniform mix; rho0 must be in [0, 1)."""
+    if not 0.0 <= rho0 < 1.0:
+        raise InvalidInput(f"equicorrelation rho0 must be in [0, 1), "
+                           f"got {rho0}")
+    return math.sqrt(rho0 / (1.0 - rho0))
 
 
 def gen_equicorrelated_uniform(n: int, p: int, rho0: float,
                                rng: np.random.Generator) -> np.ndarray:
     """Columns (T_j + t*U)/(1+t) with T_j, U iid uniform(0,1); pairwise
     correlation rho0."""
-    if not 0.0 <= rho0 < 1.0:
-        raise InvalidInput("equicorrelation must be in [0, 1)")
     t = _uniform_mix_weight(rho0)
     tj = rng.random((n, p))
     u = rng.random((n, 1))
     return (tj + t * u) / (1.0 + t)
+
+
+def _exposure_weights(rho0: float, corr_xz: float) -> tuple[float, float]:
+    """(t1, t2) of `gen_exposure_correlated`: U1 has variance 1/12, so
+    t1 = sqrt(12) t with t the uniform mix's weight, and corr(x0_j, z) =
+    sqrt(rho0) t2 / sqrt(1 + t2^2) gives t2 = s / sqrt(1 - s^2) for
+    s = corr_xz / sqrt(rho0) < 1."""
+    t1 = math.sqrt(12.0) * _uniform_mix_weight(rho0)
+    if corr_xz == 0.0:
+        return t1, 0.0
+    sup = math.sqrt(rho0)
+    if not 0.0 < corr_xz < sup:
+        raise InvalidInput(
+            f"corr(x, z) target {corr_xz} is infeasible: it must lie in "
+            f"[0, sqrt(rho0)) = [0, {sup:.4f}) for rho0 = {rho0}"
+        )
+    s = corr_xz / sup
+    return t1, s / math.sqrt(1.0 - s * s)
 
 
 def gen_exposure_correlated(n: int, p: int, rho0: float,
@@ -275,45 +293,10 @@ def gen_exposure_correlated(n: int, p: int, rho0: float,
     """Latent covariates plus an exposure sharing one uniform factor.
 
     ``x0[:, j] = (T_j + t1*U1)/(1 + t1)`` with standard normal T_j and
-    ``z = (U2 + t2*U1)/(1 + t2)``; t1, t2 are solved by bisection so the
-    covariate equicorrelation is rho0 and corr(x0_j, z) hits the target.
-    The attainable supremum of corr(x0_j, z) is sqrt(rho0).
+    ``z = (U2 + t2*U1)/(1 + t2)``; t1 and t2 make the covariate
+    equicorrelation rho0 and corr(x0_j, z), at most sqrt(rho0), the target.
     """
-    if not 0.0 <= rho0 < 1.0:
-        raise InvalidInput("equicorrelation must be in [0, 1)")
-    if target_corr_xz < 0.0:
-        raise InvalidInput("target covariate-exposure correlation must be >= 0")
-    if rho0 == 0.0:
-        if target_corr_xz != 0.0:
-            raise InvalidInput(
-                "rho0 = 0 forces zero covariate-exposure correlation"
-            )
-        t1 = 0.0
-        t2 = 0.0
-    else:
-        # corr(x_j, x_k) = (t1^2/12) / (1 + t1^2/12)
-        t1 = _bisect_increasing(
-            lambda t: (t * t / 12.0) / (1.0 + t * t / 12.0), rho0, 0.0,
-            math.sqrt(12.0 * rho0 / (1.0 - rho0)) + 1.0)
-        sup = math.sqrt(rho0)
-        if target_corr_xz >= sup * (1.0 - 1e-9):
-            raise InvalidInput(
-                f"corr(x, z) target {target_corr_xz} is infeasible; "
-                f"supremum for rho0={rho0} is {sup:.4f}"
-            )
-
-        def corr_xz(t2_):
-            num = t1 * t2_ / 12.0
-            den = math.sqrt((1.0 + t1 * t1 / 12.0) * (1.0 + t2_ * t2_) / 12.0)
-            return num / den
-
-        if target_corr_xz == 0.0:
-            t2 = 0.0
-        else:
-            hi = 1.0
-            while corr_xz(hi) < target_corr_xz:
-                hi *= 2.0
-            t2 = _bisect_increasing(corr_xz, target_corr_xz, 0.0, hi)
+    t1, t2 = _exposure_weights(rho0, target_corr_xz)
     t_mat = rng.standard_normal((n, p))
     u1 = rng.random((n, 1))
     u2 = rng.random(n)
@@ -341,11 +324,22 @@ def _g4(u):
     return 0.1 * s + 0.2 * c + 0.3 * s ** 2 + 0.4 * c ** 3 + 0.5 * s ** 3
 
 
+# E6's target corr(x0_j, z)
+_CORR_XZ = 0.4
+
+# each covariate process's closed-form constants; every call checks rho0
+_COVARIATE_CONSTANTS = {
+    "ar1": _ar1_scale,
+    "uniform": _uniform_mix_weight,
+    "exposure": lambda rho0: _exposure_weights(rho0, _CORR_XZ),
+}
+
+
 @dataclass(frozen=True)
 class _Design:
     """One simulation design (see the module docstring)."""
 
-    defaults: dict  # the published settings
+    defaults: dict  # the published settings of the parameters it reads
     active: tuple  # 0-based active columns
     covariates: str  # "ar1", "uniform" or "exposure" (E6's joint x0 and z)
     draws_z: bool  # z ~ U(0, 1) is drawn after the covariates
@@ -372,7 +366,7 @@ _E5 = _Design(
     _defaults(200, 0.8, 0.8, "cauchy3"), (0, 1, 2), "ar1", True,
     lambda x, z: (2.0 * z * x[:, 0] + 5.0 * (2.0 * z - 1.0) ** 2 * x[:, 1]
                   + 3.0 * np.sin(2.0 * np.pi * z) * x[:, 2]))
-_S = dict(n=200, p=1000, rho0=0.4, case=1)
+_S = dict(n=200, p=1000, rho0=0.4, w0=None, case=1)  # w0: by case
 _S_ACTIVE = (0, 1, 99, 399)
 
 _DESIGNS = {
@@ -440,18 +434,19 @@ def response_mean(scenario_id: str, x0: np.ndarray, z: np.ndarray | None = None,
 
 
 @functools.lru_cache(maxsize=None)
-def _calibrated_theta(r2: float, error_family: str) -> float:
+def _calibrated_theta(r2: float) -> float:
     """Signal scale for the exposure-modulated model so the explained
     variance ratio hits the target.
 
     The Cauchy-type error has no variance; its scale enters through the
-    variance of the matched t(3) error, a documented proxy.  The latent-mean
-    variance comes from a 100k pilot draw under a fixed internal seed and the
-    scale solves theta^2 * var(mu0) = r2/(1-r2) * var_eps by bisection;
-    results are cached per (r2, family).
+    variance of the matched t(3) error, a documented proxy, whatever the
+    family.  The latent-mean variance comes from a 100k pilot draw under a
+    fixed internal seed; theta solves theta^2 * var(mu0) = r2/(1-r2) *
+    var_eps and is cached per r2.
     """
     if not 0.0 < r2 < 1.0:
-        raise InvalidInput("target variance ratio must be in (0, 1)")
+        raise InvalidInput(f"target variance ratio r2 must be in (0, 1), "
+                           f"got {r2}")
     var_eps = 3.0
     target = r2 / (1.0 - r2) * var_eps
     rng = np.random.Generator(np.random.Philox(
@@ -459,9 +454,7 @@ def _calibrated_theta(r2: float, error_family: str) -> float:
     x0 = gen_ar1_gaussian(_PILOT_SIZE, 3, 0.8, rng)
     z = rng.random(_PILOT_SIZE)
     mu0 = response_mean("E4", x0, z, theta=1.0)
-    v0 = float(np.var(mu0))
-    hi = 2.0 * math.sqrt(target / v0) + 1.0
-    return _bisect_increasing(lambda t: t * t * v0, target, 0.0, hi)
+    return math.sqrt(target / float(np.var(mu0)))
 
 
 def simulate(scenario: Scenario, seed) -> SimDataset:
@@ -477,7 +470,7 @@ def simulate(scenario: Scenario, seed) -> SimDataset:
     design = _DESIGNS[scenario.id]
     n, p, rho0 = scenario.n, scenario.p, scenario.rho0
     if design.covariates == "exposure":
-        x0, z = gen_exposure_correlated(n, p, rho0, 0.4, rng)
+        x0, z = gen_exposure_correlated(n, p, rho0, _CORR_XZ, rng)
     else:
         gen = (gen_ar1_gaussian if design.covariates == "ar1"
                else gen_equicorrelated_uniform)
@@ -497,11 +490,7 @@ def gen_response(scenario: Scenario, x0: np.ndarray, z: np.ndarray | None,
     exposure for the exposure-adjusted designs): deterministic part plus an
     error draw, or a Bernoulli/Poisson draw through the scenario's link."""
     sid = scenario.id
-    theta = 1.0
-    if sid == "E4":
-        if scenario.r2 is None:
-            raise InvalidInput("scenario E4 needs a target r2")
-        theta = _calibrated_theta(scenario.r2, scenario.error)
+    theta = 1.0 if scenario.r2 is None else _calibrated_theta(scenario.r2)
     mu = response_mean(sid, x0, z, theta=theta)
     family = _DESIGNS[sid].family
     if family == "bernoulli":

@@ -50,6 +50,12 @@ class BasisConfig:
     degree: int = 3
     n_basis: int = 4
 
+    def __post_init__(self):
+        if not _is_int(self.degree) or self.degree < 1:
+            raise InvalidInput("degree must be an integer >= 1")
+        if not _is_int(self.n_basis) or self.n_basis < self.degree + 1:
+            raise InvalidInput("n_basis must be an integer >= degree + 1")
+
 
 @dataclass(frozen=True)
 class LadConfig:
@@ -113,10 +119,7 @@ def basis_build(z_sample, degree: int = 3, n_basis: int = 4) -> SplineBasis:
         interior knots is ``n_basis - degree - 1``.
     """
     z = as_finite_vector(z_sample, "z_sample")
-    if not _is_int(degree) or degree < 1:
-        raise InvalidInput("degree must be an integer >= 1")
-    if not _is_int(n_basis) or n_basis < degree + 1:
-        raise InvalidInput("n_basis must be an integer >= degree + 1")
+    BasisConfig(degree, n_basis)  # checks both
     if z.size < n_basis:
         raise InvalidInput("need at least n_basis sample points")
     lo, hi = float(z.min()), float(z.max())

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rankscreen import baselines, empirical
+from rankscreen import empirical
 from rankscreen.baselines import (
     kendall_sis,
     kendall_tau_b,
@@ -247,6 +247,23 @@ class TestScreeners:
         tail = pearson_sis(Dataset(y=y, x=x[:, p // 2:])).utilities
         assert tail.tolist() == pairwise[p // 2:]
 
+    @pytest.mark.parametrize("p", [64, 65, 129])
+    def test_pearson_columns_across_count_chunks(self, monkeypatch, p):
+        # Pearson takes the counting stream's chunk width: 64 columns here
+        rng = np.random.default_rng(p)
+        n = 12
+        y = rng.standard_normal(n)
+        x = rng.standard_normal((n, p))
+        x[:, p - 1] = -1.0  # constant last column
+        with pytest.warns(UserWarning, match="zero-variance"):
+            whole = pearson_sis(Dataset(y=y, x=x)).utilities
+        monkeypatch.setattr(empirical, "_CELLS", n * 64)
+        assert len(list(empirical.column_chunks(x))) == -(-p // 64)
+        with pytest.warns(UserWarning, match="zero-variance"):
+            chunked = pearson_sis(Dataset(y=y, x=x)).utilities
+        assert chunked.tolist() == whole.tolist()
+        assert chunked[-1] == 0.0
+
     def test_pearson_constant_column_is_exactly_zero(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((10, 3))
@@ -269,7 +286,6 @@ class TestScreeners:
         if shrunk:  # one column per chunk: the global index is named
             monkeypatch.setattr(empirical, "_CELLS", 1)
             monkeypatch.setattr(empirical, "_STEP", 1)
-            monkeypatch.setattr(baselines, "_CHUNK", 1)
         ds = self._dataset(seed=9, n=30, p=4)
         ds.x[3, 2] = np.nan
         with pytest.raises(InvalidInput, match="^covariate column 2 is not"):

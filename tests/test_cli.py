@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankscreen import cli
+from rankscreen import bench, cli, simgen
 from rankscreen.cli import load_csv, main, save_csv
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput
@@ -515,6 +515,16 @@ class TestScreenCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name", [
+        (["--degree", "0"], "degree"), (["--n-basis", "2"], "n_basis"),
+        (["--top-d", "0"], "budget"),
+    ])
+    def test_bad_option_is_usage_error(self, small_csv, capsys, flag, name):
+        code = main(["screen", "--input", small_csv, "--response", "y",
+                     "--method", "rc"] + flag)
+        assert code == 2
+        assert name in capsys.readouterr().err
+
     def test_threshold_and_topd_conflict(self, small_csv):
         code = main(["screen", "--input", small_csv, "--response", "y",
                      "--top-d", "2", "--threshold", "0.5"])
@@ -651,7 +661,46 @@ class TestSimulateCommand:
         code = main(["simulate", "--scenario", "E1", "--case", "2",
                      "--reps", "1", "--seed", "1"])
         assert code == 2
-        assert "case applies to S1-S4" in capsys.readouterr().err
+        assert "E1 does not read 'case'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--scenario", "E1", "--w0", "1.5"], "w0"),
+        (["--scenario", "E3", "--rho0", "1.2"], "rho0"),
+        (["--scenario", "E1", "--rho0", "1.2"], "rho0"),
+        (["--scenario", "E6", "--rho0", "0.1", "--method", "rpc-l2"], "rho0"),
+        (["--scenario", "E4", "--r2", "1.5", "--method", "rpc-l2"], "r2"),
+        (["--scenario", "S2c1", "--error", "t3"], "'error'"),
+        (["--scenario", "E1", "--r2", "0.3"], "'r2'"),
+        (["--scenario", "E4", "--method", "rpc-l2", "--degree", "0"],
+         "degree"),
+        (["--scenario", "E1", "--d-n", "0"], "budget"),
+    ])
+    def test_bad_parameter_fails_before_any_replication(self, monkeypatch,
+                                                        capsys, argv, name):
+        calls = []
+        real = simgen.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "simulate", counted)
+        monkeypatch.setattr(bench, "simulate", counted)
+        code = main(["simulate", "--reps", "2", "--seed", "1"] + argv)
+        assert code == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "error:" in err and name in err
+
+    @pytest.mark.parametrize("sid, unread", [("S2c1", "error"), ("E1", "r2")])
+    def test_echo_gives_null_for_unread_parameters(self, tmp_path, capsys,
+                                                   sid, unread):
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--scenario", sid, "--n", "40", "--p", "400",
+                     "--reps", "1", "--seed", "1", "--output", str(out)])
+        assert code == 0
+        echo = json.loads(out.read_text())["scenario"]
+        assert echo["id"] == sid[:2] and echo[unread] is None
 
     def test_auto_seed_printed(self, capsys):
         code = main(["simulate", "--scenario", "E1", "--n", "50", "--p",

@@ -17,7 +17,11 @@ from rankscreen.simgen import (
     scenario_from_config,
     simulate,
 )
-from rankscreen.simgen import _calibrated_theta, _uniform_mix_weight
+from rankscreen.simgen import (
+    _calibrated_theta,
+    _exposure_weights,
+    _uniform_mix_weight,
+)
 
 
 def _rng(seed):
@@ -93,6 +97,11 @@ class TestEquicorrelatedUniform:
         with pytest.raises(InvalidInput):
             gen_equicorrelated_uniform(10, 2, 1.0, _rng(0))
 
+    @pytest.mark.parametrize("rho0", [0.0, 1e-12, 0.1, 0.4, 0.8, 0.999])
+    def test_closed_form_weight_gives_rho0(self, rho0):
+        t = _uniform_mix_weight(rho0)
+        assert t * t / (1.0 + t * t) == pytest.approx(rho0, rel=1e-14)
+
 
 class TestExposureCorrelated:
     def test_zero_rho_decouples(self):
@@ -113,8 +122,22 @@ class TestExposureCorrelated:
 
     def test_infeasible_target(self):
         # supremum of corr(x, z) is sqrt(rho0)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="rho0"):
             gen_exposure_correlated(10, 2, 0.09, 0.4, _rng(0))
+        with pytest.raises(InvalidInput):
+            gen_exposure_correlated(10, 2, 0.16, 0.4, _rng(0))
+
+    @pytest.mark.parametrize("rho0, target", [
+        (0.4, 0.4), (0.17, 0.4), (0.8, 0.1), (0.5, 0.0), (0.99, 0.9),
+    ])
+    def test_closed_form_weights_solve_both_correlations(self, rho0, target):
+        # the population correlations of the docstring's construction
+        t1, t2 = _exposure_weights(rho0, target)
+        a = t1 * t1 / 12.0
+        assert a / (1.0 + a) == pytest.approx(rho0, rel=1e-14)
+        corr_xz = (t1 * t2 / 12.0) / np.sqrt(
+            (1.0 + a) * (1.0 + t2 * t2) / 12.0)
+        assert corr_xz == pytest.approx(target, rel=1e-14, abs=1e-300)
 
 
 class TestResponseMean:
@@ -162,20 +185,19 @@ class TestGenResponse:
         assert set(np.unique(y)) <= {0.0, 1.0}
 
     def test_e4_requires_r2(self):
-        sc = Scenario(id="E4", n=30, p=5, rho0=0.8, error="cauchy3")
-        x0 = gen_ar1_gaussian(30, 5, 0.8, _rng(24))
-        with pytest.raises(InvalidInput):
-            gen_response(sc, x0, _rng(24).random(30), _rng(25))
+        # checked when the scenario is built, before any draw
+        with pytest.raises(InvalidInput, match="E4 needs 'r2'"):
+            Scenario(id="E4", n=30, p=5, rho0=0.8, error="cauchy3")
 
 
 class TestThetaCalibration:
     def test_theta_deterministic_and_cached(self):
-        a = _calibrated_theta(0.3, "cauchy3")
-        b = _calibrated_theta(0.3, "cauchy3")
+        a = _calibrated_theta(0.3)
+        b = _calibrated_theta(0.3)
         assert a == b
 
     def test_theta_achieves_target_variance(self):
-        theta = _calibrated_theta(0.3, "t3")
+        theta = _calibrated_theta(0.3)
         x0 = gen_ar1_gaussian(200000, 3, 0.8, _rng(10))
         z = _rng(11).random(200000)
         mu = response_mean("E4", x0, z, theta=theta)
@@ -183,7 +205,7 @@ class TestThetaCalibration:
         assert mu.var() == pytest.approx(target, rel=0.05)
 
     def test_theta_monotone_in_target(self):
-        assert _calibrated_theta(0.05, "t3") < _calibrated_theta(0.3, "t3")
+        assert _calibrated_theta(0.05) < _calibrated_theta(0.3)
 
 
 class TestErrorFamilies:
@@ -313,8 +335,38 @@ class TestScenarios:
             make_scenario("S1c1", w0=0.95)
 
     def test_case_only_for_discrete_designs(self):
-        with pytest.raises(InvalidInput, match="S1-S4"):
+        with pytest.raises(InvalidInput, match="E1 does not read 'case'"):
             make_scenario("E1", case=2)
+
+    @pytest.mark.parametrize("sid, overrides, name", [
+        ("E1", dict(w0=1.5), "w0"),
+        ("S2c3", dict(w0=0.0), "w0"),
+        ("E3", dict(rho0=1.2), "rho0"),
+        ("S4c1", dict(rho0=-0.1), "rho0"),
+        ("E1", dict(rho0=1.2), "rho0"),
+        ("E6", dict(rho0=0.1), "rho0"),
+        ("E6", dict(rho0=1.0), "rho0"),
+        ("E4", dict(r2=1.5), "r2"),
+        ("E4", dict(r2=0.0), "r2"),
+        ("E1", dict(error="levy"), "error"),
+        ("S2c1", dict(error="t3"), "'error'"),
+        ("E1", dict(r2=0.3), "'r2'"),
+        ("S1c1", dict(case=5), "case"),
+    ])
+    def test_every_parameter_checked_at_construction(self, sid, overrides,
+                                                     name):
+        with pytest.raises(InvalidInput, match=name):
+            make_scenario(sid, **overrides)
+
+    def test_unread_parameters_are_none(self):
+        assert make_scenario("S2c1").error is None
+        assert make_scenario("E1").r2 is None
+        assert make_scenario("E1").case is None
+        assert make_scenario("E4").r2 == 0.3
+        with pytest.raises(InvalidInput, match="S2 does not read 'error'"):
+            Scenario(id="S2", n=50, p=400, rho0=0.4, error="cauchy", case=1)
+        with pytest.raises(InvalidInput, match="E1 needs 'error'"):
+            Scenario(id="E1", n=50, p=40, rho0=0.4)
 
     @pytest.mark.parametrize("sid, w0, noise", [
         ("S1c2", 0.9, "t3"), ("S3c4", 0.5, "n51"), ("E1", 0.7, "cauchy"),
@@ -336,7 +388,7 @@ class TestScenarioConfig:
         text = """
         # comment line
         scenario = E1
-        n = 64
+        n = 64  # a comment may end a line
         p = 32
         rho0 = 0.5
         w0 = 1.0
@@ -356,6 +408,10 @@ class TestScenarioConfig:
     def test_discrete_case_sets_default_weight(self):
         sc = scenario_from_config("scenario = S2\ncase = 3\np = 400")
         assert (sc.id, sc.case, sc.w0) == ("S2", 3, 0.95)
+
+    def test_unread_key_rejected(self):
+        with pytest.raises(InvalidInput, match="does not read 'error'"):
+            scenario_from_config("scenario = S2c1\nerror = t3")
 
     def test_bad_value_type(self):
         with pytest.raises(InvalidInput):

@@ -5,6 +5,7 @@ import pytest
 
 from rankscreen.errors import InvalidInput, OutOfSupport, SingularDesign
 from rankscreen.spline import (
+    BasisConfig,
     LadConfig,
     SplineBasis,
     basis_build,
@@ -85,6 +86,8 @@ class TestBasisBuild:
         kwargs = {"degree": 3, "n_basis": 6, field: value}
         with pytest.raises(InvalidInput, match=field):
             basis_build(np.linspace(0, 1, 30), **kwargs)
+        with pytest.raises(InvalidInput, match=field):
+            BasisConfig(**kwargs)  # checked when built, by the same rule
 
     def test_accepts_numpy_integers(self):
         basis = basis_build(np.linspace(0, 1, 30), degree=np.int64(2),

@@ -19,7 +19,7 @@ import numpy as np
 from .bench import METHOD_NAMES, METHODS, get_method, run_replications
 from .dataset import Dataset
 from .errors import InvalidInput, RankscreenError
-from .rc_screen import wild_bootstrap_test
+from .rc_screen import check_bootstrap_settings, wild_bootstrap_test
 from .report import SCHEMA_VERSION, ScreeningReport, TopD, UtilityThreshold
 from .simgen import make_scenario, scenario_from_config
 from .spline import BasisConfig
@@ -267,6 +267,8 @@ def _cmd_screen(args, parser) -> int:
         parser.error(f"method '{args.method}' requires --exposure")
     if args.top_d is not None and args.threshold is not None:
         parser.error("pass at most one of --top-d / --threshold")
+    if args.top_k < 0:
+        parser.error("--top-k must be >= 0")
     try:
         basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
         selection = None  # the default budget floor(n / ln n)
@@ -342,6 +344,10 @@ def _cmd_simulate(args, parser) -> int:
 def _cmd_test(args, parser) -> int:
     if args.covariate is None and not args.all:
         parser.error("pass --covariate NAME or --all")
+    try:
+        check_bootstrap_settings(args.n_boot, args.alpha)
+    except InvalidInput as exc:
+        parser.error(str(exc))
     dataset = load_csv(args.input, args.response, args.exposure)
     seed = _resolve_seed(args.seed)
     if args.all:

@@ -38,6 +38,7 @@ __all__ = [
     "rc_screen",
     "robust_corr_ci",
     "wild_bootstrap_test",
+    "check_bootstrap_settings",
     "PointwiseCi",
     "BootstrapTestResult",
 ]
@@ -255,6 +256,14 @@ def _rademacher_matrix(seed: int, n: int, n_boot: int) -> np.ndarray:
     return _last_rademacher["matrix"]
 
 
+def check_bootstrap_settings(n_boot: int, alpha: float):
+    """Raise InvalidInput unless ``n_boot >= 2`` and ``0 < alpha < 1``."""
+    if n_boot < 2:
+        raise InvalidInput("need at least 2 bootstrap replicates")
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput("alpha must be in (0, 1)")
+
+
 def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
                         seed: int | None = None) -> BootstrapTestResult:
     """Test independence of ``y_col`` and ``x_col`` by sign-flip resampling.
@@ -265,10 +274,7 @@ def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
     empirical quantile of the replicate utilities.  Deterministic given
     ``seed``; the p-value uses the ``(1 + count) / (n_boot + 1)`` convention.
     """
-    if n_boot < 2:
-        raise InvalidInput("need at least 2 bootstrap replicates")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput("alpha must be in (0, 1)")
+    check_bootstrap_settings(n_boot, alpha)
     y, x = as_finite_pair(y_col, x_col)
     n = y.size
     if seed is None:

@@ -39,6 +39,10 @@ class UtilityThreshold:
 
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise InvalidInput("utility threshold must be finite")
+
 
 Selection = Union[TopD, UtilityThreshold]
 

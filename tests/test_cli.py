@@ -29,6 +29,14 @@ def small_csv(tmp_path):
 
 
 @pytest.fixture
+def csv_never_read(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the CSV was read")
+
+    monkeypatch.setattr(cli, "load_csv", fail)
+
+
+@pytest.fixture
 def exposure_csv(tmp_path):
     rng = np.random.default_rng(1)
     z = rng.random(50)
@@ -525,6 +533,25 @@ class TestScreenCommand:
         assert code == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name", [
+        (["--threshold", "nan"], "threshold must be finite"),
+        (["--threshold", "inf"], "threshold must be finite"),
+        (["--top-k", "-3"], "--top-k must be >= 0"),
+    ])
+    def test_bad_option_fails_before_csv_read(self, small_csv, csv_never_read,
+                                              capsys, flag, name):
+        code = main(["screen", "--input", small_csv, "--response", "y",
+                     "--method", "rc"] + flag)
+        assert code == 2
+        assert name in capsys.readouterr().err
+
+    def test_top_k_zero_prints_header_only(self, small_csv, capsys):
+        code = main(["screen", "--input", small_csv, "--response", "y",
+                     "--method", "rc", "--top-k", "0"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1].startswith("RC-SIS: top 0 of 3 predictors")
+
     def test_threshold_and_topd_conflict(self, small_csv):
         code = main(["screen", "--input", small_csv, "--response", "y",
                      "--top-d", "2", "--threshold", "0.5"])
@@ -745,6 +772,17 @@ class TestTestCommand:
         code = main(["test", "--input", small_csv, "--response", "y",
                      "--covariate", "nope"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag, name", [
+        (["--n-boot", "0"], "at least 2 bootstrap replicates"),
+        (["--alpha", "2"], "alpha must be in (0, 1)"),
+    ])
+    def test_bad_bootstrap_setting_fails_before_csv_read(
+            self, small_csv, csv_never_read, capsys, flag, name):
+        code = main(["test", "--input", small_csv, "--response", "y",
+                     "--all", "--seed", "1"] + flag)
+        assert code == 2
+        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--degree", "9"], ["--n-basis", "2"]])
     def test_spline_flags_rejected(self, small_csv, capsys, flag):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rankscreen import empirical
 from rankscreen.empirical import (
     as_finite_vector,
     dominance_counts_matrix,
@@ -259,6 +260,94 @@ class TestCompactAccumulator:
             mat = dominance_counts_matrix(y, arg)
             assert mat.dtype == np.int64
             assert np.all(mat == n)
+
+
+def _tie_groups(y):
+    """First sorted position, size and histogram-step flag of every y-tie
+    group, by the kernel's cost rule."""
+    n = y.size
+    _, first, size = np.unique(np.sort(y), return_index=True,
+                               return_counts=True)
+    step = (size > 1) & (size * (n - first)
+                         > empirical._GROUP_COST * (2 * n - first))
+    return first, size, step
+
+
+def _grouped_y(rng, sizes):
+    """A shuffled y of tie groups with the given sizes, one value each, in
+    increasing order: a size of 1 is a row of its own."""
+    y = np.repeat(np.arange(len(sizes), dtype=float), sizes)
+    return rng.permutation(y)
+
+
+def _mixed_x(rng, n, p=5):
+    x = rng.standard_normal((n, p))
+    x[:, 1] = rng.integers(0, 3, size=n)
+    x[:, 2] = 0.0
+    return x
+
+
+class TestTieGroupSteps:
+    """Large y-tie groups are added in one histogram step; the counts equal
+    the double loop's whichever steps the cost rule picks."""
+
+    @pytest.fixture(params=["rule", "every-group"])
+    def cost(self, request, monkeypatch):
+        if request.param == "every-group":
+            monkeypatch.setattr(empirical, "_GROUP_COST", 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_groups_on_both_sides_of_the_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        # a large group at the start, in the middle and at the end, a small
+        # one and rows of their own in between
+        sizes = [80] + [1] * 60 + [60, 4] + [1] * 10 + [86]
+        y = _grouped_y(rng, sizes)
+        first, size, step = _tie_groups(y)
+        tied = size > 1
+        assert step[tied].any() and not step[tied].all()
+        assert step[first == 0] and step[first + size == y.size]
+        assert step[(first > 0) & (first + size < y.size)].any()
+        _assert_kernel_matches_oracle(y, _mixed_x(rng, y.size))
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_one_group_of_all_rows(self, cost, n):
+        rng = np.random.default_rng(n)
+        y = np.full(n, -1.5)
+        assert _tie_groups(y)[2].all()
+        x = _mixed_x(rng, n)
+        _assert_kernel_matches_oracle(y, x)
+        assert np.array_equal(dominance_counts_matrix(y, x),
+                              leq_counts_matrix(x))
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_accumulator_boundary_float_and_rank_input(self, cost, n):
+        rng = np.random.default_rng(n)
+        y = _grouped_y(rng, [n // 3] + [1] * (n - 2 * (n // 3))
+                       + [n // 3])
+        assert _tie_groups(y)[2].any()
+        x = _mixed_x(rng, n)
+        ranks = leq_counts_matrix(x)
+        mat = dominance_counts_matrix(y, x)
+        assert mat.max() == n
+        for arg in (ranks, _compact_ranks(x)):
+            assert np.array_equal(dominance_counts_matrix(y, arg), mat)
+        _assert_kernel_matches_oracle(y, x)
+
+    @pytest.mark.parametrize("dtype, high", [
+        (np.uint8, 200), (np.uint16, 1000),  # values past n: ranked
+        (np.uint64, 121),  # values within n, not safely cast to intp
+    ])
+    def test_unsigned_input(self, cost, dtype, high):
+        rng = np.random.default_rng(4)
+        n = 120
+        y = rng.integers(0, 2, size=n).astype(float)
+        assert _tie_groups(y)[2].all()
+        x = rng.integers(0, high, size=(n, 4)).astype(dtype)
+        x[0] = high - 1
+        mat = dominance_counts_matrix(y, x)
+        assert np.array_equal(mat, dominance_counts_matrix(y, x.astype(float)))
+        _assert_kernel_matches_oracle(y, x)
 
 
 class TestRankInvariance:

@@ -29,6 +29,8 @@ def budgets(request, monkeypatch):
         monkeypatch.setattr(cli, "_CELLS", 1)
         monkeypatch.setattr(empirical, "_CELLS", 1)
         monkeypatch.setattr(empirical, "_STEP", 1)
+        # every y-tie group of two or more rows takes the histogram step
+        monkeypatch.setattr(empirical, "_GROUP_COST", 0)
         # the package's ``rc_screen`` attribute is the function
         rc_module = importlib.import_module("rankscreen.rc_screen")
         monkeypatch.setattr(rc_module, "_BLOCK", 1)

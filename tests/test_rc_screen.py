@@ -233,6 +233,11 @@ class TestRcScreen:
         report = rc_screen(_noise_dataset(), UtilityThreshold(0.5))
         assert report.selected.tolist() == [0]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, value):
+        with pytest.raises(InvalidInput, match="threshold must be finite"):
+            UtilityThreshold(value)
+
     def test_nan_column_is_named(self):
         ds = _noise_dataset()
         x = ds.x.copy()

@@ -61,8 +61,10 @@ def _pearson_corrs(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     where y or a column is constant (all entries equal) or a variance is 0.
     The chunks of `column_chunks` are taken as contiguous (chunk, n) rows, so
     every mean and sum is the 1-D sum of one column, whatever the layout of
-    x and the chunk's width.  A non-finite y, or a non-finite column of a
-    chunk, raises InvalidInput."""
+    x and the chunk's width.  Fewer than 3 rows, a non-finite y, or a
+    non-finite column of a chunk, raises InvalidInput."""
+    if x.shape[0] < 3:
+        raise InvalidInput("need at least 3 observations")
     as_finite_vector(y, "response")
     corrs = np.full(x.shape[1], math.nan)
     yc = _unit_scaled(y - y.mean())
@@ -78,8 +80,8 @@ def _pearson_corrs(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def pearson_utility(y_col, x_col) -> float:
-    """Absolute sample Pearson correlation; 0 (with a warning) for a
-    zero-variance column.  The one-column call of `pearson_sis`'s path."""
+    """Absolute Pearson correlation of n >= 3 pairs; 0 (with a warning) for
+    a zero-variance column.  The one-column call of `pearson_sis`'s path."""
     y, x = as_finite_pair(y_col, x_col)
     return float(_abs_or_zero(_pearson_corrs(y, x[:, None]), _PEARSON_ZERO)[0])
 
@@ -136,8 +138,6 @@ def kendall_utility(y_col, x_col) -> float:
 
 def pearson_sis(dataset: Dataset, selection: Selection | None = None) -> ScreeningReport:
     """Screen by absolute Pearson correlation with the response."""
-    if dataset.n < 3:
-        raise InvalidInput("need at least 3 observations")
     utilities = _abs_or_zero(_pearson_corrs(dataset.y, dataset.x),
                              _PEARSON_ZERO)
     return build_report("Pearson-SIS", utilities, selection, dataset.n)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import kendall_sis, pearson_sis
 from .dataset import Dataset
-from .errors import HarnessError, InvalidInput
+from .errors import HarnessError, InvalidInput, check_seed
 from .rc_screen import rc_screen
 from .report import (
     SCHEMA_VERSION,
@@ -101,8 +101,6 @@ def rsd(values) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise InvalidInput("cannot take the spread of an empty vector")
-    if arr.size == 1:
-        return 0.0
     q1, q3 = np.quantile(arr, [0.25, 0.75])
     return float((q3 - q1) / RSD_SCALE)
 
@@ -188,12 +186,13 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
     Raises
     ------
     InvalidInput
-        For a bad ``n_reps``, method or ``d_n``, before any replication.
+        For a bad ``n_reps``, seed, method or ``d_n``, before any run.
     HarnessError
         If more than ``MAX_FAILURE_FRACTION`` of the replications fail.
     """
     if n_reps < 1:
         raise InvalidInput("need at least one replication")
+    check_seed(base_seed)
     if not methods:
         raise InvalidInput("need at least one method")
     methods = list(dict.fromkeys(methods))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bench import METHOD_NAMES, METHODS, get_method, run_replications
 from .dataset import Dataset
-from .errors import InvalidInput, RankscreenError
+from .errors import InvalidInput, RankscreenError, check_seed
 from .rc_screen import check_bootstrap_settings, wild_bootstrap_test
 from .report import SCHEMA_VERSION, ScreeningReport, TopD, UtilityThreshold
 from .simgen import make_scenario, scenario_from_config
@@ -207,7 +207,7 @@ def save_csv(dataset: Dataset, path: str):
     header = [dataset.y_name]
     columns = [dataset.y]
     if dataset.z is not None:
-        header.append(dataset.z_name or "z")
+        header.append(dataset.z_name)
         columns.append(dataset.z)
     header.extend(dataset.x_names)
     columns.append(dataset.x)
@@ -482,6 +482,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is not None:  # every command takes --seed
+            try:
+                check_seed(args.seed)
+            except InvalidInput as exc:
+                parser.error(str(exc))
         return args.func(args, parser)
     except SystemExit as exc:
         code = exc.code

@@ -26,8 +26,8 @@ class Dataset:
     x : ndarray, shape (n, p)
         Covariate matrix, one predictor per column.
     z : ndarray, shape (n,), optional
-        Exposure / conditioning variable used by the partial-correlation
-        screeners.
+        Exposure / conditioning variable of the partial-correlation
+        screeners, named ``"z"`` unless ``z_name`` is given.
     x_names : list of str, optional
         Column labels; defaults to ``x0001 ...`` when omitted.
     """
@@ -59,6 +59,7 @@ class Dataset:
             if z.shape != y.shape:
                 raise InvalidInput("exposure must match the response length")
             object.__setattr__(self, "z", z)
+            object.__setattr__(self, "z_name", self.z_name or "z")
         if not self.x_names:
             width = max(4, len(str(x.shape[1])))
             object.__setattr__(
@@ -73,7 +74,7 @@ class Dataset:
         for kind, name, ok in [
                 ("response", self.y_name, np.isfinite(y).all()),
                 ("covariate", self.x_names[np.argmin(finite)], finite.all()),
-                ("exposure", self.z_name or "z",
+                ("exposure", self.z_name,
                  self.z is None or np.isfinite(self.z).all())]:
             if not ok:
                 raise InvalidInput(f"{kind} column '{name}' contains NaN or "

@@ -1,4 +1,6 @@
-"""Exception types raised by the screening library."""
+"""Exception types raised by the screening library, and the seed rule."""
+
+import numbers
 
 
 class RankscreenError(Exception):
@@ -26,3 +28,13 @@ class DegenerateEvaluation(RankscreenError):
 
 class HarnessError(RankscreenError):
     """Too many replications failed inside the benchmark harness."""
+
+
+def _is_int(value) -> bool:  # numpy's integers too, but not a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed):
+    """Raise InvalidInput unless ``seed`` is an integer >= 0."""
+    if not _is_int(seed) or seed < 0:
+        raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")

@@ -28,7 +28,7 @@ from .empirical import (
     count_chunks,
     leq_counts,
 )
-from .errors import DegenerateEvaluation, InvalidInput
+from .errors import DegenerateEvaluation, InvalidInput, check_seed
 from .report import Selection, ScreeningReport, build_report
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 
-_BLOCK = 64
 _SAMPLES = ("y_sample", "x_sample")
 
 
@@ -110,10 +109,8 @@ def rc_utilities(y_col, x) -> np.ndarray:
 
     Each column's utility is bit-identical to `rc_utility` on that column.
     `~rankscreen.empirical.count_chunks` checks that y and x are finite and
-    takes the joint counts on the weak ranks of one chunk of x at a time;
-    each chunk's counts become utilities in blocks of `_BLOCK` columns, so
-    transposed copies are one block.  Memory beyond x and the result is
-    O(n * chunk), independent of p.
+    takes the joint counts on the weak ranks of one chunk of x at a time.
+    Memory beyond x and the result is O(n * chunk), independent of p.
     """
     y = np.asarray(y_col, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
@@ -127,13 +124,10 @@ def rc_utilities(y_col, x) -> np.ndarray:
     ry = leq_counts(y)
     out = np.empty(p)
     for lo, rx, c in count_chunks(y, x):
-        for j in range(0, rx.shape[1], _BLOCK):
-            # contiguous (block, n) rows: each row's mean is summed exactly
-            # as the 1-D np.mean of that column would be
-            cb = np.ascontiguousarray(c[:, j:j + _BLOCK].T)
-            rb = np.ascontiguousarray(rx[:, j:j + _BLOCK].T)
-            rho = _rho_from_counts(cb, ry, rb, n)
-            out[lo + j:lo + j + _BLOCK] = np.mean(rho * rho, axis=1)
+        rho = _rho_from_counts(c, ry[:, None], rx, n)
+        rho *= rho
+        # contiguous (chunk, n) rows: each mean sums as one column's np.mean
+        out[lo:lo + rho.shape[1]] = np.ascontiguousarray(rho.T).mean(axis=1)
     return out
 
 
@@ -272,13 +266,14 @@ def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
     mean with independent Rademacher draws, recomputes the RC utility on the
     flipped column and compares the observed utility against the ``1 - alpha``
     empirical quantile of the replicate utilities.  Deterministic given
-    ``seed``; the p-value uses the ``(1 + count) / (n_boot + 1)`` convention.
+    ``seed``, an integer >= 0; the p-value is ``(1 + count) / (n_boot + 1)``.
     """
     check_bootstrap_settings(n_boot, alpha)
     y, x = as_finite_pair(y_col, x_col)
     n = y.size
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
+    check_seed(seed)
     dev = x - x.mean()
     iota = _rademacher_matrix(seed, n, n_boot)
     # column 0 is x itself: the observed statistic comes from the same call

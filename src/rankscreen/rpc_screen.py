@@ -92,7 +92,7 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
     if loss not in _LOSSES:
         raise InvalidInput(f"loss must be one of {_LOSSES}")
     if np.array_equal(dataset.y, dataset.z):
-        raise InvalidInput(f"the exposure '{dataset.z_name or 'z'}' is the "
+        raise InvalidInput(f"the exposure '{dataset.z_name}' is the "
                            f"response '{dataset.y_name}'")
     z = dataset.z
     if np.all(z == z[0]):

@@ -24,7 +24,6 @@ Scenario ids
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import Dataset
-from .errors import InvalidInput
+from .errors import InvalidInput, check_seed
 
 __all__ = [
     "Scenario",
@@ -51,9 +50,6 @@ __all__ = [
     "draw_error",
     "active_set",
 ]
-
-_PILOT_SEED = 20231115
-_PILOT_SIZE = 100_000
 
 # error families, each a draw of `size` from `rng`; Cauchy draws go through
 # the inverse CDF tan(pi*(U - 1/2)), a transform of one uniform stream
@@ -109,7 +105,7 @@ class Scenario:
         if self.error is not None:
             _error_sampler(self.error)
         if self.r2 is not None:
-            _calibrated_theta(self.r2)
+            _calibrated_theta(self.r2, self.rho0)
         if self.case not in (None, 1, 2, 3, 4):
             raise InvalidInput("contamination case must be in 1..4")
         if self.case == 1 and self.w0 < 1.0:
@@ -433,38 +429,34 @@ def response_mean(scenario_id: str, x0: np.ndarray, z: np.ndarray | None = None,
     return theta * _design(scenario_id).mean(x0, z)
 
 
-@functools.lru_cache(maxsize=None)
-def _calibrated_theta(r2: float) -> float:
-    """Signal scale for the exposure-modulated model so the explained
-    variance ratio hits the target.
-
-    The Cauchy-type error has no variance; its scale enters through the
-    variance of the matched t(3) error, a documented proxy, whatever the
-    family.  The latent-mean variance comes from a 100k pilot draw under a
-    fixed internal seed; theta solves theta^2 * var(mu0) = r2/(1-r2) *
-    var_eps and is cached per r2.
+def _calibrated_theta(r2: float, rho0: float) -> float:
+    """E4's signal scale theta, from theta^2 Var(mu0) = 3 r2 / (1 - r2): 3 is
+    the t(3) error's variance, the documented proxy for every error family.
+    For mu0 = 2 e^z x1 + 5 (2z-1)^2 e^x2 + 3 sin(2 pi z) x3^2, x the AR(1)
+    Gaussian (corr(x1, x2) = rho0) and z ~ U(0, 1), Var(mu0) is exact: with
+    E e^2z = (e^2-1)/2, E (2z-1)^4 = 1/5, E sin^2(2 pi z) = 1/2, E x^4 = 3,
+    E e^2x = e^2, E e^z (2z-1)^2 = 5e-13, E x1 e^x2 = rho0 sqrt(e) (Stein's
+    lemma), E mu0 = 5 sqrt(e) / 3 and both cross terms with x3^2 0 by
+    symmetry, it is 2(e^2-1) + 5e^2 + 27/2 + 20 rho0 sqrt(e) (5e-13) - 25e/9.
     """
     if not 0.0 < r2 < 1.0:
         raise InvalidInput(f"target variance ratio r2 must be in (0, 1), "
                            f"got {r2}")
-    var_eps = 3.0
-    target = r2 / (1.0 - r2) * var_eps
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(_PILOT_SEED)))
-    x0 = gen_ar1_gaussian(_PILOT_SIZE, 3, 0.8, rng)
-    z = rng.random(_PILOT_SIZE)
-    mu0 = response_mean("E4", x0, z, theta=1.0)
-    return math.sqrt(target / float(np.var(mu0)))
+    e = math.e
+    var_mu0 = (2.0 * (e * e - 1.0) + 5.0 * e * e + 13.5 - 25.0 * e / 9.0
+               + 20.0 * rho0 * math.sqrt(e) * (5.0 * e - 13.0))
+    return math.sqrt(3.0 * r2 / (1.0 - r2) / var_mu0)
 
 
 def simulate(scenario: Scenario, seed) -> SimDataset:
     """Generate one dataset for a scenario.
 
-    ``seed`` is an integer or a ``numpy.random.SeedSequence``.  The draw
-    order is fixed: latent covariates, exposure, contamination noise,
+    ``seed`` is an integer >= 0 or a ``numpy.random.SeedSequence``.  The
+    draw order is fixed: latent covariates, exposure, contamination noise,
     response error.
     """
     if not isinstance(seed, np.random.SeedSequence):
+        check_seed(seed)
         seed = np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     design = _DESIGNS[scenario.id]
@@ -479,7 +471,7 @@ def simulate(scenario: Scenario, seed) -> SimDataset:
     x = gen_contaminated(x0, scenario.w0,
                          _CASE_NOISE.get(scenario.case, "cauchy"), rng)
     y = gen_response(scenario, x0, z, rng)
-    dataset = Dataset(y=y, x=x, z=z, z_name="z" if z is not None else None)
+    dataset = Dataset(y=y, x=x, z=z)
     return SimDataset(dataset=dataset, active=active_set(scenario),
                       scenario=scenario)
 
@@ -490,7 +482,8 @@ def gen_response(scenario: Scenario, x0: np.ndarray, z: np.ndarray | None,
     exposure for the exposure-adjusted designs): deterministic part plus an
     error draw, or a Bernoulli/Poisson draw through the scenario's link."""
     sid = scenario.id
-    theta = 1.0 if scenario.r2 is None else _calibrated_theta(scenario.r2)
+    theta = (1.0 if scenario.r2 is None
+             else _calibrated_theta(scenario.r2, scenario.rho0))
     mu = response_mean(sid, x0, z, theta=theta)
     family = _DESIGNS[sid].family
     if family == "bernoulli":

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .empirical import as_finite_pair, as_finite_vector
-from .errors import InvalidInput, OutOfSupport, SingularDesign
+from .errors import InvalidInput, OutOfSupport, SingularDesign, _is_int
 
 __all__ = [
     "SplineBasis",
@@ -37,10 +36,6 @@ __all__ = [
 ]
 
 _SUPPORT_RTOL = 1e-9
-
-
-def _is_int(value) -> bool:  # numpy's integers too, but not a bool
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -274,10 +274,14 @@ class TestScreeners:
         assert report.utilities[1] == 0.0
         assert report.ranking[-1] == 1
 
-    def test_pearson_needs_three_observations(self):
-        ds = Dataset(y=np.array([1.0, 2.0]), x=np.ones((2, 2)))
-        with pytest.raises(InvalidInput):
-            pearson_sis(ds)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pearson_needs_three_observations(self, n):
+        # the pairwise function is the batch path's one-column call
+        y, x = np.array([1.0, 2.0])[:n], np.array([3.0, 5.0])[:n]
+        with pytest.raises(InvalidInput, match="at least 3 observations"):
+            pearson_sis(Dataset(y=y, x=x[:, None]))
+        with pytest.raises(InvalidInput, match="at least 3 observations"):
+            pearson_utility(y, x)
 
     @pytest.mark.parametrize("screen", [pearson_sis, kendall_sis, rc_screen])
     @pytest.mark.parametrize("shrunk", [False, True])

@@ -193,6 +193,18 @@ class TestRunReplications:
             run_replications(counted, ["rc"], 3, base_seed=9, d_n=0)
         assert calls == []
 
+    def test_negative_seed_rejected_before_any_replication(self):
+        calls = []
+        make = _duplicate_generator()
+
+        def counted(seq):
+            calls.append(seq)
+            return make(seq)
+
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            run_replications(counted, ["rc"], 2, base_seed=-1)
+        assert calls == []
+
     def test_aggregation_permutation_invariant(self):
         report = run_replications(_duplicate_generator(p=5), ["pearson"], 9,
                                   base_seed=10)

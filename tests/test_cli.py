@@ -537,6 +537,7 @@ class TestScreenCommand:
         (["--threshold", "nan"], "threshold must be finite"),
         (["--threshold", "inf"], "threshold must be finite"),
         (["--top-k", "-3"], "--top-k must be >= 0"),
+        (["--seed", "-1"], "seed must be an integer >= 0"),
     ])
     def test_bad_option_fails_before_csv_read(self, small_csv, csv_never_read,
                                               capsys, flag, name):
@@ -701,6 +702,7 @@ class TestSimulateCommand:
         (["--scenario", "E4", "--method", "rpc-l2", "--degree", "0"],
          "degree"),
         (["--scenario", "E1", "--d-n", "0"], "budget"),
+        (["--scenario", "E1", "--seed", "-1"], "seed must be an integer >= 0"),
     ])
     def test_bad_parameter_fails_before_any_replication(self, monkeypatch,
                                                         capsys, argv, name):
@@ -776,6 +778,7 @@ class TestTestCommand:
     @pytest.mark.parametrize("flag, name", [
         (["--n-boot", "0"], "at least 2 bootstrap replicates"),
         (["--alpha", "2"], "alpha must be in (0, 1)"),
+        (["--seed", "-1"], "seed must be an integer >= 0"),
     ])
     def test_bad_bootstrap_setting_fails_before_csv_read(
             self, small_csv, csv_never_read, capsys, flag, name):

@@ -45,6 +45,14 @@ class TestDataset:
             Dataset(y=np.arange(3.0), x=np.ones((3, 2)),
                     z=np.array([0.0, np.nan, 1.0]), z_name="dose")
 
+    def test_unnamed_exposure_named_z(self):
+        ds = Dataset(y=np.arange(3.0), x=np.ones((3, 2)), z=np.arange(3.0))
+        assert ds.z_name == "z"
+        assert Dataset(y=np.arange(3.0), x=np.ones((3, 2))).z_name is None
+        with pytest.raises(InvalidInput, match="exposure column 'z'"):
+            Dataset(y=np.arange(3.0), x=np.ones((3, 2)),
+                    z=np.array([0.0, np.inf, 1.0]))
+
     def test_zero_rows_allowed(self):
         assert Dataset(y=np.empty(0), x=np.empty((0, 2))).n == 0
 

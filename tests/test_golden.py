@@ -7,7 +7,6 @@ the BLAS and libm in their last bits.  An intended output change replaces
 the expected file and says so in CHANGES.md.
 """
 
-import importlib
 from pathlib import Path
 
 import pytest
@@ -31,9 +30,6 @@ def budgets(request, monkeypatch):
         monkeypatch.setattr(empirical, "_STEP", 1)
         # every y-tie group of two or more rows takes the histogram step
         monkeypatch.setattr(empirical, "_GROUP_COST", 0)
-        # the package's ``rc_screen`` attribute is the function
-        rc_module = importlib.import_module("rankscreen.rc_screen")
-        monkeypatch.setattr(rc_module, "_BLOCK", 1)
 
 
 def test_screen_rc_json_and_stdout(tmp_path, capsys):

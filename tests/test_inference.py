@@ -157,3 +157,7 @@ class TestWildBootstrap:
     def test_bad_alpha(self):
         with pytest.raises(InvalidInput):
             wild_bootstrap_test([1, 2, 3], [1, 2, 3], n_boot=10, alpha=0.0)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidInput, match="seed must be an integer >= 0"):
+            wild_bootstrap_test([1, 2, 3], [1, 2, 3], n_boot=10, seed=-1)

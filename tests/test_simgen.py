@@ -191,21 +191,34 @@ class TestGenResponse:
 
 
 class TestThetaCalibration:
-    def test_theta_deterministic_and_cached(self):
-        a = _calibrated_theta(0.3)
-        b = _calibrated_theta(0.3)
-        assert a == b
+    @pytest.mark.parametrize("rho0, theta", [
+        (0.8, 0.13430975236255926), (0.0, 0.1519677538079858)])
+    def test_theta_is_the_closed_form(self, rho0, theta):
+        # sqrt(3 r2 / (1 - r2) / Var(mu0)) with Var(mu0) = 71.27 at
+        # rho0 = 0.8 and 55.67 at rho0 = 0
+        assert _calibrated_theta(0.3, rho0) == pytest.approx(theta, rel=1e-12)
 
-    def test_theta_achieves_target_variance(self):
-        theta = _calibrated_theta(0.3)
-        x0 = gen_ar1_gaussian(200000, 3, 0.8, _rng(10))
+    @pytest.mark.parametrize("rho0", [0.8, 0.5, 0.0])
+    def test_theta_achieves_target_variance(self, rho0):
+        theta = _calibrated_theta(0.3, rho0)
+        x0 = gen_ar1_gaussian(200000, 3, rho0, _rng(10))
         z = _rng(11).random(200000)
         mu = response_mean("E4", x0, z, theta=theta)
         target = 0.3 / 0.7 * 3.0
         assert mu.var() == pytest.approx(target, rel=0.05)
 
     def test_theta_monotone_in_target(self):
-        assert _calibrated_theta(0.05) < _calibrated_theta(0.3)
+        assert _calibrated_theta(0.05, 0.8) < _calibrated_theta(0.3, 0.8)
+
+    @pytest.mark.parametrize("rho0", [0.0, 0.8])
+    def test_response_scaled_at_scenario_rho0(self, rho0):
+        sc = make_scenario("E4", n=40, p=5, rho0=rho0)
+        x0 = gen_ar1_gaussian(40, 5, rho0, _rng(12))
+        z = _rng(13).random(40)
+        y = gen_response(sc, x0, z, _rng(14))
+        mu = response_mean("E4", x0, z, theta=_calibrated_theta(0.3, rho0))
+        eps = draw_error("cauchy3", 40, _rng(14))
+        np.testing.assert_array_equal(y, mu + eps)
 
 
 class TestErrorFamilies:
@@ -289,6 +302,11 @@ class TestScenarios:
     def test_exposure_present_only_where_needed(self):
         assert simulate(make_scenario("E4", n=30, p=5), 0).dataset.z is not None
         assert simulate(make_scenario("E1", n=30, p=10), 0).dataset.z is None
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_is_an_integer_at_least_zero(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            simulate(make_scenario("E1", n=30, p=10), seed)
 
     def test_unknown_id_lists_valid_ones(self):
         with pytest.raises(InvalidInput, match="E5d2"):

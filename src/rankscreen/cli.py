@@ -358,9 +358,13 @@ def _cmd_test(args, parser) -> int:
         columns = [dataset.x_names.index(args.covariate)]
     results = []
     for j in columns:
-        res = wild_bootstrap_test(dataset.y, dataset.x[:, j],
-                                  n_boot=args.n_boot, alpha=args.alpha,
-                                  seed=seed)
+        try:
+            res = wild_bootstrap_test(dataset.y, dataset.x[:, j],
+                                      n_boot=args.n_boot, alpha=args.alpha,
+                                      seed=seed)
+        except InvalidInput as exc:
+            raise InvalidInput(
+                f"covariate '{dataset.x_names[j]}': {exc}") from None
         results.append((j, res))
         decision = "reject" if res.reject else "fail to reject"
         print(f"{dataset.x_names[j]}: statistic = {res.statistic:.6f}, "
@@ -428,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.add_argument("--csv-output", default=None,
                           help="CSV ranking path")
     add_common(p_screen)
-    p_screen.set_defaults(func=_cmd_screen)
+    p_screen.set_defaults(func=_cmd_screen, command_parser=p_screen)
 
     p_sim = sub.add_parser("simulate",
                            help="replicate a benchmark scenario")
@@ -457,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", default=None, help="JSON report path")
     p_sim.add_argument("--csv-output", default=None, help="CSV table path")
     add_common(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_simulate, command_parser=p_sim)
 
     p_test = sub.add_parser("test",
                             help="wild-bootstrap independence test")
@@ -474,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--output", default=None, help="JSON report path")
     add_common(p_test, spline=False)
-    p_test.set_defaults(func=_cmd_test)
+    p_test.set_defaults(func=_cmd_test, command_parser=p_test)
     return parser
 
 
@@ -482,12 +486,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # usage errors print the usage line of the command that was given
+        command_parser = args.command_parser
         if args.seed is not None:  # every command takes --seed
             try:
                 check_seed(args.seed)
             except InvalidInput as exc:
-                parser.error(str(exc))
-        return args.func(args, parser)
+                command_parser.error(str(exc))
+        return args.func(args, command_parser)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -20,7 +20,10 @@ such steps, not one pass per row.
 
 `count_chunks` streams a wide x through both steps a chunk of columns at a
 time, so the working arrays beyond x stay O(n * chunk) whatever p is;
-Pearson screening streams the same `column_chunks`.
+Pearson screening streams the same `column_chunks`.  Columns that are
+already weak ranks, such as the bootstrap's sign-flip replicates ranked by
+`leq_counts_choice`, stream through the kernel in the same chunks with
+`rank_chunks`.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from .errors import InvalidInput
 __all__ = [
     "leq_counts",
     "leq_counts_matrix",
+    "leq_counts_choice",
     "dominance_counts_matrix",
     "count_chunks",
+    "rank_chunks",
 ]
 
 # Cells of one chunk's (n, w) working arrays; the width w is a multiple of
@@ -72,14 +77,20 @@ def as_finite_pair(a, b, names=("y_col", "x_col"), min_size: int = 1):
     return a, b
 
 
+def _chunk_width(n: int) -> int:
+    """Columns per chunk: an (n, w) working array stays near ``_CELLS``
+    cells, with w a multiple of ``_STEP`` and at least ``_STEP``."""
+    return max(_STEP, _CELLS // n // _STEP * _STEP)
+
+
 def column_chunks(x: np.ndarray):
     """Yield ``(lo, x[:, lo:lo + w])`` for consecutive chunks of the (n, p)
-    array x, ``w = max(_STEP, _CELLS // n // _STEP * _STEP)`` columns wide,
-    so that an (n, w) working array stays near ``_CELLS`` cells whatever p
-    is.  The first column that holds NaN or an infinity raises InvalidInput;
-    min and max propagate NaN and reach any infinity, so no mask is built."""
+    array x, `_chunk_width` (n) columns wide, so that the working arrays
+    stay O(n * w) whatever p is.  The first column that holds NaN or an
+    infinity raises InvalidInput; min and max propagate NaN and reach any
+    infinity, so no mask is built."""
     n, p = x.shape
-    w = max(_STEP, _CELLS // n // _STEP * _STEP)
+    w = _chunk_width(n)
     for lo in range(0, p, w):
         chunk = x[:, lo:lo + w]
         finite = (np.isfinite(chunk.min(axis=0))
@@ -110,6 +121,30 @@ def leq_counts_matrix(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(counts)
     np.put_along_axis(out, order, counts, axis=0)
     return out
+
+
+def leq_counts_choice(a: np.ndarray, b: np.ndarray,
+                      take_a: np.ndarray) -> np.ndarray:
+    """Weak-rank counts of the (n, m) matrix x with ``x[i, d] = a[i]`` where
+    ``take_a[i, d]`` and ``b[i]`` elsewhere, without forming x: equal to
+    ``leq_counts_matrix(x)``, in ``np.min_scalar_type(n)``.
+
+    Every entry of x is one of the 2n values ``[a; b]``, which are sorted
+    once.  In sorted order, the rows of the selection mask
+    ``[take_a; ~take_a]`` that come up to the last tie position of a value v
+    are the selected entries ``<= v``, so the mask's cumulative sum, read at
+    that position, is v's count in every column at once.  Only the selected
+    values need to be finite.  O(n log n + n m) time.
+    """
+    n = a.size
+    values = np.concatenate([a, b])
+    order = np.argsort(values, kind="stable")
+    last = np.searchsorted(values[order], values, side="right") - 1
+    cum = np.concatenate([take_a, ~take_a])[order].astype(
+        np.min_scalar_type(n))
+    np.add.accumulate(cum, axis=0, out=cum)
+    # one of the two terms is 0: faster than np.where on small integers
+    return cum[last[:n]] * take_a + cum[last[n:]] * ~take_a
 
 
 def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -182,3 +217,16 @@ def count_chunks(y: np.ndarray, x: np.ndarray):
     for lo, chunk in column_chunks(x):
         rx = leq_counts_matrix(chunk)
         yield lo, rx, dominance_counts_matrix(y, rx.astype(small))
+
+
+def rank_chunks(y: np.ndarray, ranks: np.ndarray):
+    """`count_chunks` for columns given as their weak ranks: yields
+    ``(lo, r, c)`` with ``r = ranks[:, lo:lo + w]``, in the chunks of
+    `column_chunks`, and ``c`` its (n, w) int64 joint counts against y.
+    ``ranks`` is an (n, m) unsigned array, such as `leq_counts_choice`
+    returns."""
+    n, m = ranks.shape
+    w = _chunk_width(n)
+    for lo in range(0, m, w):
+        r = ranks[:, lo:lo + w]
+        yield lo, r, dominance_counts_matrix(y, r)

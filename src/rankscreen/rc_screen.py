@@ -11,8 +11,9 @@ where ``ry``, ``rx`` are the marginal weak-rank counts at the point and
 screening, bootstrap replicates) takes ``rho`` from `_rho_from_counts`, and
 the utility paths take their counts from the one batch kernel
 `~rankscreen.empirical.dominance_counts_matrix`, streamed over column chunks
-by `~rankscreen.empirical.count_chunks`, so results are bit-identical across
-them.  All computation is serial.
+by `~rankscreen.empirical.count_chunks` (the bootstrap's replicate ranks by
+`~rankscreen.empirical.rank_chunks`), and reduce them with `_utilities`,
+so results are bit-identical across them.  All computation is serial.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .empirical import (
     as_finite_pair,
     count_chunks,
     leq_counts,
+    leq_counts_choice,
+    rank_chunks,
 )
 from .errors import DegenerateEvaluation, InvalidInput, check_seed
 from .report import Selection, ScreeningReport, build_report
@@ -50,13 +53,39 @@ _SAMPLES = ("y_sample", "x_sample")
 def _rho_from_counts(c, ry, rx, n):
     """Correlation of rank indicators from integer counts (vectorized).
 
-    The two radicand factors are exact integers; their product would
-    overflow int64 near n = 1e5, so it is formed in float64, rounded once
-    like ``math.sqrt`` of the exact integer product.
+    ``c`` and ``rx`` are the (n, w) counts of w columns (or the (n,) counts
+    of one) and ``ry`` the (n,) counts of y.  The result is C-ordered
+    (w, n): row j holds column j's ``rho`` at the n sample points, so that
+    it reduces as one contiguous 1-D array.  Each product of two counts,
+    and the radicand, is an exact integer rounded once to float64 (the
+    radicand would overflow int64 near n = 1e5), as ``math.sqrt`` of the
+    exact integer product takes it.  The products read tables of ``k`` and
+    ``k (n + 1 - k)``, k = 0..n, so only two (w, n) float buffers are made.
     """
-    num = (n + 1.0) * c - ry * rx
-    rad = np.multiply(ry * (n + 1 - ry), rx * (n + 1 - rx), dtype=float)
-    return num / np.sqrt(rad)
+    k = np.arange(n + 1.0)
+    rho = np.multiply(c.T, n + 1.0, order="C")
+    buf = np.take(k, rx.T, mode="clip")
+    buf *= k[ry]
+    rho -= buf
+    spread = k * (n + 1 - k)
+    np.take(spread, rx.T, out=buf, mode="clip")
+    buf *= spread[ry]
+    np.sqrt(buf, out=buf)
+    rho /= buf
+    return rho
+
+
+def _utilities(y: np.ndarray, chunks, m: int) -> np.ndarray:
+    """RC utilities of m columns from their ``(lo, rx, c)`` count chunks:
+    the mean of ``rho ** 2`` over the n rows of each column."""
+    n = y.size
+    ry = leq_counts(y)
+    out = np.empty(m)
+    for lo, rx, c in chunks:
+        rho = _rho_from_counts(c, ry, rx, n)
+        rho *= rho
+        out[lo:lo + rx.shape[1]] = rho.mean(axis=1)
+    return out
 
 
 def _point_counts(y: float, x: float, y_sample, x_sample):
@@ -89,7 +118,7 @@ def robust_corr(y: float, x: float, y_sample, x_sample) -> float:
     iy, _, ry, rx, c = _point_counts(y, x, y_sample, x_sample)
     if ry == 0 or rx == 0:
         return 0.0
-    return float(_rho_from_counts(c, ry, rx, iy.size))
+    return float(_rho_from_counts(*np.atleast_1d(c, ry, rx), iy.size)[0])
 
 
 def rc_utility(y_col, x_col) -> float:
@@ -121,14 +150,7 @@ def rc_utilities(y_col, x) -> np.ndarray:
         raise InvalidInput("response length does not match covariate rows")
     if n < 2:
         raise InvalidInput("need at least 2 observations")
-    ry = leq_counts(y)
-    out = np.empty(p)
-    for lo, rx, c in count_chunks(y, x):
-        rho = _rho_from_counts(c, ry[:, None], rx, n)
-        rho *= rho
-        # contiguous (chunk, n) rows: each mean sums as one column's np.mean
-        out[lo:lo + rho.shape[1]] = np.ascontiguousarray(rho.T).mean(axis=1)
-    return out
+    return _utilities(y, count_chunks(y, x), p)
 
 
 def rc_screen(dataset: Dataset,
@@ -206,7 +228,7 @@ def robust_corr_ci(y: float, x: float, y_sample, x_sample,
     g3 = -th1 / (2.0 * th3 * s)
     influence = g1 * xi1 + g2 * xi2 + g3 * xi3
     variance = float(np.mean(influence * influence))
-    rho = float(_rho_from_counts(c, ry, rx, n))
+    rho = float(_rho_from_counts(*np.atleast_1d(c, ry, rx), n)[0])
     z = _norm_ppf(1.0 - (1.0 - level) / 2.0)
     half = z * math.sqrt(variance / n)
     return PointwiseCi(estimate=rho, variance=variance, level=level,
@@ -258,6 +280,33 @@ def check_bootstrap_settings(n_boot: int, alpha: float):
         raise InvalidInput("alpha must be in (0, 1)")
 
 
+def _bootstrap_utilities(y: np.ndarray, x: np.ndarray,
+                         take_a: np.ndarray) -> np.ndarray:
+    """RC utilities of x (entry 0) and of its sign-flip replicates: entry
+    d + 1 is that of ``mean + iota[:, d] * dev`` with ``dev = x - mean``,
+    ``iota = 1`` where ``take_a`` and -1 elsewhere, bit-identical to
+    `rc_utilities` of that column.
+
+    Row i of every replicate is one of two values, ``a_i = fl(mean +
+    dev_i)`` or ``b_i = fl(mean - dev_i)``, so the replicates' weak ranks
+    come from one sort of those 2n values (`leq_counts_choice`) and no
+    (n, n_boot) float replicate matrix is formed.  A selected ``a_i`` or
+    ``b_i`` that overflows raises InvalidInput.
+    """
+    n = y.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean()
+        dev = x - mean
+        a, b = dev + mean, mean - dev
+    if not (np.isfinite(a[take_a.any(axis=1)]).all()
+            and np.isfinite(b[~take_a.all(axis=1)]).all()):
+        raise InvalidInput("x_col's sign-flipped replicates overflow")
+    ranks = np.empty((n, 1 + take_a.shape[1]), dtype=np.min_scalar_type(n))
+    ranks[:, 0] = leq_counts(x)
+    ranks[:, 1:] = leq_counts_choice(a, b, take_a)
+    return _utilities(y, rank_chunks(y, ranks), ranks.shape[1])
+
+
 def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
                         seed: int | None = None) -> BootstrapTestResult:
     """Test independence of ``y_col`` and ``x_col`` by sign-flip resampling.
@@ -267,22 +316,17 @@ def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
     flipped column and compares the observed utility against the ``1 - alpha``
     empirical quantile of the replicate utilities.  Deterministic given
     ``seed``, an integer >= 0; the p-value is ``(1 + count) / (n_boot + 1)``.
+    Raises InvalidInput if a replicate overflows (`_bootstrap_utilities`).
     """
     check_bootstrap_settings(n_boot, alpha)
-    y, x = as_finite_pair(y_col, x_col)
-    n = y.size
+    y, x = as_finite_pair(y_col, x_col, min_size=2)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
     check_seed(seed)
-    dev = x - x.mean()
-    iota = _rademacher_matrix(seed, n, n_boot)
-    # column 0 is x itself: the observed statistic comes from the same call
-    # as the replicates, and every column's utility is computed on its own
-    x_all = np.empty((n, n_boot + 1))
-    x_all[:, 0] = x
-    np.multiply(iota, dev[:, None], out=x_all[:, 1:])
-    x_all[:, 1:] += x.mean()
-    utilities = rc_utilities(y, x_all)
+    # the observed statistic comes from the same pass as the replicates,
+    # and every column's utility is computed on its own
+    utilities = _bootstrap_utilities(
+        y, x, _rademacher_matrix(seed, y.size, n_boot) > 0)
     statistic = float(utilities[0])
     boot = utilities[1:]
     k = int(math.ceil((1.0 - alpha) * n_boot - 1e-9))

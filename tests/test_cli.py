@@ -787,12 +787,44 @@ class TestTestCommand:
         assert code == 2
         assert name in capsys.readouterr().err
 
+    def test_overflowing_replicates_name_the_column(self, tmp_path, capsys):
+        path = _write(tmp_path / "huge.csv", "y,x1,big\n" + "".join(
+            f"{i},{i},{v}\n" for i, v in
+            enumerate(["1.7e308", "1.7e308", "-1e308", "0", "1", "2"])))
+        code = main(["test", "--input", path, "--response", "y", "--all",
+                     "--n-boot", "50", "--seed", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("x1: statistic")
+        assert captured.err == ("error: covariate 'big': x_col's "
+                                "sign-flipped replicates overflow\n")
+
     @pytest.mark.parametrize("flag", [["--degree", "9"], ["--n-basis", "2"]])
     def test_spline_flags_rejected(self, small_csv, capsys, flag):
         code = main(["test", "--input", small_csv, "--response", "y",
                      "--all", "--n-boot", "20", "--seed", "1"] + flag)
         assert code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestUsageLine:
+    @pytest.mark.parametrize("argv", [
+        ["screen", "--top-k", "-3"],
+        ["screen", "--seed", "-1"],
+        ["screen", "--method", "rpc-l1"],
+        ["simulate", "--scenario", "E4", "--seed", "-1"],
+        ["simulate"],
+        ["test", "--all", "--n-boot", "1"],
+        ["test", "--all", "--seed", "-1"],
+        ["test"],
+    ])
+    def test_usage_error_prints_its_command(self, argv, small_csv, capsys):
+        if argv[0] != "simulate":
+            argv = argv + ["--input", small_csv, "--response", "y"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: rankscreen {argv[0]} ")
+        assert f"rankscreen {argv[0]}: error: " in err
 
 
 class TestThreadsFlag:

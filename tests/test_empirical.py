@@ -6,7 +6,9 @@ from rankscreen.empirical import (
     as_finite_vector,
     dominance_counts_matrix,
     leq_counts,
+    leq_counts_choice,
     leq_counts_matrix,
+    rank_chunks,
 )
 from rankscreen.errors import InvalidInput
 from rankscreen.rc_screen import _rho_from_counts, rc_utilities, robust_corr
@@ -184,6 +186,64 @@ class TestBatchCounts:
         assert mat.dtype == np.int64
         assert np.array_equal(mat, expected)
         assert np.array_equal(leq_counts(x[:, 3]), expected[:, 3])
+
+
+def _chosen(a, b, take_a):
+    """The matrix `leq_counts_choice` ranks without forming it."""
+    return np.where(take_a, a[:, None], b[:, None])
+
+
+class TestLeqCountsChoice:
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (17, 2), (255, 40),
+                                      (256, 40), (300, 7)])
+    def test_equals_ranks_of_the_formed_matrix(self, n, m):
+        rng = np.random.default_rng(n * m)
+        a = rng.integers(-4, 5, size=n).astype(float)
+        a[::3] = rng.standard_normal(a[::3].size)
+        b = -a  # cross-row ties a_i = b_k, and a_i = b_i where a_i = 0
+        b[1::4] = a[1::4]
+        take_a = rng.integers(0, 2, size=(n, m)).astype(bool)
+        ranks = leq_counts_choice(a, b, take_a)
+        assert ranks.dtype == np.min_scalar_type(n)
+        assert np.array_equal(ranks, leq_counts_matrix(_chosen(a, b, take_a)))
+
+    def test_signed_zeros_tie(self):
+        a = np.array([0.0, -0.0, 1.0, -1.0])
+        b = np.array([-0.0, 1.0, 0.0, 2.0])
+        take_a = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]],
+                          dtype=bool)
+        assert np.array_equal(leq_counts_choice(a, b, take_a),
+                              leq_counts_matrix(_chosen(a, b, take_a)))
+
+    def test_constant_and_one_sided_columns(self):
+        a = np.full(6, 2.5)
+        take_a = np.zeros((6, 4), dtype=bool)
+        take_a[:, 1] = True
+        ranks = leq_counts_choice(a, a.copy(), take_a)
+        assert np.array_equal(ranks, np.full((6, 4), 6))
+
+    def test_unselected_values_need_not_be_finite(self):
+        a = np.array([1.0, np.inf, 3.0, np.nan])
+        b = np.array([np.nan, 0.5, -np.inf, 2.0])
+        take_a = np.array([[1, 1], [0, 0], [1, 1], [0, 0]], dtype=bool)
+        expected = leq_counts_matrix(_chosen(a, b, take_a))
+        assert np.array_equal(leq_counts_choice(a, b, take_a), expected)
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_rank_chunks_cover_every_column_once(self, monkeypatch, width):
+        rng = np.random.default_rng(width)
+        n, m = 30, 300
+        y = rng.integers(0, 3, size=n).astype(float)
+        ranks = leq_counts_matrix(rng.standard_normal((n, m))).astype(
+            np.uint8)
+        monkeypatch.setattr(empirical, "_CELLS", n * width)
+        los = []
+        for lo, r, c in rank_chunks(y, ranks):
+            assert r.shape[1] == min(width, m - lo)
+            assert np.array_equal(r, ranks[:, lo:lo + width])
+            assert np.array_equal(c, dominance_counts_matrix(y, r))
+            los.append(lo)
+        assert los == list(range(0, m, width))
 
 
 class TestKernelAgainstOracle:

@@ -6,6 +6,7 @@ from rankscreen.errors import DegenerateEvaluation, InvalidInput
 from rankscreen.rc_screen import (
     _norm_ppf,
     _rademacher_matrix,
+    rc_utility,
     robust_corr,
     robust_corr_ci,
     wild_bootstrap_test,
@@ -161,3 +162,27 @@ class TestWildBootstrap:
     def test_negative_seed(self):
         with pytest.raises(InvalidInput, match="seed must be an integer >= 0"):
             wild_bootstrap_test([1, 2, 3], [1, 2, 3], n_boot=10, seed=-1)
+
+    def test_overflowing_replicates_named(self):
+        # the mean overflows, so every replicate does; no RuntimeWarning
+        x = np.array([1.7e308, 1.7e308, -1e308, 0, 1, 2])
+        with pytest.raises(InvalidInput,
+                           match="x_col's sign-flipped replicates overflow"):
+            wild_bootstrap_test(np.arange(6.0), x, 50, seed=1)
+
+    def test_overflow_raised_exactly_when_selected(self):
+        # only b_0 = mean - dev_0 = 1.8e308 overflows: an error exactly
+        # when some replicate flips row 0
+        x = np.array([-1e308, 1e308, 0.8e308, 0.8e308])
+        y = np.arange(4.0)
+        outcomes = set()
+        for seed in range(12):
+            flipped = bool((_rademacher_matrix(seed, 4, 2)[0] < 0).any())
+            outcomes.add(flipped)
+            if flipped:
+                with pytest.raises(InvalidInput, match="overflow"):
+                    wild_bootstrap_test(y, x, 2, seed=seed)
+            else:
+                res = wild_bootstrap_test(y, x, 2, seed=seed)
+                assert res.statistic == rc_utility(y, x)
+        assert outcomes == {True, False}

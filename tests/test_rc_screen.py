@@ -7,6 +7,7 @@ from rankscreen import empirical
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput
 from rankscreen.rc_screen import (
+    _bootstrap_utilities,
     _rademacher_matrix,
     _rho_from_counts,
     rc_screen,
@@ -115,6 +116,18 @@ class TestRcUtility:
             rc_utility([1, 2, 3], [1, 2])
 
 
+def _assert_bootstrap_matches_formed(y, x, n_boot, seed):
+    take_a = _rademacher_matrix(seed, y.size, n_boot) > 0
+    iota = np.where(take_a, 1.0, -1.0)
+    formed = np.column_stack([x, x.mean() + iota * (x - x.mean())[:, None]])
+    dev = x - x.mean()
+    ranks = empirical.leq_counts_choice(dev + x.mean(), x.mean() - dev,
+                                        take_a)
+    assert np.array_equal(ranks, empirical.leq_counts_matrix(formed[:, 1:]))
+    assert (_bootstrap_utilities(y, x, take_a).tobytes()
+            == rc_utilities(y, formed).tobytes())
+
+
 class TestRcUtilitiesBatch:
     def test_batch_equals_single_pair_bitwise(self):
         rng = np.random.default_rng(8)
@@ -169,6 +182,49 @@ class TestRcUtilitiesBatch:
         assert res.critical_value == np.partition(boot, k - 1)[k - 1]
         assert res.p_value == ((1 + int(np.sum(boot >= res.statistic)))
                                / (n_boot + 1))
+
+    @pytest.mark.parametrize("case", [
+        "zero_deviations", "cross_row_ties", "constant", "n255", "n256",
+        "two_replicates", "continuous"])
+    def test_bootstrap_utilities_are_rc_utilities_bitwise(self, case):
+        # replicate ranks from one sort of mean +- dev, and their utilities,
+        # equal those of the formed (n, n_boot + 1) matrix, byte for byte
+        rng = np.random.default_rng(len(case))
+        n = {"n255": 255, "n256": 256}.get(case, 60)
+        n_boot = 2 if case == "two_replicates" else 150
+        y = rng.integers(0, 5, size=n).astype(float)
+        if case == "zero_deviations":  # mean 0 exactly: a_i = b_i at 0
+            x = rng.integers(-3, 4, size=n).astype(float)
+            x[-1] = -x[:-1].sum()
+            assert (x == 0).sum() > 1 and x.mean() == 0.0
+        elif case == "cross_row_ties":  # a symmetric sample: a_i = b_k
+            half = rng.integers(1, 6, size=n // 2).astype(float)
+            x = rng.permutation(np.concatenate([half, -half]))
+        elif case == "constant":
+            x = np.full(n, 0.1)
+        elif case == "continuous":
+            x = rng.standard_normal(n)
+            y = rng.standard_normal(n)
+        else:
+            x = rng.standard_normal(n)
+            x[::4] = 0.5
+        _assert_bootstrap_matches_formed(y, x, n_boot, seed=len(case))
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_bootstrap_chunks_equal_one_chunk_bitwise(self, monkeypatch,
+                                                      width):
+        # n_boot + 1 = 301 columns: one chunk at the real budget; several,
+        # with a ragged last one, under a shrunk budget
+        rng = np.random.default_rng(width)
+        n = 50
+        y = rng.integers(0, 3, size=n).astype(float)
+        x = rng.standard_normal(n)
+        x[1::3] = 1.0
+        take_a = _rademacher_matrix(width, n, 300) > 0
+        whole = _bootstrap_utilities(y, x, take_a)
+        monkeypatch.setattr(empirical, "_CELLS", n * width)
+        assert _bootstrap_utilities(y, x, take_a).tobytes() == whole.tobytes()
+        _assert_bootstrap_matches_formed(y, x, 300, seed=width)
 
     @pytest.mark.parametrize("width", [64, 128])
     def test_count_chunks_equal_one_chunk_bitwise(self, monkeypatch, width):

@@ -32,7 +32,6 @@ from .rpc_screen import (
 from .simgen import Scenario, SimDataset, make_scenario, simulate
 from .spline import (
     BasisConfig,
-    LadConfig,
     SplineBasis,
     SplineFit,
     basis_build,

@@ -239,10 +239,9 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
         hit = np.all(rank_matrix <= budget, axis=1)
         per_method.append(MethodMetrics(
             method=name,
-            median_mms=float(np.median(np.sort(mms_values))),
+            median_mms=float(np.median(mms_values)),
             rsd_mms=rsd(mms_values),
-            median_ranks=[float(np.median(np.sort(rank_matrix[:, i])))
-                          for i in range(rank_matrix.shape[1])],
+            median_ranks=np.median(rank_matrix, axis=0).tolist(),
             proportion=float(np.mean(hit)),
             mms_values=mms_values,
         ))

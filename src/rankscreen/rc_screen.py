@@ -256,17 +256,18 @@ _last_rademacher: dict = {}
 
 
 def _rademacher_matrix(seed: int, n: int, n_boot: int) -> np.ndarray:
-    """(n, n_boot) matrix of +-1 draws; column d comes from the d-th child
-    stream of ``SeedSequence(seed)``, so each replicate's draws depend only
-    on the seed and the replicate index.  The last matrix is kept and
-    returned again, read-only, when the same arguments come back."""
+    """(n, n_boot) boolean mask of Rademacher draws, True for +1 and False
+    for -1; column d comes from the d-th child stream of
+    ``SeedSequence(seed)``, so each replicate's draws depend only on the
+    seed and the replicate index.  The last mask is kept and returned again,
+    read-only, when the same arguments come back."""
     key = (seed, n, n_boot)
     if _last_rademacher.get("key") != key:
         children = np.random.SeedSequence(seed).spawn(n_boot)
-        out = np.empty((n, n_boot))
+        out = np.empty((n, n_boot), dtype=bool)
         for d, child in enumerate(children):
             gen = np.random.Generator(np.random.Philox(child))
-            out[:, d] = gen.integers(0, 2, size=n) * 2.0 - 1.0
+            out[:, d] = gen.integers(0, 2, size=n) == 1
         out.flags.writeable = False
         _last_rademacher.update(key=key, matrix=out)
     return _last_rademacher["matrix"]
@@ -325,8 +326,8 @@ def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
     check_seed(seed)
     # the observed statistic comes from the same pass as the replicates,
     # and every column's utility is computed on its own
-    utilities = _bootstrap_utilities(
-        y, x, _rademacher_matrix(seed, y.size, n_boot) > 0)
+    utilities = _bootstrap_utilities(y, x,
+                                     _rademacher_matrix(seed, y.size, n_boot))
     statistic = float(utilities[0])
     boot = utilities[1:]
     k = int(math.ceil((1.0 - alpha) * n_boot - 1e-9))

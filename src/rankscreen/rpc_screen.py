@@ -15,7 +15,6 @@ from .rc_screen import rc_utilities, rc_utility
 from .report import Selection, ScreeningReport, build_report
 from .spline import (
     BasisConfig,
-    LadConfig,
     SplineBasis,
     _fit_l2,
     _irls,
@@ -77,8 +76,7 @@ def _center_fallback(dataset: Dataset, loss: str) -> ResidualMatrix:
 
 
 def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
-                loss: str = "l2",
-                lad_config: LadConfig = LadConfig()) -> ResidualMatrix:
+                loss: str = "l2") -> ResidualMatrix:
     """Fit one spline per target (response and each covariate) on the
     exposure and return observed minus fitted at the training points.
 
@@ -109,8 +107,7 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
         coefs, _ = _fit_l2(b, np.ascontiguousarray(targets.T)[..., None])
     else:
         try:
-            coefs, iterations, converged, ridged = _irls(b, targets.T,
-                                                         lad_config)
+            coefs, iterations, converged, ridged = _irls(b, targets.T)
         except SingularDesign as exc:
             name = ([dataset.y_name] + dataset.x_names)[exc.target]
             raise SingularDesign(f"column '{name}': {exc}") from None
@@ -131,15 +128,13 @@ def rpc_utility(eps_y, eps_xj) -> float:
 
 def rpc_screen(dataset: Dataset, loss: str = "l2",
                basis_config: BasisConfig = BasisConfig(),
-               selection: Selection | None = None,
-               lad_config: LadConfig = LadConfig()) -> ScreeningReport:
+               selection: Selection | None = None) -> ScreeningReport:
     """Exposure-adjusted screening: residualize, then rank by RC utility of
     the residual pairs.
 
     The method tag records the loss, e.g. ``"RPC-SIS(L1)"``.
     """
-    residuals = residualize(dataset, basis_config=basis_config, loss=loss,
-                            lad_config=lad_config)
+    residuals = residualize(dataset, basis_config=basis_config, loss=loss)
     utilities = rc_utilities(residuals.eps_y, residuals.eps_x)
     tag = f"RPC-SIS({loss.upper()})"
     return build_report(tag, utilities, selection, dataset.n)

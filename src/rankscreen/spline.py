@@ -7,13 +7,14 @@ and sum to one everywhere on the support.  The absolute-loss fit runs
 iteratively reweighted least squares on the smoothed objective
 ``mean(sqrt(r^2 + eps^2))``, started from the squared-loss solution; the
 majorize-minimize structure makes the smoothed objective nonincreasing
-across iterations.
+across iterations.  Its settings are the module constants `_EPSILON` (eps),
+`_TOL` (the coefficient-step tolerance) and `_MAX_ITER` (the round cap),
+read at each call.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "SplineBasis",
     "SplineFit",
     "BasisConfig",
-    "LadConfig",
     "basis_build",
     "basis_eval",
     "design_matrix",
@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 _SUPPORT_RTOL = 1e-9
+
+# smoothed-IRLS settings of the absolute-loss fit
+_EPSILON = 1e-6
+_TOL = 1e-8
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -50,28 +55,6 @@ class BasisConfig:
             raise InvalidInput("degree must be an integer >= 1")
         if not _is_int(self.n_basis) or self.n_basis < self.degree + 1:
             raise InvalidInput("n_basis must be an integer >= degree + 1")
-
-
-@dataclass(frozen=True)
-class LadConfig:
-    """IRLS settings for the absolute-loss fit."""
-
-    epsilon: float = 1e-6
-    tol: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self):
-        # epsilon ** 2 enters every weight: it must be finite and nonzero
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0
-                and 0.0 < self.epsilon * self.epsilon < math.inf):
-            raise InvalidInput(
-                "epsilon must be finite and positive, with a finite nonzero "
-                "square"
-            )
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise InvalidInput("tol must be finite and >= 0")
-        if not _is_int(self.max_iter) or self.max_iter < 1:
-            raise InvalidInput("max_iter must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -249,27 +232,28 @@ def _fit_l2(b: np.ndarray, w: np.ndarray):
                                    b.T @ w)
 
 
-def _irls(b: np.ndarray, targets: np.ndarray, config: LadConfig):
+def _irls(b: np.ndarray, targets: np.ndarray):
     """Smoothed-IRLS absolute-loss fits of the rows of ``targets`` (m, n) on
     one design ``b`` (n, k), started from their `_fit_l2` solutions; returns
     (coefs, iterations, converged, ridged).
 
-    Each round solves only the targets still active: a target stops when
-    its own coefficient step drops below ``config.tol``.  Every product is
-    one matrix-vector product per target on a contiguous row (a
-    matrix-matrix product or a strided row changes the last bits), so each
-    target's iterates are exactly those of a fit on its own.
+    The settings are read at each call.  At most `_MAX_ITER` rounds run, and
+    each solves only the targets still active: a target stops when its own
+    coefficient step drops below `_TOL`.  Every product is one
+    matrix-vector product per target on a contiguous row (a matrix-matrix
+    product or a strided row changes the last bits), so each target's
+    iterates are exactly those of a fit on its own.
 
-    The weights ``1/sqrt((w - b c)^2 + eps^2)`` are computed in place, one
-    operation at a time in the order of that expression, so they carry the
-    expression's bits.  The weighted design ``b * weights`` is formed as the
-    weights repeated k times along each row, multiplied in place by the
-    flattened design: a broadcast of the (a, n, 1) weights against b runs
-    numpy's inner loop over only k elements at a time.  The product is the
-    same (a, n, k) C-order array, element for element and stride for
-    stride, so the gram and right-hand-side products see byte-identical
-    operands.  A contiguous (a, k, n) layout would be faster still but
-    changes those products' last bits.
+    The weights ``1/sqrt((w - b c)^2 + eps^2)``, with eps = `_EPSILON`, are
+    computed in place, one operation at a time in the order of that
+    expression, so they carry the expression's bits.  The weighted design
+    ``b * weights`` is formed as the weights repeated k times along each
+    row, multiplied in place by the flattened design: a broadcast of the
+    (a, n, 1) weights against b runs numpy's inner loop over only k elements
+    at a time.  The product is the same (a, n, k) C-order array, element for
+    element and stride for stride, so the gram and right-hand-side products
+    see byte-identical operands.  A contiguous (a, k, n) layout would be
+    faster still but changes those products' last bits.
     """
     (m, n), k = targets.shape, b.shape[1]
     w = np.ascontiguousarray(targets)[..., None]  # rows of the active targets
@@ -277,9 +261,9 @@ def _irls(b: np.ndarray, targets: np.ndarray, config: LadConfig):
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     active = np.arange(m)
-    eps_sq = config.epsilon ** 2
+    eps_sq = _EPSILON ** 2
     b_flat = np.ascontiguousarray(b).reshape(n * k)
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         a = active.size
         weights = b @ coefs[active]
         np.subtract(w, weights, out=weights)
@@ -297,7 +281,7 @@ def _irls(b: np.ndarray, targets: np.ndarray, config: LadConfig):
             exc.target = int(active[exc.target])
             raise
         ridged[active] |= rid
-        done = np.max(np.abs(new - coefs[active]), axis=(1, 2)) < config.tol
+        done = np.max(np.abs(new - coefs[active]), axis=(1, 2)) < _TOL
         coefs[active] = new
         iterations[active] = it
         converged[active[done]] = True
@@ -325,20 +309,19 @@ def l1_objective(basis: SplineBasis, coef: np.ndarray, z_col, w_col) -> float:
     return float(np.mean(np.abs(np.asarray(w_col, dtype=float) - b @ coef)))
 
 
-def fit_l1(basis: SplineBasis, z_col, w_col,
-           config: LadConfig = LadConfig()) -> SplineFit:
+def fit_l1(basis: SplineBasis, z_col, w_col) -> SplineFit:
     """Least-absolute-deviation spline fit by smoothed IRLS.
 
     Starts from the squared-loss solution and iterates weighted
-    least squares with weights ``1/sqrt(r^2 + eps^2)`` until the coefficient
-    change drops below ``config.tol`` or ``config.max_iter`` is hit.
-    Non-convergence is reported through the ``converged`` flag, not an error.
-    The returned fit's exact L1 objective never exceeds the squared-loss
-    solution's L1 objective by more than ``config.epsilon``.
+    least squares with weights ``1/sqrt(r^2 + eps^2)``, eps = `_EPSILON`,
+    until the coefficient change drops below `_TOL` or `_MAX_ITER` rounds
+    have run.  Non-convergence is reported through the ``converged`` flag,
+    not an error.  The returned fit's exact L1 objective never exceeds the
+    squared-loss solution's L1 objective by more than eps.
     """
     z, w = as_finite_pair(z_col, w_col, ("z_col", "w_col"))
     b = design_matrix(basis, z)
-    coefs, iterations, converged, ridged = _irls(b, w[None], config)
+    coefs, iterations, converged, ridged = _irls(b, w[None])
     return SplineFit(basis=basis, coef=coefs[0], loss="l1",
                      iterations=int(iterations[0]),
                      converged=bool(converged[0]), ridged=bool(ridged[0]))

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from rankscreen import spline
 from rankscreen.spline import _solve_normal_equations
 
 
@@ -105,22 +106,23 @@ def mms_prefix_oracle(ranking, active) -> int:
     raise AssertionError("active set not contained in the ranking")
 
 
-def irls_oracle(b, targets, config):
+def irls_oracle(b, targets):
     """Smoothed IRLS of each row of ``targets`` on ``b``, one target at a
     time with the textbook step ``weights = 1/sqrt((w - b c)^2 + eps^2)``
-    and the weighted design formed by broadcasting; returns (coefs,
+    and the weighted design formed by broadcasting, under the settings
+    ``spline._EPSILON``, ``_TOL`` and ``_MAX_ITER``; returns (coefs,
     iterations, converged, ridged) like ``spline._irls``."""
     m, k = targets.shape[0], b.shape[1]
     coefs = np.empty((m, k))
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     ridged = np.zeros(m, dtype=bool)
-    eps_sq = config.epsilon ** 2
+    eps_sq = spline._EPSILON ** 2
     for i in range(m):
         w = np.ascontiguousarray(targets[i])[None, :, None]
         coef, rid = _solve_normal_equations((b.T @ b)[None], b.T @ w)
         ridged[i] = rid[0]
-        for it in range(1, config.max_iter + 1):
+        for it in range(1, spline._MAX_ITER + 1):
             weights = 1.0 / np.sqrt((w - b @ coef) ** 2 + eps_sq)
             bwt = (b * weights).transpose(0, 2, 1)
             new, rid = _solve_normal_equations(bwt @ b, bwt @ w)
@@ -128,7 +130,7 @@ def irls_oracle(b, targets, config):
             step = np.max(np.abs(new - coef))
             coef = new
             iterations[i] = it
-            if step < config.tol:
+            if step < spline._TOL:
                 converged[i] = True
                 break
         coefs[i] = coef[0, :, 0]

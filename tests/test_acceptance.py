@@ -20,7 +20,6 @@ from rankscreen.rc_screen import (
 from rankscreen.rpc_screen import residualize, rpc_utility
 from rankscreen.simgen import make_scenario
 from rankscreen.spline import (
-    LadConfig,
     basis_build,
     design_matrix,
     fit_l1,
@@ -198,7 +197,7 @@ def test_criterion_9_invariance_suite():
     # L1 objective no worse than the L2 solution's
     w_heavy = np.sin(2 * np.pi * z) + np.tan(np.pi * (rng.random(300) - 0.5))
     l2h = fit_l2(basis, z, w_heavy)
-    l1h = fit_l1(basis, z, w_heavy, LadConfig())
+    l1h = fit_l1(basis, z, w_heavy)
     gap = (l1_objective(basis, l1h.coef, z, w_heavy)
            - l1_objective(basis, l2h.coef, z, w_heavy))
     if gap > 1e-6:

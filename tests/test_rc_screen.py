@@ -117,7 +117,7 @@ class TestRcUtility:
 
 
 def _assert_bootstrap_matches_formed(y, x, n_boot, seed):
-    take_a = _rademacher_matrix(seed, y.size, n_boot) > 0
+    take_a = _rademacher_matrix(seed, y.size, n_boot)
     iota = np.where(take_a, 1.0, -1.0)
     formed = np.column_stack([x, x.mean() + iota * (x - x.mean())[:, None]])
     dev = x - x.mean()
@@ -176,7 +176,7 @@ class TestRcUtilitiesBatch:
         res = wild_bootstrap_test(y, x, n_boot=n_boot, alpha=0.1, seed=seed)
         assert res.statistic == rc_utility(y, x)
         # replicates: each sign-flipped column on its own
-        iota = _rademacher_matrix(seed, 90, n_boot)
+        iota = np.where(_rademacher_matrix(seed, 90, n_boot), 1.0, -1.0)
         boot = rc_utilities(y, x.mean() + iota * (x - x.mean())[:, None])
         k = int(np.ceil((1.0 - 0.1) * n_boot - 1e-9))
         assert res.critical_value == np.partition(boot, k - 1)[k - 1]
@@ -220,7 +220,7 @@ class TestRcUtilitiesBatch:
         y = rng.integers(0, 3, size=n).astype(float)
         x = rng.standard_normal(n)
         x[1::3] = 1.0
-        take_a = _rademacher_matrix(width, n, 300) > 0
+        take_a = _rademacher_matrix(width, n, 300)
         whole = _bootstrap_utilities(y, x, take_a)
         monkeypatch.setattr(empirical, "_CELLS", n * width)
         assert _bootstrap_utilities(y, x, take_a).tobytes() == whole.tobytes()

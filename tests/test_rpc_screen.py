@@ -9,6 +9,7 @@ from rankscreen.rpc_screen import (
     rpc_screen,
     rpc_utility,
 )
+from rankscreen import spline
 from rankscreen.simgen import make_scenario, simulate
 from rankscreen.spline import (
     BasisConfig,
@@ -290,6 +291,21 @@ class TestRpcScreen:
         e_x = rng.standard_normal(100)
         base = rpc_utility(e_y, e_x)
         assert rpc_utility(np.exp(e_y), e_x ** 3) == base
+
+    def test_iteration_cap_reaches_residualize_and_rpc_screen(
+            self, monkeypatch):
+        # the IRLS round cap is read at call time: a patched cap of 1 stops
+        # every L1 fit after one round and changes the screen's utilities
+        sim = simulate(make_scenario("E4", n=120, p=20, r2=0.3,
+                                     error="cauchy3"), seed=2).dataset
+        default = rpc_screen(sim, loss="l1")
+        monkeypatch.setattr(spline, "_MAX_ITER", 1)
+        res = residualize(sim, loss="l1")
+        assert res.diagnostics["iterations"] == [1] * (sim.p + 1)
+        capped = rpc_screen(sim, loss="l1")
+        assert np.array_equal(capped.utilities,
+                              rc_utilities(res.eps_y, res.eps_x))
+        assert not np.array_equal(capped.utilities, default.utilities)
 
     def test_basis_config_is_honored(self):
         rng = np.random.default_rng(17)

@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
+from rankscreen import spline
 from rankscreen.errors import InvalidInput, OutOfSupport, SingularDesign
 from rankscreen.spline import (
     BasisConfig,
-    LadConfig,
     SplineBasis,
     basis_build,
     basis_eval,
@@ -218,23 +216,27 @@ class TestFitL1:
         med2 = np.median(np.abs(w - predict(f2, z)))
         assert med1 <= med2
 
-    def test_objective_monotone_under_smoothing(self, uniform_basis):
+    def test_objective_monotone_under_smoothing(self, monkeypatch,
+                                                uniform_basis):
         # the smoothed objective never increases from the L2 start through
         # the iterates, read off as the fits capped at 1, 2, ... iterations
         z, basis = uniform_basis
         rng = np.random.default_rng(7)
         w = np.cos(4 * z) + rng.standard_normal(z.size)
         b = design_matrix(basis, z)
-        eps_sq = LadConfig().epsilon ** 2
+        eps_sq = spline._EPSILON ** 2
 
         def smoothed(coef):
             r = w - b @ coef
             return float(np.mean(np.sqrt(r * r + eps_sq)))
 
+        def capped_fit(t):
+            monkeypatch.setattr(spline, "_MAX_ITER", t)
+            return fit_l1(basis, z, w)
+
         steps = fit_l1(basis, z, w).iterations
         hist = [smoothed(fit_l2(basis, z, w).coef)]
-        hist += [smoothed(fit_l1(basis, z, w, LadConfig(max_iter=t)).coef)
-                 for t in range(1, steps + 1)]
+        hist += [smoothed(capped_fit(t).coef) for t in range(1, steps + 1)]
         assert len(hist) >= 2
         assert all(hist[i + 1] <= hist[i] + 1e-10 for i in range(len(hist) - 1))
 
@@ -256,36 +258,12 @@ class TestFitL1:
         assert np.abs(predict(scaled, z)
                       - (-2.0 * predict(base, z) + 5.0)).max() <= 1e-4
 
-    def test_lad_config_fields(self):
-        assert [f.name for f in dataclasses.fields(LadConfig)] == [
-            "epsilon", "tol", "max_iter"]
-
-    @pytest.mark.parametrize("field, value", [
-        ("epsilon", float("nan")),
-        ("epsilon", float("inf")),
-        ("epsilon", 0.0),
-        ("epsilon", 1e-200),  # its square underflows to 0
-        ("tol", float("nan")),
-        ("tol", float("inf")),
-        ("tol", -1.0),
-        ("max_iter", 2.5),
-        ("max_iter", 0),
-        ("max_iter", True),
-    ])
-    def test_lad_config_rejects_invalid_settings(self, field, value):
-        with pytest.raises(InvalidInput, match=field):
-            LadConfig(**{field: value})
-
-    @pytest.mark.parametrize("kwargs", [
-        {"tol": 0.0}, {"max_iter": np.int64(5)}, {"epsilon": 1e-150}])
-    def test_lad_config_accepts_edge_settings(self, kwargs):
-        LadConfig(**kwargs)
-
-    def test_nonconvergence_flag_not_error(self, uniform_basis):
+    def test_nonconvergence_flag_not_error(self, monkeypatch, uniform_basis):
         z, basis = uniform_basis
         rng = np.random.default_rng(10)
         w = np.tan(np.pi * (rng.random(z.size) - 0.5))
-        fit = fit_l1(basis, z, w, LadConfig(max_iter=1))
+        monkeypatch.setattr(spline, "_MAX_ITER", 1)
+        fit = fit_l1(basis, z, w)
         assert not fit.converged
         assert fit.iterations == 1
 
@@ -310,16 +288,16 @@ class TestIrlsStep:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_reference_loop_bitwise(self, n, seed):
         b, targets = self._design(n, seed, ridge=False)
-        got = _irls(b, targets, LadConfig())
-        want = irls_oracle(b, targets, LadConfig())
+        got = _irls(b, targets)
+        want = irls_oracle(b, targets)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
 
     def test_ridged_case_matches_reference_loop_bitwise(self):
         b, targets = self._design(200, 1, ridge=True)
-        got = _irls(b, targets, LadConfig())
-        want = irls_oracle(b, targets, LadConfig())
+        got = _irls(b, targets)
+        want = irls_oracle(b, targets)
         assert 0 < got[3].sum() < got[3].size
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()

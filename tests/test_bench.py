@@ -15,7 +15,7 @@ from rankscreen.dataset import Dataset
 from rankscreen.errors import HarnessError, InvalidInput
 from rankscreen.rc_screen import rc_screen
 from rankscreen.report import SCHEMA_VERSION, TopD
-from rankscreen.simgen import SimDataset, make_scenario
+from rankscreen.simgen import SimDataset, make_scenario, simulate
 
 from oracles import mms_prefix_oracle
 
@@ -120,6 +120,23 @@ class TestRunReplications:
         method = report.per_method[0]
         assert method.proportion == 1.0
         assert method.median_mms <= report.d_n
+
+    def test_medians_of_replicate_ranks(self):
+        # an even replication count: a median is the mean of the two middle
+        # values, per active covariate and for the MMS
+        sc = make_scenario("E1", n=50, p=60)
+        report = run_replications(sc, ["rc"], 4, base_seed=8)
+        ranks = []
+        for r in range(4):
+            sim = simulate(sc, np.random.SeedSequence([8, r]))
+            ranks.append(rc_screen(sim.dataset, TopD(5)).ranks()[sim.active])
+        ranks = np.array(ranks, dtype=float)
+        method = report.per_method[0]
+        want = [float(np.mean(np.sort(col)[1:3])) for col in ranks.T]
+        assert method.median_ranks == want
+        mms_sorted = np.sort(ranks.max(axis=1))
+        assert method.mms_values.tolist() == ranks.max(axis=1).tolist()
+        assert method.median_mms == float(np.mean(mms_sorted[1:3]))
 
     def test_scenario_echo_and_json(self):
         sc = make_scenario("E1", n=50, p=60)

@@ -100,6 +100,17 @@ class TestWildBootstrap:
         assert not np.array_equal(other, first)
         assert np.array_equal(_rademacher_matrix(3, 20, 8), first)
 
+    def test_rademacher_mask_columns_are_child_stream_draws(self):
+        # column d is True where the d-th child stream of SeedSequence(seed)
+        # draws +1, so a replicate's signs depend only on the seed and d
+        mask = _rademacher_matrix(11, 30, 6)
+        assert mask.shape == (30, 6)
+        for d, child in enumerate(np.random.SeedSequence(11).spawn(6)):
+            gen = np.random.Generator(np.random.Philox(child))
+            assert np.array_equal(mask[:, d],
+                                  gen.integers(0, 2, size=30) == 1)
+        assert np.array_equal(_rademacher_matrix(11, 30, 9)[:, :6], mask)
+
     def test_fixed_seed_bit_identical(self):
         rng = np.random.default_rng(4)
         y = rng.standard_normal(80)

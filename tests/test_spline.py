@@ -303,6 +303,89 @@ class TestIrlsStep:
             assert g.tobytes() == w.tobytes()
 
 
+class TestIrlsSettings:
+    """The smoothed-IRLS settings are the module constants `_EPSILON`,
+    `_TOL` and `_MAX_ITER`, read at each call."""
+
+    @staticmethod
+    def _data(seed=11):
+        # converges in 51 rounds under the default settings
+        rng = np.random.default_rng(seed)
+        z = rng.random(200)
+        w = np.sin(2 * np.pi * z) + rng.standard_normal(z.size)
+        return z, basis_build(z, degree=3, n_basis=6), w
+
+    def test_documented_values(self):
+        assert (spline._EPSILON, spline._TOL, spline._MAX_ITER) == (
+            1e-6, 1e-8, 200)
+
+    @pytest.mark.parametrize("settings", [
+        {"_TOL": 0.0, "_MAX_ITER": 20},
+        {"_MAX_ITER": np.int64(5)},
+        {"_MAX_ITER": 1},
+        {"_EPSILON": 1e-150},  # its square is still a normal float
+        {"_EPSILON": 1e-2},
+        {"_TOL": 1e-3},
+    ], ids=["tol-zero", "cap-int64", "cap-one", "eps-tiny", "eps-large",
+            "tol-loose"])
+    def test_patched_settings_match_reference_loop_bitwise(self, monkeypatch,
+                                                           settings):
+        b, targets = TestIrlsStep._design(200, 1, ridge=False)
+        for name, value in settings.items():
+            monkeypatch.setattr(spline, name, value)
+        got = _irls(b, targets)
+        want = irls_oracle(b, targets)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        assert got[1].max() <= spline._MAX_ITER
+        if spline._TOL == 0.0:
+            # no step is below a zero tolerance: every target hits the cap
+            assert not got[2].any()
+            assert (got[1] == spline._MAX_ITER).all()
+
+    def test_infinite_tolerance_stops_after_one_round(self, monkeypatch):
+        z, basis, w = self._data()
+        monkeypatch.setattr(spline, "_TOL", float("inf"))
+        fit = fit_l1(basis, z, w)
+        assert fit.iterations == 1
+        assert fit.converged
+
+    def test_large_epsilon_gives_the_least_squares_fit(self, monkeypatch):
+        # with eps far above every residual the weights are all ~1/eps, so
+        # each weighted step is the least-squares solution again
+        z, basis, w = self._data()
+        monkeypatch.setattr(spline, "_EPSILON", 1e12)
+        fit = fit_l1(basis, z, w)
+        assert fit.converged
+        assert np.abs(fit.coef - fit_l2(basis, z, w).coef).max() <= 1e-8
+        monkeypatch.undo()
+        assert np.abs(fit_l1(basis, z, w).coef - fit.coef).max() > 1e-3
+
+    @pytest.mark.parametrize("extra", [0, 1, 50])
+    def test_cap_at_or_above_convergence_leaves_fit_unchanged(
+            self, monkeypatch, extra):
+        z, basis, w = self._data()
+        base = fit_l1(basis, z, w)
+        assert base.converged
+        monkeypatch.setattr(spline, "_MAX_ITER", base.iterations + extra)
+        fit = fit_l1(basis, z, w)
+        assert fit.converged and fit.iterations == base.iterations
+        assert fit.coef.tobytes() == base.coef.tobytes()
+
+    @pytest.mark.parametrize("short", [1, 2, 3])
+    def test_cap_below_convergence_stops_unconverged(self, monkeypatch,
+                                                     short):
+        z, basis, w = self._data()
+        base = fit_l1(basis, z, w)
+        assert base.iterations > short
+        monkeypatch.setattr(spline, "_MAX_ITER", base.iterations - short)
+        fit = fit_l1(basis, z, w)
+        assert not fit.converged
+        assert fit.iterations == base.iterations - short
+        assert fit.coef.tobytes() != base.coef.tobytes()
+
+
 class TestPredict:
     def test_matches_per_point_basis_eval(self, uniform_basis):
         z, basis = uniform_basis

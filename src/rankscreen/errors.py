@@ -12,8 +12,10 @@ class InvalidInput(RankscreenError):
 
 
 class SingularDesign(RankscreenError):
-    """Spline design matrix is numerically rank deficient; ``target`` is the
-    index of the failing fit when a stack of fits is solved together."""
+    """Spline design matrix is numerically rank deficient, or an exact
+    absolute-loss fit breaks down (its arithmetic overflows, or no vertex is
+    certified within its pivot bound); ``target`` is the index of the
+    failing fit when a stack of fits is solved together."""
 
     target: int | None = None
 

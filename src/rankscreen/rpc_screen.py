@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
+from .empirical import _chunk_width
 from .errors import InvalidInput, SingularDesign
 from .rc_screen import rc_utilities, rc_utility
 from .report import Selection, ScreeningReport, build_report
@@ -17,7 +18,7 @@ from .spline import (
     BasisConfig,
     SplineBasis,
     _fit_l2,
-    _irls,
+    _lad,
     basis_build,
     design_matrix,
 )
@@ -48,9 +49,12 @@ class ResidualMatrix:
     basis : SplineBasis or None
         The shared basis; None when the degenerate centering fallback ran.
     diagnostics : dict
-        Per-fit iteration counts, convergence flags and ridge flags
-        (``"iterations"``, ``"converged"``, ``"ridged"``; response first)
-        for the L1 loss.
+        For the L1 loss, one list per key, response first: ``"iterations"``
+        (simplex pivots from the starting basis), ``"converged"`` (the
+        optimality certificate passed: always True, since an uncertified fit
+        raises), ``"ridged"`` (the least-squares start needed the ridge) and
+        ``"degenerate"`` (some ``|u_j| = 1`` within tolerance, so the
+        optimum may not be unique).
     """
 
     eps_y: np.ndarray
@@ -75,15 +79,30 @@ def _center_fallback(dataset: Dataset, loss: str) -> ResidualMatrix:
     return ResidualMatrix(eps_y=eps_y, eps_x=eps_x, loss=loss, basis=None)
 
 
+def _target_rows(dataset: Dataset, lo: int, hi: int) -> np.ndarray:
+    """Targets ``lo:hi`` (0 is the response, j the covariate j - 1) as the
+    contiguous rows of an (hi - lo, n) array."""
+    rows = np.empty((hi - lo, dataset.n))
+    first = max(lo, 1)
+    if lo == 0:
+        rows[0] = dataset.y
+    rows[first - lo:] = dataset.x[:, first - 1:hi - 1].T
+    return rows
+
+
 def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
                 loss: str = "l2") -> ResidualMatrix:
     """Fit one spline per target (response and each covariate) on the
     exposure and return observed minus fitted at the training points.
 
     The same basis, with knots from the exposure sample, is reused across
-    all ``p + 1`` regressions, which run as one batch: the squared-loss fits
-    are the start of the absolute-loss IRLS.  Every residual column equals
-    the target minus `predict` of its own `fit_l2` or `fit_l1`, bit for bit.
+    all ``p + 1`` regressions.  They run in batches of consecutive targets,
+    `empirical._chunk_width` (n) wide, so the working arrays beyond the
+    result stay O(n * width) whatever p is: the squared-loss fits share one
+    gram, and the absolute-loss fits are exact LAD vertices started from
+    them.  Each target's fit is its own, so every residual column equals
+    the target minus `predict` of its own `fit_l2` or `fit_l1`, bit for
+    bit, whatever the batch.
     """
     if dataset.z is None:
         raise InvalidInput("dataset has no exposure column to residualize on")
@@ -97,26 +116,35 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
         return _center_fallback(dataset, loss)
     basis = basis_build(z, degree=basis_config.degree,
                         n_basis=basis_config.n_basis)
-    if dataset.n < basis.n_basis + 2:
+    n, m = dataset.n, dataset.p + 1
+    if n < basis.n_basis + 2:
         raise InvalidInput("need at least n_basis + 2 observations")
     b = design_matrix(basis, z)
-    targets = np.column_stack([dataset.y, dataset.x])
+    resid = np.empty((n, m))
+    fits = []
+    width = _chunk_width(n)
+    for lo in range(0, m, width):
+        w = _target_rows(dataset, lo, min(lo + width, m))
+        if loss == "l2":
+            # one gram for every target: a singular one is the design's fault
+            coefs, _ = _fit_l2(b, w[..., None])
+        else:
+            try:
+                coefs, *flags = _lad(b, w)
+            except SingularDesign as exc:
+                name = ([dataset.y_name] + dataset.x_names)[lo + exc.target]
+                raise SingularDesign(f"column '{name}': {exc}") from None
+            fits.append(flags)
+            coefs = coefs[..., None]
+        # one matrix-vector product per target, as `predict` forms it
+        resid[:, lo:lo + len(w)] = w.T - (b @ coefs)[..., 0].T
     diagnostics = {}
-    if loss == "l2":
-        # one gram for every target: a singular one is the design's fault
-        coefs, _ = _fit_l2(b, np.ascontiguousarray(targets.T)[..., None])
-    else:
-        try:
-            coefs, iterations, converged, ridged = _irls(b, targets.T)
-        except SingularDesign as exc:
-            name = ([dataset.y_name] + dataset.x_names)[exc.target]
-            raise SingularDesign(f"column '{name}': {exc}") from None
-        coefs = coefs[..., None]
-        diagnostics = {"iterations": iterations.tolist(),
-                       "converged": converged.tolist(),
-                       "ridged": ridged.tolist()}
-    # one matrix-vector product per target, as `predict` forms it
-    resid = targets - (b @ coefs)[..., 0].T
+    if fits:
+        pivots, ridged, degenerate = map(np.concatenate, zip(*fits))
+        diagnostics = {"iterations": pivots.tolist(),
+                       "converged": [True] * m,
+                       "ridged": ridged.tolist(),
+                       "degenerate": degenerate.tolist()}
     return ResidualMatrix(eps_y=resid[:, 0], eps_x=resid[:, 1:], loss=loss,
                           basis=basis, diagnostics=diagnostics)
 

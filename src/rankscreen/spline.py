@@ -3,13 +3,13 @@ squared-error or absolute-error loss.
 
 The basis is clamped (boundary knots repeated degree+1 times) with interior
 knots at equally spaced sample quantiles, so the functions are nonnegative
-and sum to one everywhere on the support.  The absolute-loss fit runs
-iteratively reweighted least squares on the smoothed objective
-``mean(sqrt(r^2 + eps^2))``, started from the squared-loss solution; the
-majorize-minimize structure makes the smoothed objective nonincreasing
-across iterations.  Its settings are the module constants `_EPSILON` (eps),
-`_TOL` (the coefficient-step tolerance) and `_MAX_ITER` (the round cap),
-read at each call.
+and sum to one everywhere on the support.  The absolute-loss fit is exact:
+least absolute deviation is a linear program, and `_exchange` walks its
+vertices by Barrodale-Roberts pivots (Barrodale & Roberts 1973; Koenker &
+d'Orey 1987, AS 229) from a nonsingular basis near the squared-loss
+solution, until the subgradient certificate ``max|u| <= 1`` proves the
+vertex optimal (Koenker 2005, Thm 2.1).  No iteration cap or smoothing
+enters the result: a fit is certified or raises SingularDesign.
 """
 
 from __future__ import annotations
@@ -37,10 +37,13 @@ __all__ = [
 
 _SUPPORT_RTOL = 1e-9
 
-# smoothed-IRLS settings of the absolute-loss fit
-_EPSILON = 1e-6
-_TOL = 1e-8
-_MAX_ITER = 200
+# Tolerances of the exact absolute-loss fit: the slack of its optimality
+# certificate (`_exchange`), and the relative size below which a residual,
+# a row's rate of change along a pivot's direction, or the part of a row
+# outside the span of the rows already kept for a start (`_start_basis`)
+# counts as zero.
+_CERT_TOL = 1e-9
+_ZERO_RTOL = 2.0 ** -30
 
 
 @dataclass(frozen=True)
@@ -232,64 +235,198 @@ def _fit_l2(b: np.ndarray, w: np.ndarray):
                                    b.T @ w)
 
 
-def _irls(b: np.ndarray, targets: np.ndarray):
-    """Smoothed-IRLS absolute-loss fits of the rows of ``targets`` (m, n) on
-    one design ``b`` (n, k), started from their `_fit_l2` solutions; returns
-    (coefs, iterations, converged, ridged).
+def _start_basis(b: np.ndarray, w: np.ndarray, coefs: np.ndarray):
+    """A nonsingular starting basis for each row of ``w`` (m, n): walking
+    the rows of ``b`` (n, k) by increasing absolute residual of the
+    least-squares ``coefs`` (m, k, 1), stable on ties, keep each row that
+    raises the rank, until k are kept.  A row raises the rank when more
+    than `_ZERO_RTOL` of its norm is left after projecting out the rows
+    kept so far (Gram-Schmidt, twice).  Returns the sorted row indices
+    (m, k); a target whose rows span fewer than k dimensions raises
+    SingularDesign with its index as ``target``."""
+    (m, n), k = w.shape, b.shape[1]
+    res = np.abs(w[..., None] - b @ coefs)[..., 0]
+    order = np.argsort(res, axis=1)
+    ordered = np.sort(res, axis=1)
+    tied = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)  # or NaN
+    order[tied] = np.argsort(res[tied], axis=1, kind="stable")
+    del res, ordered
+    basis = np.zeros((m, k), dtype=np.intp)
+    found = np.zeros(m, dtype=np.intp)
+    q = np.zeros((m, k, k))  # orthonormal rows kept so far, zero-padded
+    row_norms = np.linalg.norm(b, axis=1)
+    for s in range(n):
+        act = np.flatnonzero(found < k)
+        if act.size == 0:
+            return np.sort(basis, axis=1)
+        rows = order[act, s]
+        qa = q[act]
+        v = b[rows][..., None]
+        for _ in range(2):
+            v = v - qa.transpose(0, 2, 1) @ (qa @ v)
+        norm = np.linalg.norm(v[..., 0], axis=1)
+        keep = norm > _ZERO_RTOL * row_norms[rows]
+        i, pos = act[keep], found[act[keep]]
+        q[i, pos] = v[keep, :, 0] / norm[keep, None]
+        basis[i, pos] = rows[keep]
+        found[i] += 1
+    if (found == k).all():
+        return np.sort(basis, axis=1)
+    raise _fail("spline design is rank deficient; lower n_basis",
+                np.argmax(found < k))
 
-    The settings are read at each call.  At most `_MAX_ITER` rounds run, and
-    each solves only the targets still active: a target stops when its own
-    coefficient step drops below `_TOL`.  Every product is one
-    matrix-vector product per target on a contiguous row (a matrix-matrix
-    product or a strided row changes the last bits), so each target's
-    iterates are exactly those of a fit on its own.
 
-    The weights ``1/sqrt((w - b c)^2 + eps^2)``, with eps = `_EPSILON`, are
-    computed in place, one operation at a time in the order of that
-    expression, so they carry the expression's bits.  The weighted design
-    ``b * weights`` is formed as the weights repeated k times along each
-    row, multiplied in place by the flattened design: a broadcast of the
-    (a, n, 1) weights against b runs numpy's inner loop over only k elements
-    at a time.  The product is the same (a, n, k) C-order array, element for
-    element and stride for stride, so the gram and right-hand-side products
-    see byte-identical operands.  A contiguous (a, k, n) layout would be
-    faster still but changes those products' last bits.
+def _fail(message: str, target) -> SingularDesign:
+    """SingularDesign naming the index of the failing fit."""
+    exc = SingularDesign(message)
+    exc.target = int(target)
+    return exc
+
+
+def _exchange(b: np.ndarray, w: np.ndarray, basis: np.ndarray):
+    """Barrodale-Roberts vertex exchange for the absolute-loss fits of the
+    rows of ``w`` (m, n) on ``b`` (n, k), from the nonsingular bases
+    ``basis`` (m, k) of sorted row indices; returns (coefs (m, k), final
+    bases, pivots, degenerate).
+
+    A basis h interpolates its k rows, ``c = b[h]^-1 w[h]``, so the
+    residuals ``r = w - b c`` are 0 on h.  With the signs ``sigma`` of the
+    residuals, ``u = -(sigma^T b) b[h]^-1``, and the vertex is optimal when
+    ``max|u| <= 1`` (the subgradient condition, checked with slack
+    `_CERT_TOL`); it is degenerate, and its optimum may not be unique, when
+    some ``|u_j| >= 1 - _CERT_TOL``.  Otherwise position ``j = argmax|u|``
+    leaves and c moves along ``d = -sign(u_j) b[h]^-1 e_j``: the objective's
+    slope starts at ``1 - |u_j|`` and rises by ``2|b_i d|`` at each row
+    whose residual reaches 0, at ``t_i = r_i / (b_i d) >= 0``; the row where
+    the slope first reaches 0 (a weighted median of the t_i) enters.  Each
+    basis is kept sorted, so the coefficients are those of the final basis
+    alone.
+
+    Ties and zero residuals (within `_ZERO_RTOL` of the target's largest
+    absolute value) are resolved as if w were ``w + eps xi`` for an
+    infinitesimal eps and the fixed ``xi_i = frac(i phi)``, i = 1..n, with
+    phi the golden ratio: distinct values that, unlike a linear sequence,
+    lie in no spline space of the exposure.  Their residuals are
+    ``e = xi - b b[h]^-1 xi[h]``: a zero residual has the sign of ``e_i``,
+    and rows tied in t are ordered by ``e_i / (b_i d)``, then by index (a
+    stable sort).  That problem has no degenerate vertex, so every pivot
+    lowers its objective and no basis repeats; its certificate is one for w
+    too, since any sign of a zero residual is an admissible subgradient.  A
+    row whose ``|b_i d|`` is within `_ZERO_RTOL` of ``max|d|`` does not
+    move.
+
+    Each round handles the fits still active, with one matrix-vector
+    product per target on a contiguous row and one LAPACK call per basis, so
+    a target's pivots and bits are those of a fit on its own.  A fit still
+    uncertified after ``2n`` pivots, or whose arithmetic leaves the finite
+    floats, raises SingularDesign with its index as ``target``.
     """
-    (m, n), k = targets.shape, b.shape[1]
-    w = np.ascontiguousarray(targets)[..., None]  # rows of the active targets
-    coefs, ridged = _fit_l2(b, w)
-    iterations = np.zeros(m, dtype=int)
-    converged = np.zeros(m, dtype=bool)
+    (m, n), k = w.shape, b.shape[1]
+    basis = np.array(basis)  # pivots write it; the caller's stays as it was
+    coefs = np.empty((m, k))
+    final = np.empty_like(basis)
+    pivots = np.zeros(m, dtype=int)
+    degenerate = np.zeros(m, dtype=bool)
     active = np.arange(m)
-    eps_sq = _EPSILON ** 2
-    b_flat = np.ascontiguousarray(b).reshape(n * k)
-    for it in range(1, _MAX_ITER + 1):
-        a = active.size
-        weights = b @ coefs[active]
-        np.subtract(w, weights, out=weights)
-        np.square(weights, out=weights)
-        weights += eps_sq
-        np.sqrt(weights, out=weights)
-        np.reciprocal(weights, out=weights)
-        bwt = np.repeat(weights.reshape(a, n), k, axis=1)
-        del weights  # freed before the products: a lower peak RSS
-        bwt *= b_flat
-        bwt = bwt.reshape(a, n, k).transpose(0, 2, 1)
-        try:
-            new, rid = _solve_normal_equations(bwt @ b, bwt @ w)
-        except SingularDesign as exc:
-            exc.target = int(active[exc.target])
-            raise
-        ridged[active] |= rid
-        done = np.max(np.abs(new - coefs[active]), axis=(1, 2)) < _TOL
-        coefs[active] = new
-        iterations[active] = it
-        converged[active[done]] = True
-        if done.any():
-            active, w = active[~done], w[~done]
-        if active.size == 0:
-            break
-    return coefs[..., 0], iterations, converged, ridged
+    zero_tol = _ZERO_RTOL * np.abs(w).max(axis=1)[:, None]
+    xi = np.modf(np.arange(1, n + 1) * ((1.0 + 5.0 ** 0.5) / 2.0))[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for pivot in range(2 * n + 1):
+            bh = b[basis]
+            try:
+                c = np.linalg.solve(
+                    bh, np.take_along_axis(w, basis, 1)[..., None])
+                inv = np.linalg.inv(bh)
+            except np.linalg.LinAlgError:  # an exact zero pivot, as det's
+                singular = [np.linalg.det(g) == 0.0 for g in bh]
+                raise _fail("LAD basis is singular",
+                            active[singular.index(True)]) from None
+            r = (w[..., None] - b @ c)[..., 0]
+            finite = np.isfinite(r).all(axis=1)
+            if not finite.all():
+                raise _fail("LAD residuals are not finite",
+                            active[np.argmin(finite)])
+            np.put_along_axis(r, basis, 0.0, axis=1)
+            zero = np.abs(r) <= zero_tol
+            np.copyto(r, 0.0, where=zero)
+            sigma = np.sign(r)
+            lex = np.flatnonzero(zero.sum(axis=1) > k)
+            if lex.size:  # a zero residual off the basis takes e's sign
+                e = _tie_residuals(b, xi, inv[lex], basis[lex])
+                sigma[lex] += np.sign(e) * zero[lex]
+            u = -((b.T @ sigma[..., None]).transpose(0, 2, 1) @ inv)[:, 0]
+            abs_u = np.abs(u)
+            u_max = abs_u.max(axis=1)
+            done = u_max <= 1.0 + _CERT_TOL
+            if done.any():
+                i = active[done]
+                coefs[i], final[i] = c[done, :, 0], basis[done]
+                degenerate[i] = u_max[done] >= 1.0 - _CERT_TOL
+                if done.all():
+                    return coefs, final, pivots, degenerate
+                keep = ~done
+                active, w, basis, zero_tol = (active[keep], w[keep],
+                                              basis[keep], zero_tol[keep])
+                r, sigma, u, abs_u, inv = (r[keep], sigma[keep], u[keep],
+                                           abs_u[keep], inv[keep])
+            if pivot == 2 * n:
+                break
+            at = np.arange(active.size)
+            j = abs_u.argmax(axis=1)
+            d = -np.sign(u[at, j])[:, None] * inv[at, :, j]
+            bd = (b @ d[..., None])[..., 0]
+            np.put_along_axis(bd, basis, 0.0, axis=1)
+            block = ((np.abs(bd) > _ZERO_RTOL * np.abs(d).max(axis=1)[:, None])
+                     & (sigma == np.sign(bd)))
+            t = np.where(block, r / bd, np.inf)
+            del r, sigma
+            order = np.argsort(t, axis=1)
+            ts = np.sort(t, axis=1)
+            tied = np.flatnonzero(
+                ((ts[:, 1:] == ts[:, :-1]) & (ts[:, 1:] < np.inf)).any(axis=1))
+            if tied.size:  # order (t, e / bd, index)
+                e = _tie_residuals(b, xi, inv[tied], basis[tied])
+                order[tied] = np.lexsort((e / bd[tied], t[tied]), axis=1)
+            del t
+            slope = np.abs(bd, out=bd)
+            slope *= block
+            del block
+            slope = np.take_along_axis(slope, order, axis=1)
+            np.cumsum(slope, axis=1, out=slope)
+            reach = slope >= (0.5 * (abs_u[at, j] - 1.0))[:, None]
+            del slope
+            q = reach.argmax(axis=1)
+            found = reach[at, q] & (ts[at, q] < np.inf)
+            if not found.all():
+                raise _fail("LAD line search found no minimum",
+                            active[np.argmin(found)])
+            del ts
+            basis[at, j] = order[at, q]
+            basis.sort(axis=1)
+            pivots[active] += 1
+    raise _fail(f"LAD fit not certified within {2 * n} pivots", active[0])
+
+
+def _tie_residuals(b, xi, inv, basis):
+    """Residuals ``e = xi - b b[h]^-1 xi[h]`` of the tie-breaking values at
+    each basis h of ``basis`` (a, k), given the inverses ``inv``; 0 on h."""
+    e = xi - (b @ (inv @ xi[basis][..., None]))[..., 0]
+    np.put_along_axis(e, basis, 0.0, axis=1)
+    return e
+
+
+def _lad(b: np.ndarray, w: np.ndarray):
+    """Exact absolute-loss fits of the rows of ``w`` (m, n) on ``b`` (n, k),
+    by `_exchange` from `_start_basis` of their `_fit_l2` solutions; returns
+    (coefs (m, k), pivots, ridged, degenerate), where ``ridged`` flags a
+    least-squares start that needed the ridge.  Arithmetic that overflows
+    is detected, not warned about, and raises SingularDesign."""
+    w = np.ascontiguousarray(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start, ridged = _fit_l2(b, w[..., None])
+        basis = _start_basis(b, w, start)
+    coefs, _, pivots, degenerate = _exchange(b, w, basis)
+    return coefs, pivots, ridged, degenerate
 
 
 def fit_l2(basis: SplineBasis, z_col, w_col) -> SplineFit:
@@ -310,21 +447,21 @@ def l1_objective(basis: SplineBasis, coef: np.ndarray, z_col, w_col) -> float:
 
 
 def fit_l1(basis: SplineBasis, z_col, w_col) -> SplineFit:
-    """Least-absolute-deviation spline fit by smoothed IRLS.
+    """Least-absolute-deviation spline fit, exact: a vertex of the LAD
+    linear program that passes the optimality certificate.
 
-    Starts from the squared-loss solution and iterates weighted
-    least squares with weights ``1/sqrt(r^2 + eps^2)``, eps = `_EPSILON`,
-    until the coefficient change drops below `_TOL` or `_MAX_ITER` rounds
-    have run.  Non-convergence is reported through the ``converged`` flag,
-    not an error.  The returned fit's exact L1 objective never exceeds the
-    squared-loss solution's L1 objective by more than eps.
+    Starts from the k rows with the smallest least-squares residuals that
+    keep the basis nonsingular and exchanges one row at a time
+    (Barrodale-Roberts) until ``max|u| <= 1`` certifies the vertex; see
+    `_exchange`.  ``iterations`` counts the exchanges (pivots), ``converged``
+    is always True (an uncertified fit raises SingularDesign instead), and
+    ``ridged`` flags a least-squares start that needed the ridge.
     """
     z, w = as_finite_pair(z_col, w_col, ("z_col", "w_col"))
     b = design_matrix(basis, z)
-    coefs, iterations, converged, ridged = _irls(b, w[None])
+    coefs, pivots, ridged, _ = _lad(b, w[None])
     return SplineFit(basis=basis, coef=coefs[0], loss="l1",
-                     iterations=int(iterations[0]),
-                     converged=bool(converged[0]), ridged=bool(ridged[0]))
+                     iterations=int(pivots[0]), ridged=bool(ridged[0]))
 
 
 def predict(fit: SplineFit, z_col) -> np.ndarray:

@@ -4,18 +4,15 @@ paths.
 Every count here is derived by explicit enumeration (nested Python loops),
 independently of the sorted sweeps and the shared counting kernel under
 test.  The final floating-point expressions mirror the library's documented
-formulas so exact equality is well defined.  `irls_oracle` is the exception:
-it is the plain IRLS step, one target at a time, through the library's
-normal-equation solver, so that the batched fit can be checked against it
-bit for bit.
+formulas so exact equality is well defined.  The two LAD oracles return an
+optimal absolute-loss objective instead: `lad_oracle` by trying every
+k-subset of a tiny design, `lad_linprog` by an independent LP solver.
 """
 
+import itertools
 import math
 
 import numpy as np
-
-from rankscreen import spline
-from rankscreen.spline import _solve_normal_equations
 
 
 def ecdf_count_oracle(sample, t) -> int:
@@ -106,32 +103,34 @@ def mms_prefix_oracle(ranking, active) -> int:
     raise AssertionError("active set not contained in the ranking")
 
 
-def irls_oracle(b, targets):
-    """Smoothed IRLS of each row of ``targets`` on ``b``, one target at a
-    time with the textbook step ``weights = 1/sqrt((w - b c)^2 + eps^2)``
-    and the weighted design formed by broadcasting, under the settings
-    ``spline._EPSILON``, ``_TOL`` and ``_MAX_ITER``; returns (coefs,
-    iterations, converged, ridged) like ``spline._irls``."""
-    m, k = targets.shape[0], b.shape[1]
-    coefs = np.empty((m, k))
-    iterations = np.zeros(m, dtype=int)
-    converged = np.zeros(m, dtype=bool)
-    ridged = np.zeros(m, dtype=bool)
-    eps_sq = spline._EPSILON ** 2
-    for i in range(m):
-        w = np.ascontiguousarray(targets[i])[None, :, None]
-        coef, rid = _solve_normal_equations((b.T @ b)[None], b.T @ w)
-        ridged[i] = rid[0]
-        for it in range(1, spline._MAX_ITER + 1):
-            weights = 1.0 / np.sqrt((w - b @ coef) ** 2 + eps_sq)
-            bwt = (b * weights).transpose(0, 2, 1)
-            new, rid = _solve_normal_equations(bwt @ b, bwt @ w)
-            ridged[i] |= rid[0]
-            step = np.max(np.abs(new - coef))
-            coef = new
-            iterations[i] = it
-            if step < spline._TOL:
-                converged[i] = True
-                break
-        coefs[i] = coef[0, :, 0]
-    return coefs, iterations, converged, ridged
+def lad_oracle(b, w) -> float:
+    """Least absolute deviation of ``w`` on the (n, k) design ``b`` by
+    enumeration: some optimum interpolates k rows of a full-rank design, so
+    the least ``sum |w - b c|`` over the c that interpolate a nonsingular
+    k-subset of the rows is the optimum."""
+    n, k = b.shape
+    best = math.inf
+    for rows in itertools.combinations(range(n), k):
+        sub = b[list(rows)]
+        if np.linalg.matrix_rank(sub) < k:
+            continue
+        c = np.linalg.solve(sub, w[list(rows)])
+        best = min(best, float(np.abs(w - b @ c).sum()))
+    return best
+
+
+def lad_linprog(b, w) -> float:
+    """The same optimum from the linear program ``min sum(r+ + r-)`` subject
+    to ``b c + r+ - r- = w``, ``r+, r- >= 0``, solved by HiGHS: the
+    objective ``sum |w - b c|`` of its c, which stays exact when an
+    ill-conditioned b makes the solver's own slacks inexact."""
+    from scipy.optimize import linprog
+
+    n, k = b.shape
+    eye = np.eye(n)
+    res = linprog(np.r_[np.zeros(k), np.ones(2 * n)],
+                  A_eq=np.hstack([b, eye, -eye]), b_eq=w,
+                  bounds=[(None, None)] * k + [(0, None)] * (2 * n),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(np.abs(w - b @ res.x[:k]).sum())

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rankscreen import empirical
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput, SingularDesign
 from rankscreen.rc_screen import rc_screen, rc_utilities, robust_corr
@@ -9,7 +12,6 @@ from rankscreen.rpc_screen import (
     rpc_screen,
     rpc_utility,
 )
-from rankscreen import spline
 from rankscreen.simgen import make_scenario, simulate
 from rankscreen.spline import (
     BasisConfig,
@@ -110,12 +112,15 @@ class TestResidualize:
         ds = Dataset(y=z + rng.standard_normal(60),
                      x=rng.standard_normal((60, 3)), z=z)
         res = residualize(ds, loss="l1")
-        assert len(res.diagnostics["iterations"]) == 4  # response + 3 columns
-        assert all(isinstance(c, bool) for c in res.diagnostics["converged"])
-        assert all(isinstance(r, bool) for r in res.diagnostics["ridged"])
-        assert len(res.diagnostics["ridged"]) == 4
-        # stalling short of the coefficient tolerance is reported, not raised
-        assert all(i >= 1 for i in res.diagnostics["iterations"])
+        assert set(res.diagnostics) == {"iterations", "converged", "ridged",
+                                        "degenerate"}
+        for key in ("converged", "ridged", "degenerate"):
+            assert len(res.diagnostics[key]) == 4  # response + 3 columns
+            assert all(isinstance(f, bool) for f in res.diagnostics[key])
+        # every fit is certified: an uncertified one raises instead
+        assert res.diagnostics["converged"] == [True] * 4
+        assert all(isinstance(i, int) and 0 <= i <= 2 * 60
+                   for i in res.diagnostics["iterations"])
 
 
 class TestBatchedSolver:
@@ -164,28 +169,67 @@ class TestBatchedSolver:
             residualize(ds, basis_config=config, loss="l2")
         assert str(from_residualize.value) == str(from_fit.value)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_l1_singular_names_the_column(self):
+    def test_l1_scaled_column_has_scaled_residuals(self):
+        # LAD is scale-equivariant: a column times 1e200 takes the same
+        # pivots, and its residuals are 1e200 times the column's
         rng = np.random.default_rng(9)
         z = rng.random(80)
-        x = rng.standard_normal((80, 3))
-        x[:, 1] *= 1e200
-        ds = Dataset(y=rng.standard_normal(80), x=x, z=z,
-                     x_names=["a", "b", "c"])
-        with pytest.raises(SingularDesign, match=r"column 'b'"):
-            residualize(ds, loss="l1")
+        base = rng.standard_normal(80)
+        ds = Dataset(y=rng.standard_normal(80),
+                     x=np.column_stack([base, base * 1e200]), z=z)
+        res = residualize(ds, loss="l1")
+        assert res.diagnostics["iterations"][1] == \
+            res.diagnostics["iterations"][2]
+        scale = 1e200 * np.abs(base).max()
+        assert np.abs(res.eps_x[:, 1]
+                      - 1e200 * res.eps_x[:, 0]).max() <= 1e-14 * scale
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_l1_singular_named_after_other_fits_converge(self):
-        # the response is in the spline space and converges at once; the
-        # scaled Cauchy column passes its first IRLS step and fails later
+    @pytest.mark.parametrize("position", [1, 100])
+    def test_l1_overflowing_column_is_named(self, monkeypatch, position):
+        # values near +-1.5e308: the residual arithmetic overflows; with
+        # 64-target slices, position 100 fails in the second slice
+        monkeypatch.setattr(empirical, "_CELLS", 1)
         rng = np.random.default_rng(4)
         z = rng.random(40)
-        bad = rng.standard_cauchy(40) * 1e150
-        x = np.column_stack([rng.standard_normal(40), bad])
-        ds = Dataset(y=1.0 + z, x=x, z=z, x_names=["a", "b"])
-        with pytest.raises(SingularDesign, match=r"column 'b'"):
+        x = rng.standard_normal((40, 120))
+        x[:, position] = 1.5e308 * np.sign(rng.standard_normal(40))
+        names = [f"v{j}" for j in range(120)]
+        ds = Dataset(y=1.0 + z, x=x, z=z, x_names=names)
+        with pytest.raises(SingularDesign,
+                           match=rf"column 'v{position}': .*not finite"):
             residualize(ds, loss="l1")
+
+    @pytest.mark.parametrize("loss", ["l1", "l2"])
+    def test_slices_are_byte_identical_to_one_batch(self, monkeypatch, loss):
+        sim = simulate(make_scenario("E4", n=203, p=150, r2=0.3,
+                                     error="cauchy3"), seed=5).dataset
+        whole = residualize(sim, loss=loss)
+        monkeypatch.setattr(empirical, "_CELLS", 1)  # 64-target slices
+        assert empirical._chunk_width(sim.n) == 64
+        sliced = residualize(sim, loss=loss)
+        assert sliced.eps_y.tobytes() == whole.eps_y.tobytes()
+        assert sliced.eps_x.tobytes() == whole.eps_x.tobytes()
+        assert sliced.diagnostics == whole.diagnostics
+
+    def test_l1_traced_peak_independent_of_p(self):
+        # numpy reports its buffers to tracemalloc; the residuals aside,
+        # the fits hold one slice's arrays, not arrays as large as x
+        rng = np.random.default_rng(9)
+        n = 300
+        z = rng.random(n)
+        extra = {}
+        for p in (800, 3200):
+            ds = Dataset(y=rng.standard_normal(n),
+                         x=np.asfortranarray(rng.standard_normal((n, p))),
+                         z=z)
+            tracemalloc.start()
+            try:
+                residualize(ds, loss="l1")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra[p] = peak - 8 * n * (p + 1)
+        assert extra[3200] < 1.1 * extra[800]
 
 
 class TestRobustPartialCorr:
@@ -292,20 +336,15 @@ class TestRpcScreen:
         base = rpc_utility(e_y, e_x)
         assert rpc_utility(np.exp(e_y), e_x ** 3) == base
 
-    def test_iteration_cap_reaches_residualize_and_rpc_screen(
-            self, monkeypatch):
-        # the IRLS round cap is read at call time: a patched cap of 1 stops
-        # every L1 fit after one round and changes the screen's utilities
+    def test_l1_screen_ranks_certified_residuals(self):
         sim = simulate(make_scenario("E4", n=120, p=20, r2=0.3,
                                      error="cauchy3"), seed=2).dataset
-        default = rpc_screen(sim, loss="l1")
-        monkeypatch.setattr(spline, "_MAX_ITER", 1)
         res = residualize(sim, loss="l1")
-        assert res.diagnostics["iterations"] == [1] * (sim.p + 1)
-        capped = rpc_screen(sim, loss="l1")
-        assert np.array_equal(capped.utilities,
+        assert res.diagnostics["converged"] == [True] * (sim.p + 1)
+        assert max(res.diagnostics["iterations"]) <= 2 * sim.n
+        report = rpc_screen(sim, loss="l1")
+        assert np.array_equal(report.utilities,
                               rc_utilities(res.eps_y, res.eps_x))
-        assert not np.array_equal(capped.utilities, default.utilities)
 
     def test_basis_config_is_honored(self):
         rng = np.random.default_rng(17)

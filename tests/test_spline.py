@@ -12,12 +12,14 @@ from rankscreen.spline import (
     fit_l1,
     fit_l2,
     l1_objective,
-    _irls,
     predict,
+    _exchange,
+    _lad,
+    _start_basis,
 )
 from rankscreen.simgen import make_scenario, simulate
 
-from oracles import irls_oracle
+from oracles import lad_linprog, lad_oracle
 
 
 @pytest.fixture
@@ -216,30 +218,6 @@ class TestFitL1:
         med2 = np.median(np.abs(w - predict(f2, z)))
         assert med1 <= med2
 
-    def test_objective_monotone_under_smoothing(self, monkeypatch,
-                                                uniform_basis):
-        # the smoothed objective never increases from the L2 start through
-        # the iterates, read off as the fits capped at 1, 2, ... iterations
-        z, basis = uniform_basis
-        rng = np.random.default_rng(7)
-        w = np.cos(4 * z) + rng.standard_normal(z.size)
-        b = design_matrix(basis, z)
-        eps_sq = spline._EPSILON ** 2
-
-        def smoothed(coef):
-            r = w - b @ coef
-            return float(np.mean(np.sqrt(r * r + eps_sq)))
-
-        def capped_fit(t):
-            monkeypatch.setattr(spline, "_MAX_ITER", t)
-            return fit_l1(basis, z, w)
-
-        steps = fit_l1(basis, z, w).iterations
-        hist = [smoothed(fit_l2(basis, z, w).coef)]
-        hist += [smoothed(capped_fit(t).coef) for t in range(1, steps + 1)]
-        assert len(hist) >= 2
-        assert all(hist[i + 1] <= hist[i] + 1e-10 for i in range(len(hist) - 1))
-
     def test_l1_objective_no_worse_than_l2_solution(self, uniform_basis):
         z, basis = uniform_basis
         rng = np.random.default_rng(8)
@@ -258,132 +236,159 @@ class TestFitL1:
         assert np.abs(predict(scaled, z)
                       - (-2.0 * predict(base, z) + 5.0)).max() <= 1e-4
 
-    def test_nonconvergence_flag_not_error(self, monkeypatch, uniform_basis):
+    def test_fit_is_certified_with_its_pivots(self, uniform_basis):
         z, basis = uniform_basis
         rng = np.random.default_rng(10)
         w = np.tan(np.pi * (rng.random(z.size) - 0.5))
-        monkeypatch.setattr(spline, "_MAX_ITER", 1)
         fit = fit_l1(basis, z, w)
-        assert not fit.converged
-        assert fit.iterations == 1
+        coefs, pivots, ridged, _ = _lad(design_matrix(basis, z), w[None])
+        assert fit.converged and not fit.ridged
+        assert fit.iterations == pivots[0] <= 2 * z.size
+        assert fit.coef.tobytes() == coefs[0].tobytes()
 
 
-class TestIrlsStep:
-    """The batched IRLS forms its weighted design in place; every output
-    must equal the textbook step run one target at a time, bit for bit."""
-
-    @staticmethod
-    def _design(n, seed, ridge):
-        sim = simulate(make_scenario("E4", n=n, p=30, r2=0.3,
-                                     error="cauchy3"), seed=seed).dataset
-        b = design_matrix(basis_build(sim.z), sim.z)
-        if ridge:
-            # a near copy of a basis column: most weighted grams then fail
-            # the Cholesky check and take the ridge
-            rng = np.random.default_rng(seed)
-            b = np.column_stack([b, b[:, 1] + 1e-7 * rng.standard_normal(n)])
-        return b, np.column_stack([sim.y, sim.x]).T
-
-    @pytest.mark.parametrize("n", [200, 203])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_reference_loop_bitwise(self, n, seed):
-        b, targets = self._design(n, seed, ridge=False)
-        got = _irls(b, targets)
-        want = irls_oracle(b, targets)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
-
-    def test_ridged_case_matches_reference_loop_bitwise(self):
-        b, targets = self._design(200, 1, ridge=True)
-        got = _irls(b, targets)
-        want = irls_oracle(b, targets)
-        assert 0 < got[3].sum() < got[3].size
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+def _tiny_design(kind, seed):
+    """A design small enough to enumerate: n = 14 rows."""
+    rng = np.random.default_rng(seed)
+    n = 14
+    if kind == "discrete-exposure":
+        # 11 distinct values, so three rows repeat another's design row
+        z = np.r_[np.linspace(0.0, 1.0, 11), rng.integers(0, 11, 3) / 10]
+    else:
+        z = np.r_[0.0, 1.0, rng.random(n - 2)]
+    b = design_matrix(basis_build(z, n_basis=6 if kind == "n-basis-6" else 4),
+                      z)
+    if kind == "near-collinear":
+        b = np.column_stack([b, b[:, 1] + 1e-7 * rng.standard_normal(n)])
+    return b, rng
 
 
-class TestIrlsSettings:
-    """The smoothed-IRLS settings are the module constants `_EPSILON`,
-    `_TOL` and `_MAX_ITER`, read at each call."""
+def _tiny_targets(kind, rng, n, m=4):
+    if kind == "normal":
+        return rng.standard_normal((m, n))
+    if kind == "cauchy":
+        return rng.standard_cauchy((m, n))
+    if kind == "012":
+        return rng.integers(0, 3, (m, n)).astype(float)
+    return (rng.random((m, n)) < 0.3).astype(float)  # Bernoulli
 
-    @staticmethod
-    def _data(seed=11):
-        # converges in 51 rounds under the default settings
-        rng = np.random.default_rng(seed)
-        z = rng.random(200)
-        w = np.sin(2 * np.pi * z) + rng.standard_normal(z.size)
-        return z, basis_build(z, degree=3, n_basis=6), w
 
-    def test_documented_values(self):
-        assert (spline._EPSILON, spline._TOL, spline._MAX_ITER) == (
-            1e-6, 1e-8, 200)
+class TestExactLad:
+    """The absolute-loss fit is an exact, certified LAD vertex."""
 
-    @pytest.mark.parametrize("settings", [
-        {"_TOL": 0.0, "_MAX_ITER": 20},
-        {"_MAX_ITER": np.int64(5)},
-        {"_MAX_ITER": 1},
-        {"_EPSILON": 1e-150},  # its square is still a normal float
-        {"_EPSILON": 1e-2},
-        {"_TOL": 1e-3},
-    ], ids=["tol-zero", "cap-int64", "cap-one", "eps-tiny", "eps-large",
-            "tol-loose"])
-    def test_patched_settings_match_reference_loop_bitwise(self, monkeypatch,
-                                                           settings):
-        b, targets = TestIrlsStep._design(200, 1, ridge=False)
-        for name, value in settings.items():
-            monkeypatch.setattr(spline, name, value)
-        got = _irls(b, targets)
-        want = irls_oracle(b, targets)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
-        assert got[1].max() <= spline._MAX_ITER
-        if spline._TOL == 0.0:
-            # no step is below a zero tolerance: every target hits the cap
-            assert not got[2].any()
-            assert (got[1] == spline._MAX_ITER).all()
+    @pytest.mark.parametrize("targets", ["normal", "cauchy", "012",
+                                         "bernoulli"])
+    @pytest.mark.parametrize("design", ["continuous", "discrete-exposure",
+                                        "n-basis-6", "near-collinear"])
+    def test_objective_is_the_enumerated_optimum(self, design, targets):
+        b, rng = _tiny_design(design, seed=len(design) + len(targets))
+        w = _tiny_targets(targets, rng, b.shape[0])
+        coefs, pivots, ridged, degenerate = _lad(b, w)
+        assert (pivots <= 2 * b.shape[0]).all()
+        for i in range(w.shape[0]):
+            got = float(np.abs(w[i] - b @ coefs[i]).sum())
+            assert got == pytest.approx(lad_oracle(b, w[i]), rel=1e-9,
+                                        abs=1e-12)
+            assert got == pytest.approx(lad_linprog(b, w[i]), rel=1e-6,
+                                        abs=1e-9)
 
-    def test_infinite_tolerance_stops_after_one_round(self, monkeypatch):
-        z, basis, w = self._data()
-        monkeypatch.setattr(spline, "_TOL", float("inf"))
-        fit = fit_l1(basis, z, w)
-        assert fit.iterations == 1
-        assert fit.converged
+    @pytest.mark.parametrize("data", ["e4-cauchy", "tied-012"])
+    def test_strict_fits_do_not_depend_on_the_start(self, data):
+        if data == "e4-cauchy":
+            sim = simulate(make_scenario("E4", n=200, p=60, r2=0.3,
+                                         error="cauchy3"), seed=3).dataset
+            z, w = sim.z, np.column_stack([sim.y, sim.x]).T
+        else:
+            rng = np.random.default_rng(12)
+            z = np.round(rng.random(200), 1)
+            w = rng.integers(0, 3, (40, 200)).astype(float)
+        b = design_matrix(basis_build(z), z)
+        w = np.ascontiguousarray(w)
+        l2, _ = spline._fit_l2(b, w[..., None])
+        from_l2 = _start_basis(b, w, l2)
+        # rows in index order: every residual of a zero fit ties at 0
+        by_index = _start_basis(b, np.zeros_like(w), np.zeros_like(l2))
+        assert (from_l2 != by_index).any(axis=1).mean() > 0.9
+        c1, h1, _, deg1 = _exchange(b, w, from_l2)
+        c2, h2, _, deg2 = _exchange(b, w, by_index)
+        strict = ~deg1 & ~deg2
+        assert strict.mean() > 0.8
+        assert np.array_equal(h1[strict], h2[strict])
+        assert c1[strict].tobytes() == c2[strict].tobytes()
 
-    def test_large_epsilon_gives_the_least_squares_fit(self, monkeypatch):
-        # with eps far above every residual the weights are all ~1/eps, so
-        # each weighted step is the least-squares solution again
-        z, basis, w = self._data()
-        monkeypatch.setattr(spline, "_EPSILON", 1e12)
-        fit = fit_l1(basis, z, w)
-        assert fit.converged
-        assert np.abs(fit.coef - fit_l2(basis, z, w).coef).max() <= 1e-8
-        monkeypatch.undo()
-        assert np.abs(fit_l1(basis, z, w).coef - fit.coef).max() > 1e-3
+    @pytest.mark.parametrize("size, flagged", [(4, True), (5, False)])
+    def test_degenerate_flags_non_unique_optima(self, size, flagged):
+        # four distinct exposure values and a cubic basis: the fit is the
+        # median of each group, an interval when the group size is even
+        z = np.repeat([0.0, 1 / 3, 2 / 3, 1.0], size)
+        rng = np.random.default_rng(13)
+        w = rng.standard_normal((6, z.size))
+        b = design_matrix(basis_build(z), z)
+        coefs, _, _, degenerate = _lad(b, w)
+        assert (degenerate == flagged).all()
+        group_median = np.median(w.reshape(6, 4, size), axis=2)
+        fitted = (coefs @ b.T).reshape(6, 4, size)[..., 0]
+        objective = np.abs(w - coefs @ b.T).sum(axis=1)
+        best = np.abs(w.reshape(6, 4, size)
+                      - group_median[..., None]).sum(axis=(1, 2))
+        assert np.allclose(objective, best, rtol=1e-12)
+        if not flagged:
+            assert np.allclose(fitted, group_median, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("extra", [0, 1, 50])
-    def test_cap_at_or_above_convergence_leaves_fit_unchanged(
-            self, monkeypatch, extra):
-        z, basis, w = self._data()
-        base = fit_l1(basis, z, w)
-        assert base.converged
-        monkeypatch.setattr(spline, "_MAX_ITER", base.iterations + extra)
-        fit = fit_l1(basis, z, w)
-        assert fit.converged and fit.iterations == base.iterations
-        assert fit.coef.tobytes() == base.coef.tobytes()
+    def test_fit_past_the_pivot_bound_raises(self, monkeypatch,
+                                             uniform_basis):
+        # a certificate no vertex can pass: the fit pivots 2n times, then
+        # raises instead of returning an uncertified fit
+        z, basis = uniform_basis
+        monkeypatch.setattr(spline, "_CERT_TOL", -1.0)
+        with pytest.raises(SingularDesign, match=f"within {2 * z.size} "
+                                                 "pivots"):
+            fit_l1(basis, z, np.sin(z))
 
-    @pytest.mark.parametrize("short", [1, 2, 3])
-    def test_cap_below_convergence_stops_unconverged(self, monkeypatch,
-                                                     short):
-        z, basis, w = self._data()
-        base = fit_l1(basis, z, w)
-        assert base.iterations > short
-        monkeypatch.setattr(spline, "_MAX_ITER", base.iterations - short)
-        fit = fit_l1(basis, z, w)
-        assert not fit.converged
-        assert fit.iterations == base.iterations - short
-        assert fit.coef.tobytes() != base.coef.tobytes()
+    def test_ridged_start_is_flagged(self):
+        # a near copy of a basis column: the least-squares gram fails its
+        # Cholesky check and takes the ridge; the exchange still ends at a
+        # vertex no worse than the LP solver's
+        rng = np.random.default_rng(16)
+        z = rng.random(120)
+        b = design_matrix(basis_build(z), z)
+        b = np.column_stack([b, b[:, 1] + 1e-9 * rng.standard_normal(120)])
+        w = rng.standard_normal((3, 120))
+        coefs, _, ridged, _ = _lad(b, w)
+        assert ridged.all()
+        for i in range(3):
+            got = float(np.abs(w[i] - b @ coefs[i]).sum())
+            assert got <= lad_linprog(b, w[i]) * (1 + 1e-9)
+
+    def test_singular_basis_raises_with_its_target(self):
+        z = np.repeat(np.linspace(0.0, 1.0, 10), 2)  # rows 2i, 2i+1 repeat
+        b = design_matrix(basis_build(z), z)
+        w = np.random.default_rng(15).standard_normal((3, z.size))
+        basis = np.array([[0, 2, 4, 6], [0, 1, 4, 6], [2, 4, 6, 8]])
+        with pytest.raises(SingularDesign, match="singular") as err:
+            _exchange(b, w, basis)
+        assert err.value.target == 1
+
+    def test_start_basis_nonsingular_on_tied_exposure(self):
+        # z rounded to 0.1: 11 distinct values, so most rows repeat another
+        # row of the design, and the k smallest residuals can be singular
+        rng = np.random.default_rng(14)
+        z = np.round(rng.random(200), 1)
+        w = np.ascontiguousarray(rng.integers(0, 3, (50, 200)), dtype=float)
+        b = design_matrix(basis_build(z, n_basis=6), z)
+        start = _start_basis(b, w, spline._fit_l2(b, w[..., None])[0])
+        assert all(np.linalg.matrix_rank(b[h]) == 6 for h in start)
+        assert all(np.unique(z[h]).size == 6 for h in start)
+        assert (np.diff(start, axis=1) > 0).all()
+
+    def test_start_basis_rank_deficient_design_raises(self):
+        z = np.linspace(0.0, 1.0, 30)
+        b = design_matrix(basis_build(z), z)
+        b = np.column_stack([b, b[:, :1]])  # a repeated column
+        w = np.ones((2, 30))
+        with pytest.raises(SingularDesign, match="rank deficient") as err:
+            _start_basis(b, w, np.zeros((2, 5, 1)))
+        assert err.value.target == 0
 
 
 class TestPredict:

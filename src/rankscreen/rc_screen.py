@@ -49,6 +49,12 @@ __all__ = [
 
 _SAMPLES = ("y_sample", "x_sample")
 
+# Cells of one (w, n) float64 buffer of `_utilities`: 128 KB, the bytes of
+# the counting kernel's uint8 chunk.  Of 2^13, 2^14 and 2^15, 2^13 was
+# slower at n = 200 and the other two were level (2-core Xeon, 2 MB L2 per
+# core, numpy 2.4); whole 2^17-cell chunks took nearly twice as long.
+_RHO_CELLS = 2 ** 14
+
 
 def _rho_from_counts(c, ry, rx, n):
     """Correlation of rank indicators from integer counts (vectorized).
@@ -56,35 +62,48 @@ def _rho_from_counts(c, ry, rx, n):
     ``c`` and ``rx`` are the (n, w) counts of w columns (or the (n,) counts
     of one) and ``ry`` the (n,) counts of y.  The result is C-ordered
     (w, n): row j holds column j's ``rho`` at the n sample points, so that
-    it reduces as one contiguous 1-D array.  Each product of two counts,
-    and the radicand, is an exact integer rounded once to float64 (the
-    radicand would overflow int64 near n = 1e5), as ``math.sqrt`` of the
-    exact integer product takes it.  The products read tables of ``k`` and
-    ``k (n + 1 - k)``, k = 0..n, so only two (w, n) float buffers are made.
+    it reduces as one contiguous 1-D array.  The counts are cast to float64
+    once; each product of two counts, ``rx ry`` and ``rx (n + 1 - rx)``, is
+    then an exact integer (below 2^53 for n < 9e7), and the radicand is
+    rounded once, as ``math.sqrt`` of the exact integer product takes it
+    (the radicand would overflow int64 near n = 1e5).  Three (w, n) float
+    buffers are made.
     """
-    k = np.arange(n + 1.0)
-    rho = np.multiply(c.T, n + 1.0, order="C")
-    buf = np.take(k, rx.T, mode="clip")
-    buf *= k[ry]
+    m = n + 1.0
+    fy = np.asarray(ry, dtype=float)
+    fx = np.array(rx.T, dtype=float, order="C")
+    rho = np.multiply(c.T, m, order="C")
+    buf = np.multiply(fx, fy)
     rho -= buf
-    spread = k * (n + 1 - k)
-    np.take(spread, rx.T, out=buf, mode="clip")
-    buf *= spread[ry]
+    np.subtract(m, fx, out=buf)
+    buf *= fx
+    buf *= fy * (m - fy)
     np.sqrt(buf, out=buf)
     rho /= buf
     return rho
 
 
+def _slice_width(n: int) -> int:
+    """Columns per slice of `_utilities`: its (w, n) float buffers stay
+    near ``_RHO_CELLS`` cells, with at least one column."""
+    return max(1, _RHO_CELLS // n)
+
+
 def _utilities(y: np.ndarray, chunks, m: int) -> np.ndarray:
     """RC utilities of m columns from their ``(lo, rx, c)`` count chunks:
-    the mean of ``rho ** 2`` over the n rows of each column."""
+    the mean of ``rho ** 2`` over the n rows of each column.  Each chunk is
+    reduced in slices of `_slice_width` columns, so the float buffers of
+    `_rho_from_counts` stay cache-sized whatever the chunk's width; every
+    column's ``rho`` row and its mean are the same at any slice width."""
     n = y.size
     ry = leq_counts(y)
+    w = _slice_width(n)
     out = np.empty(m)
     for lo, rx, c in chunks:
-        rho = _rho_from_counts(c, ry, rx, n)
-        rho *= rho
-        out[lo:lo + rx.shape[1]] = rho.mean(axis=1)
+        for a in range(0, rx.shape[1], w):
+            rho = _rho_from_counts(c[:, a:a + w], ry, rx[:, a:a + w], n)
+            rho *= rho
+            out[lo + a:lo + a + rho.shape[0]] = rho.mean(axis=1)
     return out
 
 

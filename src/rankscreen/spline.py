@@ -247,7 +247,7 @@ def _start_basis(b: np.ndarray, w: np.ndarray, coefs: np.ndarray):
     (m, n), k = w.shape, b.shape[1]
     res = np.abs(w[..., None] - b @ coefs)[..., 0]
     order = np.argsort(res, axis=1)
-    ordered = np.sort(res, axis=1)
+    ordered = np.take_along_axis(res, order, axis=1)
     tied = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)  # or NaN
     order[tied] = np.argsort(res[tied], axis=1, kind="stable")
     del res, ordered
@@ -381,7 +381,7 @@ def _exchange(b: np.ndarray, w: np.ndarray, basis: np.ndarray):
             t = np.where(block, r / bd, np.inf)
             del r, sigma
             order = np.argsort(t, axis=1)
-            ts = np.sort(t, axis=1)
+            ts = np.take_along_axis(t, order, axis=1)
             tied = np.flatnonzero(
                 ((ts[:, 1:] == ts[:, :-1]) & (ts[:, 1:] < np.inf)).any(axis=1))
             if tied.size:  # order (t, e / bd, index)

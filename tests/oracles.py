@@ -60,6 +60,17 @@ def rc_utility_oracle(y, x) -> float:
     return float(np.mean(np.asarray(rho_sq)))
 
 
+def rho_table_oracle(c, ry, rx, n):
+    """``rho`` of the counts as (w, n) rows, the products read from tables
+    of ``k`` and ``k (n + 1 - k)``, k = 0..n, in float64: each entry is an
+    exact integer, and the radicand is rounded once."""
+    k = np.arange(n + 1.0)
+    spread = k * (n + 1 - k)
+    c, rx = np.asarray(c).T, np.asarray(rx).T
+    num = c * (n + 1.0) - k[rx] * k[np.asarray(ry)]
+    return num / np.sqrt(spread[rx] * spread[np.asarray(ry)])
+
+
 def kendall_tau_oracle(y, x) -> float:
     """Pair-count tau-b: concordances, discordances and ties enumerated."""
     n = len(y)

@@ -410,6 +410,67 @@ class TestTieGroupSteps:
         _assert_kernel_matches_oracle(y, x)
 
 
+def _pairs_oracle(y, x):
+    """All-pairs joint counts of every column of x, by broadcasting."""
+    ley = y[None, :] <= y[:, None]
+    return np.stack([(ley & (x[None, :, j] <= x[:, None, j])).sum(axis=1)
+                     for j in range(x.shape[1])], axis=1)
+
+
+class TestBytePasses:
+    """Row passes add into a uint8 partial sum; past n = 255 it is folded
+    into the counts after each block of 255 passes, from the block's first
+    start on.  Counts equal the all-pairs enumeration across the blocks."""
+
+    NS = [255, 256, 511, 512, 600]
+
+    def _check(self, y, rng):
+        x = _mixed_x(rng, y.size)
+        expected = _pairs_oracle(y, x)
+        for arg in (x, _compact_ranks(x)):
+            mat = dominance_counts_matrix(y, arg)
+            assert mat.dtype == np.int64
+            assert np.array_equal(mat, expected)
+        assert expected.max() == y.size  # the constant column
+
+    @pytest.mark.parametrize("n", NS)
+    def test_continuous_response(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n)
+        assert not _tie_groups(y)[2].any()
+        self._check(y, rng)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_small_groups_straddle_blocks(self, n):
+        # every row is a pass; a group of 4 spans each block boundary, so
+        # the next block's first rows start inside the block before it
+        rng = np.random.default_rng(n + 1)
+        y = np.arange(n, dtype=float)
+        for edge in range(empirical._BYTE_PASSES, n,
+                          empirical._BYTE_PASSES):
+            y[edge - 2:edge + 2] = y[edge - 2]
+        first, size, step = _tie_groups(y)
+        assert not step.any()
+        assert (n <= 255) or ((first < 255) & (first + size > 255)).any()
+        self._check(rng.permutation(y), rng)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_histogram_steps_between_passes(self, n):
+        # a large group at the start and one in the middle, with rows and
+        # a small group of their own between and after them: the passes
+        # fill more than one block past n = 500
+        rng = np.random.default_rng(n + 2)
+        g = n // 5
+        rest = n - 2 * g - 3
+        sizes = [g] + [1] * (rest // 2) + [g, 3] + [1] * (rest - rest // 2)
+        y = _grouped_y(rng, sizes)
+        first, size, step = _tie_groups(y)
+        assert step[first == 0] and step.sum() == 2
+        passes = size[~step].sum()
+        assert passes == n - 2 * g and (n < 500 or passes > 255)
+        self._check(y, rng)
+
+
 class TestRankInvariance:
     @pytest.mark.parametrize("transform", [np.exp, lambda v: v ** 3])
     def test_raw_eval_invariant_at_sample_points(self, transform):

@@ -2,7 +2,9 @@
 scipy and pytest are installed for the tests only."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -36,3 +38,23 @@ def test_imports_are_stdlib_numpy_or_relative(path):
     bad = [f"{path.name}:{line} imports {name}"
            for line, name in _imported_modules(path) if name not in allowed]
     assert not bad
+
+
+def test_counting_on_a_discrete_response_leaves_numpy_ma_unloaded():
+    # numpy.ma costs a cold run 10-16 ms to import; a Bernoulli y takes
+    # the kernel's histogram steps, which must not pull it in
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rankscreen.empirical import count_chunks\n"
+        "rng = np.random.default_rng(0)\n"
+        "y = rng.integers(0, 2, size=300).astype(float)\n"
+        "for _ in count_chunks(y, rng.standard_normal((300, 4))):\n"
+        "    pass\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(rankscreen.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

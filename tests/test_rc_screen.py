@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,10 @@ from rankscreen.rc_screen import (
 )
 from rankscreen.report import TopD, UtilityThreshold, default_top_d
 
-from oracles import rc_utility_oracle
+from oracles import rc_utility_oracle, rho_table_oracle
+
+# the module: the package binds the name rc_screen to the function
+rc_module = importlib.import_module("rankscreen.rc_screen")
 
 
 class TestRobustCorr:
@@ -257,6 +261,78 @@ class TestRcUtilitiesBatch:
             finally:
                 tracemalloc.stop()
         assert peaks[8000] < 1.1 * peaks[2000]
+
+    @pytest.mark.parametrize("n", [2, 37, 200])
+    def test_rho_equals_table_oracle_bitwise(self, n):
+        # random marginal counts, each joint count between its bounds, as
+        # int64 and compact ranks; 1-D counts too, as the pointwise
+        # estimator passes them
+        rng = np.random.default_rng(n)
+        ry = rng.integers(1, n + 1, size=n)
+        rx = rng.integers(1, n + 1, size=(n, 5))
+        lo = np.maximum(0, rx + ry[:, None] - n)
+        c = lo + rng.integers(0, 1 << 30, size=rx.shape) % (
+            np.minimum(rx, ry[:, None]) - lo + 1)
+        for arg in (rx, rx.astype(np.min_scalar_type(n))):
+            assert (_rho_from_counts(c, ry, arg, n).tobytes()
+                    == rho_table_oracle(c, ry, arg, n).tobytes())
+        assert (_rho_from_counts(c[:, 0], ry, rx[:, 0], n).tobytes()
+                == rho_table_oracle(c[:, 0], ry, rx[:, 0], n).tobytes())
+
+    def test_rho_equals_table_oracle_past_2_53(self):
+        # n = 100,000: the radicand rx (n+1-rx) ry (n+1-ry) passes 2^53,
+        # so it is rounded, once, in both
+        n = 100_000
+        rng = np.random.default_rng(5)
+        ry = rng.integers(1, n + 1, size=4000)
+        rx = rng.integers(1, n + 1, size=(4000, 3))
+        c = np.minimum(rx, ry[:, None]) // 2
+        rad = [int(a) * (n + 1 - int(a)) * int(b) * (n + 1 - int(b))
+               for a, b in zip(rx[:, 0], ry)]
+        assert max(rad) > 2 ** 53
+        assert (_rho_from_counts(c, ry, rx, n).tobytes()
+                == rho_table_oracle(c, ry, rx, n).tobytes())
+
+    @pytest.mark.parametrize("p", [1, 30])
+    @pytest.mark.parametrize("cells", ["one-column", "odd", "whole"])
+    def test_slice_width_leaves_utilities_bitwise(self, monkeypatch, p,
+                                                  cells):
+        # the reduction's slices: 1 column, 7 columns (30 is no multiple
+        # of it), or one slice of every column
+        rng = np.random.default_rng(p)
+        n = 80
+        y = rng.integers(0, 4, size=n).astype(float)
+        x = rng.standard_normal((n, p))
+        x[:, ::3] = rng.integers(0, 3, size=(n, (p + 2) // 3))
+        xb = rng.standard_normal(n)
+        xb[::5] = 0.25
+        whole = rc_utilities(y, x)
+        boot = wild_bootstrap_test(y, xb, n_boot=99, seed=p)
+        width = {"one-column": 1, "odd": 7, "whole": 1000}[cells]
+        monkeypatch.setattr(rc_module, "_RHO_CELLS", n * width)
+        assert rc_module._slice_width(n) == width
+        assert rc_utilities(y, x).tobytes() == whole.tobytes()
+        assert wild_bootstrap_test(y, xb, n_boot=99, seed=p) == boot
+        expected = np.array([rc_utility_oracle(y, x[:, j])
+                             for j in range(p)])
+        assert rc_utilities(y, x).tobytes() == expected.tobytes()
+
+    def test_bootstrap_traced_peak(self):
+        # numpy reports its buffers to tracemalloc: at the benchmark's
+        # shape the replicate ranks, one chunk's counts and the reduction's
+        # cache-sized slices stay under 2 MB
+        rng = np.random.default_rng(11)
+        n = 200
+        y = rng.standard_normal(n)
+        x = rng.standard_normal(n)
+        take_a = _rademacher_matrix(11, n, 500)
+        tracemalloc.start()
+        try:
+            _bootstrap_utilities(y, x, take_a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_column_rejected_by_index(self, bad):

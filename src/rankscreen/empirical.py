@@ -17,8 +17,8 @@ The kernel adds the comparisons of one row at a time, except that a large
 y-tie group is added in one step, from the cumulative histogram of its
 weak ranks.  A discrete response (Bernoulli, Poisson) thus costs a few
 such steps, not one pass per row.  A row pass compares into one reused
-bool buffer and adds its bytes to a uint8 partial sum, folded into wider
-counts every 255 passes past n = 255, so no pass allocates or casts.
+bool buffer and adds its bytes to the counts in place, so no pass
+allocates an (n, p) temporary.
 
 `count_chunks` streams a wide x through both steps a chunk of columns at a
 time, so the working arrays beyond x stay O(n * chunk) whatever p is;
@@ -56,11 +56,6 @@ _STEP = 64
 # Bernoulli, Poisson, rounded and continuous responses at n = 60 to 500; 8
 # was faster at n = 500 but up to 1.7x slower at n = 60 and 100.
 _GROUP_COST = 16
-
-# Row passes add their 0/1 comparisons into a uint8 partial sum, which a
-# block of this many passes cannot wrap; past n = 255 it is folded into the
-# wider counts after each block.
-_BYTE_PASSES = 255
 
 
 def as_finite_vector(sample, name: str = "sample") -> np.ndarray:
@@ -180,13 +175,11 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     before the result is widened to int64.
 
     A row pass is two ufunc calls on views of buffers made once: its
-    comparisons go into one (n, p) bool buffer, whose bytes (0 or 1) are
-    added in place to a uint8 partial sum, so no pass allocates or casts.
-    Up to n = 255 the partial sum is the counts; past it, the passes run in
-    blocks of ``_BYTE_PASSES`` = 255, which cannot wrap a byte, and each
-    block's partial sum is folded into the counts, from the start of the
-    block's first row on, the only rows the block touched.  Each pass or
-    step is O(n p) time, n passes at most, and memory is O(n p).
+    comparisons go into one (n, p) bool buffer, whose uint8 view (0 or 1)
+    is added in place to the counts.  Up to n = 255 that is a uint8 add;
+    past it numpy widens the bytes in its small internal buffers, so no
+    pass allocates an (n, p) temporary.  Each pass or step is O(n p) time,
+    n passes at most, and memory is O(n p).
     """
     n, p = x.shape
     order = np.argsort(y, kind="stable")
@@ -203,18 +196,12 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         rows = rows.tolist()
         le = np.empty((n, p), dtype=bool)
         ones = le.view(np.uint8)
-        part = counts if acc == np.uint8 else np.zeros((n, p), np.uint8)
-        for b in range(0, len(rows), _BYTE_PASSES):
-            for k, s in zip(rows[b:b + _BYTE_PASSES],
-                            starts[b:b + _BYTE_PASSES]):
-                np.less_equal(xs[k], xs[s:], out=le[s:])
-                tail = part[s:]
-                tail += ones[s:]
-            if part is not counts:
-                s = starts[b]
-                counts[s:] += part[s:]
-                part[s:] = 0
-        del le, ones, part
+        for k, s in zip(rows, starts):
+            np.less_equal(xs[k], xs[s:], out=le[s:])
+            # in place: ``counts[s:] += ...`` would copy the tail back
+            tail = counts[s:]
+            np.add(tail, ones[s:], out=tail)
+        del le, ones
     if grouped.any():
         if (xs.dtype.kind == "u" and np.can_cast(xs.dtype, np.intp)
                 and xs.max(initial=0) <= n):

@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to check the library's fast
 paths.
 
-Every count here is derived by explicit enumeration (nested Python loops),
-independently of the sorted sweeps and the shared counting kernel under
-test.  The final floating-point expressions mirror the library's documented
-formulas so exact equality is well defined.  The two LAD oracles return an
+Every count here is derived by explicit enumeration (nested Python loops,
+or every pair compared at once by broadcasting), independently of the
+sorted sweeps and the shared counting kernel under test.  The final
+floating-point expressions mirror the library's documented formulas so
+exact equality is well defined.  The two LAD oracles return an
 optimal absolute-loss objective instead: `lad_oracle` by trying every
 k-subset of a tiny design, `lad_linprog` by an independent LP solver.
 """
@@ -24,16 +25,16 @@ def ecdf_count_oracle(sample, t) -> int:
 
 
 def dominance_counts_oracle(y, x):
-    """O(n^2) double loop: c[i] = #{k : y_k <= y_i and x_k <= x_i}."""
-    n = len(y)
-    out = []
-    for i in range(n):
-        c = 0
-        for k in range(n):
-            if y[k] <= y[i] and x[k] <= x[i]:
-                c += 1
-        out.append(c)
-    return np.array(out, dtype=np.int64)
+    """All n^2 pairs compared at once:
+    ``c[i, j] = #{k : y_k <= y_i and x[k, j] <= x[i, j]}``, as an int64
+    array of x's shape (one column or an (n, p) matrix)."""
+    y = np.asarray(y)
+    x = np.asarray(x)
+    cols = x.reshape(len(y), -1)
+    ley = y[None, :] <= y[:, None]  # [i, k]: y_k <= y_i
+    out = np.stack([(ley & (col[None, :] <= col[:, None])).sum(axis=1)
+                    for col in cols.T], axis=1).astype(np.int64)
+    return out.reshape(x.shape)
 
 
 def rc_utility_oracle(y, x) -> float:

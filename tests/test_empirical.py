@@ -27,8 +27,7 @@ def _assert_kernel_matches_oracle(y, x):
     mat = dominance_counts_matrix(y, x)
     assert mat.dtype == np.int64
     assert mat.shape == x.shape
-    for j in range(x.shape[1]):
-        assert np.array_equal(mat[:, j], dominance_counts_oracle(y, x[:, j]))
+    assert np.array_equal(mat, dominance_counts_oracle(y, x))
 
 
 class TestEcdfBuild:
@@ -410,28 +409,19 @@ class TestTieGroupSteps:
         _assert_kernel_matches_oracle(y, x)
 
 
-def _pairs_oracle(y, x):
-    """All-pairs joint counts of every column of x, by broadcasting."""
-    ley = y[None, :] <= y[:, None]
-    return np.stack([(ley & (x[None, :, j] <= x[:, None, j])).sum(axis=1)
-                     for j in range(x.shape[1])], axis=1)
-
-
-class TestBytePasses:
-    """Row passes add into a uint8 partial sum; past n = 255 it is folded
-    into the counts after each block of 255 passes, from the block's first
-    start on.  Counts equal the all-pairs enumeration across the blocks."""
+class TestRowPassesPastAByte:
+    """Row passes add their comparison bytes to the counts in place: a
+    uint8 add up to n = 255, a widening add into uint16 past it.  Counts
+    equal the all-pairs enumeration on both sides of the boundary, also
+    after more than 255 passes, which would wrap a byte."""
 
     NS = [255, 256, 511, 512, 600]
 
     def _check(self, y, rng):
         x = _mixed_x(rng, y.size)
-        expected = _pairs_oracle(y, x)
         for arg in (x, _compact_ranks(x)):
-            mat = dominance_counts_matrix(y, arg)
-            assert mat.dtype == np.int64
-            assert np.array_equal(mat, expected)
-        assert expected.max() == y.size  # the constant column
+            _assert_kernel_matches_oracle(y, arg)
+        assert dominance_counts_matrix(y, x).max() == y.size  # constant
 
     @pytest.mark.parametrize("n", NS)
     def test_continuous_response(self, n):
@@ -441,13 +431,11 @@ class TestBytePasses:
         self._check(y, rng)
 
     @pytest.mark.parametrize("n", NS)
-    def test_small_groups_straddle_blocks(self, n):
-        # every row is a pass; a group of 4 spans each block boundary, so
-        # the next block's first rows start inside the block before it
+    def test_small_groups_across_byte_limits(self, n):
+        # every row is a pass; a group of 4 spans each multiple of 255
         rng = np.random.default_rng(n + 1)
         y = np.arange(n, dtype=float)
-        for edge in range(empirical._BYTE_PASSES, n,
-                          empirical._BYTE_PASSES):
+        for edge in range(255, n, 255):
             y[edge - 2:edge + 2] = y[edge - 2]
         first, size, step = _tie_groups(y)
         assert not step.any()
@@ -457,8 +445,8 @@ class TestBytePasses:
     @pytest.mark.parametrize("n", NS)
     def test_histogram_steps_between_passes(self, n):
         # a large group at the start and one in the middle, with rows and
-        # a small group of their own between and after them: the passes
-        # fill more than one block past n = 500
+        # a small group of their own between and after them: more than 255
+        # passes past n = 500
         rng = np.random.default_rng(n + 2)
         g = n // 5
         rest = n - 2 * g - 3

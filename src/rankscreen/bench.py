@@ -17,6 +17,7 @@ import numpy as np
 
 from .baselines import kendall_sis, pearson_sis
 from .dataset import Dataset
+from .empirical import quantiles
 from .errors import HarnessError, InvalidInput, check_seed
 from .rc_screen import rc_screen
 from .report import (
@@ -101,7 +102,7 @@ def rsd(values) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise InvalidInput("cannot take the spread of an empty vector")
-    q1, q3 = np.quantile(arr, [0.25, 0.75])
+    q1, q3 = quantiles(arr, [0.25, 0.75])
     return float((q3 - q1) / RSD_SCALE)
 
 
@@ -239,9 +240,9 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
         hit = np.all(rank_matrix <= budget, axis=1)
         per_method.append(MethodMetrics(
             method=name,
-            median_mms=float(np.median(mms_values)),
+            median_mms=float(quantiles(mms_values)),
             rsd_mms=rsd(mms_values),
-            median_ranks=np.median(rank_matrix, axis=0).tolist(),
+            median_ranks=quantiles(rank_matrix).tolist(),
             proportion=float(np.mean(hit)),
             mms_values=mms_values,
         ))

@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed; omit for entropy (printed for replay)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect "
-                            "(all computation is serial)")
+                            "(BLAS threads follow OPENBLAS_NUM_THREADS)")
         if spline:  # `test` fits no splines
             p.add_argument("--degree", type=int, default=3,
                            help="spline degree for rpc-* methods")

@@ -4,14 +4,15 @@ Every correlation-type quantity downstream reduces to three integer counts
 per sample point: the marginal weak-rank counts ``#{k : y_k <= y_i}`` and
 ``#{k : x_k <= x_i}`` and the joint dominance count
 ``#{k : y_k <= y_i, x_k <= x_i}``.  This module computes those counts
-exactly; `dominance_counts_matrix` is the only joint-count kernel, and a
-single column is its p = 1 call.  The kernel only compares values, so any
-input with the same per-column ``<=`` order gives the same counts: the
-screening utilities pass the weak ranks ``x_k <= x_i <=> r_k <= r_i`` in the
-smallest unsigned integer type that holds n, which moves a quarter of the
-bytes of a float column or fewer.  The ``n/(n+1)`` boundary rescale of the
-empirical CDFs, ``(n/(n+1)) * (count/n) == count/(n+1)``, is applied where
-the counts are turned into correlations (``rc_screen._rho_from_counts``).
+exactly; `dominance_counts_matrix` is the joint-count kernel of every
+screening path, and a single column is its p = 1 call.  The kernel only
+compares values, so any input with the same per-column ``<=`` order gives
+the same counts: the screening utilities pass the weak ranks
+``x_k <= x_i <=> r_k <= r_i`` in the smallest unsigned integer type that
+holds n, which moves a quarter of the bytes of a float column or fewer.
+The ``n/(n+1)`` boundary rescale of the empirical CDFs,
+``(n/(n+1)) * (count/n) == count/(n+1)``, is applied where the counts are
+turned into correlations (``rc_screen._rho_from_counts``).
 
 The kernel adds the comparisons of one row at a time, except that a large
 y-tie group is added in one step, from the cumulative histogram of its
@@ -22,10 +23,19 @@ allocates an (n, p) temporary.
 
 `count_chunks` streams a wide x through both steps a chunk of columns at a
 time, so the working arrays beyond x stay O(n * chunk) whatever p is;
-Pearson screening streams the same `column_chunks`.  Columns that are
-already weak ranks, such as the bootstrap's sign-flip replicates ranked by
-`leq_counts_choice`, stream through the kernel in the same chunks with
-`rank_chunks`.
+Pearson screening streams the same `column_chunks`.
+
+The bootstrap's sign-flip replicates are counted without forming them.
+Row i of every replicate holds one of two values, ``a_i`` or ``b_i``, so
+`leq_counts_choice` ranks them all from one sort of those 2n values, and
+`dominance_counts_choice` takes their joint counts as an exact float
+product of small integer matrices with the selection mask, which BLAS runs
+far faster than the kernel's row passes.  `dominance_counts_matrix` serves
+every other joint count.
+
+`quantiles` gives numpy's medians and linear quantiles bit for bit from one
+sort: `np.median` and `np.quantile` import numpy.ma, which costs a cold
+command about 7 ms.
 """
 
 from __future__ import annotations
@@ -39,8 +49,8 @@ __all__ = [
     "leq_counts_matrix",
     "leq_counts_choice",
     "dominance_counts_matrix",
+    "dominance_counts_choice",
     "count_chunks",
-    "rank_chunks",
 ]
 
 # Cells of one chunk's (n, w) working arrays; the width w is a multiple of
@@ -56,6 +66,17 @@ _STEP = 64
 # Bernoulli, Poisson, rounded and continuous responses at n = 60 to 500; 8
 # was faster at n = 500 but up to 1.7x slower at n = 60 and 100.
 _GROUP_COST = 16
+
+# Cells of the (h, n + 1) operand of one h-row block of
+# `dominance_counts_choice`: h = 81 rows at n = 200.  On `test --all` at
+# n = 200, n_boot = 500, 2^13 and 2^14 (40 and 81 rows) were level and
+# 2^15 was 4% slower (2-core Xeon, OpenBLAS 0.3.31, numpy 2.4).
+_CHOICE_CELLS = 2 ** 14
+
+# `dominance_counts_choice` multiplies in float32 below this many rows, where
+# every integer it forms (at most n in magnitude) is exact, and in float64
+# from it on.
+_FLOAT32_ROWS = 2 ** 24
 
 
 def as_finite_vector(sample, name: str = "sample") -> np.ndarray:
@@ -77,6 +98,31 @@ def as_finite_pair(a, b, names=("y_col", "x_col"), min_size: int = 1):
     if a.size < min_size:
         raise InvalidInput(f"need at least {min_size} observations")
     return a, b
+
+
+def quantiles(values, probs=None, axis: int = 0):
+    """``np.quantile(values, probs, axis=axis)`` (numpy's default linear
+    rule) or, without ``probs``, ``np.median(values, axis=axis)``, bit for
+    bit on finite values, from one sort (equal zeros of opposite sign may
+    trade places, as they do between numpy's own sort and partition).
+
+    At the virtual index ``(n - 1) q`` between sorted neighbours a and b, at
+    fraction t, a quantile is ``a + (b - a) t``, or ``b - (b - a) (1 - t)``
+    when ``t >= 0.5``; an even-length median is ``(a + b) / 2``, which is
+    not that rule at t = 0.5.  numpy's own functions import numpy.ma.
+    """
+    s = np.moveaxis(np.sort(np.asarray(values, dtype=float), axis=axis),
+                    axis, 0)
+    n = s.shape[0]
+    if probs is None:
+        return s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+    at = (n - 1) * np.asarray(probs, dtype=float)
+    lo = np.minimum(np.floor(at), n - 1)
+    t = (at - lo).reshape(at.shape + (1,) * (s.ndim - 1))
+    i = lo.astype(np.intp)
+    below, above = s[i], s[np.minimum(i + 1, n - 1)]
+    diff = above - below
+    return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)
 
 
 def _chunk_width(n: int) -> int:
@@ -222,6 +268,101 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
+                            take_a: np.ndarray,
+                            first: np.ndarray | None = None) -> np.ndarray:
+    """Joint dominance counts of y against every column of the (n, m) matrix
+    x with ``x[i, d] = a[i]`` where ``take_a[i, d]`` and ``b[i]`` elsewhere,
+    without forming x: equal to ``dominance_counts_matrix(y, x)``, in
+    ``np.min_scalar_type(n)``.  With ``first``, an (n,) column, the result
+    has 1 + m columns and column 0 holds the joint counts of ``first``.
+
+    With ``Y[i, k] = [y_k <= y_i]`` and ``T = take_a``, the count of row i
+    in column d at a value v is linear in T:
+
+        c = sum_k Y[i, k] [b_k <= v]
+            + sum_k Y[i, k] ([a_k <= v] - [b_k <= v]) T[k, d],
+
+    a base count plus differences in {-1, 0, 1}.  Row i keeps its count at
+    ``v = b_i`` where ``T[i, d]`` is clear, and these counts in every column
+    are one product of the (n, n + 1) matrix ``[base, differences]`` with
+    ``[1; T]``.  Its count at ``v = a_i``, kept where ``T[i, d]`` is set,
+    differs by the change of base and of the differences.  Row i's own
+    difference multiplies ``T[i, d]``, so its entry can carry the change of
+    base and its own a-side difference, and the one product then yields the
+    kept count in every column, if the other rows' differences agree at
+    both values.  They do when a and b mirror each other, as the
+    bootstrap's ``mean +- dev`` do (their intervals ``[b_k, a_k]`` nest),
+    unless another row's value equals ``a_i`` or ``b_i``.  A block where
+    they do not takes a second, a-side product, and keeps
+    ``cb + T (ca - cb)``.
+
+    Rows are taken in increasing y order, h at a time, with ``h (n + 1)``
+    near ``_CHOICE_CELLS``.  Row i dominates in y exactly the rows before
+    the end of its y-tie group, so a block's operand spans those rows of its
+    last row only, and its y mask starts at the block's first row: the rows
+    before it are below every row of the block.  No (n, n) array is formed;
+    memory is O(n m + _CHOICE_CELLS).
+
+    Exactness: every operand is 0, +-1 or a count, and every partial sum,
+    in any order, is a count of at most n rows, or a difference of two, so
+    no value formed exceeds n in magnitude.  Below ``_FLOAT32_ROWS`` = 2^24
+    rows each is exact in float32, on any number of BLAS threads and in any
+    summation order; from there on the same code runs in float64.  Only the
+    selected values need to be finite: an unselected value counts 0 or 1 in
+    terms that its zero mask entries cancel.
+    """
+    n, m = take_a.shape
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    end = np.searchsorted(ys, ys, side="right")
+    a, b = a[order], b[order]
+    real = np.float32 if n < _FLOAT32_ROWS else np.float64
+    mask = np.empty((n + 1, m), dtype=real)
+    mask[0] = 1
+    mask[1:] = take_a[order]
+    h = min(n, max(1, _CHOICE_CELLS // (n + 1)))
+    prod = np.empty((h, m), dtype=real)
+    lead = 0 if first is None else 1
+    counts = np.empty((n, lead + m), dtype=np.min_scalar_type(n))
+    if first is not None:
+        first = first[order]
+    for lo in range(0, n, h):
+        hi = min(lo + h, n)
+        g, e = hi - lo, int(end[hi - 1])
+        below = np.arange(lo, e) < end[lo:hi, None]
+        # rows [0, g) compare with v = a_i, rows [g, 2g) with v = b_i
+        v = np.concatenate([a[lo:hi], b[lo:hi]])[:, None]
+        le_a, le_b = a[:e] <= v, b[:e] <= v
+        le_a.reshape(2, g, e)[:, :, lo:] &= below
+        le_b.reshape(2, g, e)[:, :, lo:] &= below
+        base = np.count_nonzero(le_b, axis=1)
+        diff = np.subtract(le_a.view(np.int8), le_b.view(np.int8))
+        own = np.arange(g), np.arange(lo, hi)
+        other = diff[:g] != diff[g:]
+        other[own] = False
+        op = np.empty((g, e + 1), dtype=real)
+        op[:, 0], op[:, 1:] = base[g:], diff[g:]
+        if other.any():
+            cb = np.matmul(op, mask[:e + 1])
+            op[:, 0], op[:, 1:] = base[:g], diff[:g]
+            c = np.matmul(op, mask[:e + 1], out=prod[:g])
+            c -= cb
+            c *= mask[1 + lo:1 + hi]
+            c += cb
+        else:
+            op[:, 1:][own] = base[:g] - base[g:] + diff[:g][own]
+            c = np.matmul(op, mask[:e + 1], out=prod[:g])
+        counts[lo:hi, lead:] = c
+        if first is not None:
+            le = first[:e] <= first[lo:hi, None]
+            le[:, lo:] &= below
+            counts[lo:hi, 0] = np.count_nonzero(le, axis=1)
+    out = np.empty_like(counts)
+    out[order] = counts
+    return out
+
+
 def count_chunks(y: np.ndarray, x: np.ndarray):
     """Weak ranks and joint counts of x, one chunk of columns at a time.
 
@@ -237,15 +378,3 @@ def count_chunks(y: np.ndarray, x: np.ndarray):
         rx = leq_counts_matrix(chunk)
         yield lo, rx, dominance_counts_matrix(y, rx.astype(small))
 
-
-def rank_chunks(y: np.ndarray, ranks: np.ndarray):
-    """`count_chunks` for columns given as their weak ranks: yields
-    ``(lo, r, c)`` with ``r = ranks[:, lo:lo + w]``, in the chunks of
-    `column_chunks`, and ``c`` its (n, w) int64 joint counts against y.
-    ``ranks`` is an (n, m) unsigned array, such as `leq_counts_choice`
-    returns."""
-    n, m = ranks.shape
-    w = _chunk_width(n)
-    for lo in range(0, m, w):
-        r = ranks[:, lo:lo + w]
-        yield lo, r, dominance_counts_matrix(y, r)

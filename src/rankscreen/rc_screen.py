@@ -8,12 +8,14 @@ The pointwise estimator evaluated at a sample pair reduces, under the
 
 where ``ry``, ``rx`` are the marginal weak-rank counts at the point and
 ``c`` the joint dominance count.  Every code path (single pair, batch
-screening, bootstrap replicates) takes ``rho`` from `_rho_from_counts`, and
-the utility paths take their counts from the one batch kernel
+screening, bootstrap replicates) takes ``rho`` from `_rho_from_counts` and
+reduces it with `_utilities`, so results are bit-identical across them.
+The screening paths take their counts from the batch kernel
 `~rankscreen.empirical.dominance_counts_matrix`, streamed over column chunks
-by `~rankscreen.empirical.count_chunks` (the bootstrap's replicate ranks by
-`~rankscreen.empirical.rank_chunks`), and reduce them with `_utilities`,
-so results are bit-identical across them.  All computation is serial.
+by `~rankscreen.empirical.count_chunks`; the bootstrap takes the counts of
+its sign-flip replicates, which it never forms, from
+`~rankscreen.empirical.dominance_counts_choice`, an exact integer matrix
+product that may run on BLAS threads.  Nothing else runs in threads.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .dataset import Dataset
 from .empirical import (
     as_finite_pair,
     count_chunks,
+    dominance_counts_choice,
     leq_counts,
     leq_counts_choice,
-    rank_chunks,
 )
 from .errors import DegenerateEvaluation, InvalidInput, check_seed
 from .report import Selection, ScreeningReport, build_report
@@ -309,8 +311,10 @@ def _bootstrap_utilities(y: np.ndarray, x: np.ndarray,
 
     Row i of every replicate is one of two values, ``a_i = fl(mean +
     dev_i)`` or ``b_i = fl(mean - dev_i)``, so the replicates' weak ranks
-    come from one sort of those 2n values (`leq_counts_choice`) and no
-    (n, n_boot) float replicate matrix is formed.  A selected ``a_i`` or
+    come from one sort of those 2n values (`leq_counts_choice`), their joint
+    counts from one matrix product with the mask
+    (`dominance_counts_choice`, which counts x in the same row blocks), and
+    no (n, n_boot) float replicate matrix is formed.  A selected ``a_i`` or
     ``b_i`` that overflows raises InvalidInput.
     """
     n = y.size
@@ -324,7 +328,8 @@ def _bootstrap_utilities(y: np.ndarray, x: np.ndarray,
     ranks = np.empty((n, 1 + take_a.shape[1]), dtype=np.min_scalar_type(n))
     ranks[:, 0] = leq_counts(x)
     ranks[:, 1:] = leq_counts_choice(a, b, take_a)
-    return _utilities(y, rank_chunks(y, ranks), ranks.shape[1])
+    counts = dominance_counts_choice(y, a, b, take_a, first=x)
+    return _utilities(y, [(0, ranks, counts)], ranks.shape[1])
 
 
 def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,

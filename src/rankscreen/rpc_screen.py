@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .empirical import _chunk_width
+from .empirical import _chunk_width, quantiles
 from .errors import InvalidInput, SingularDesign
 from .rc_screen import rc_utilities, rc_utility
 from .report import Selection, ScreeningReport, build_report
@@ -74,8 +74,8 @@ def _center_fallback(dataset: Dataset, loss: str) -> ResidualMatrix:
         eps_y = dataset.y - dataset.y.mean()
         eps_x = dataset.x - dataset.x.mean(axis=0)
     else:
-        eps_y = dataset.y - np.median(dataset.y)
-        eps_x = dataset.x - np.median(dataset.x, axis=0)
+        eps_y = dataset.y - quantiles(dataset.y)
+        eps_x = dataset.x - quantiles(dataset.x)
     return ResidualMatrix(eps_y=eps_y, eps_x=eps_x, loss=loss, basis=None)
 
 

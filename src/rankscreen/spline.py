@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import as_finite_pair, as_finite_vector
+from .empirical import as_finite_pair, as_finite_vector, quantiles
 from .errors import InvalidInput, OutOfSupport, SingularDesign, _is_int
 
 __all__ = [
@@ -109,7 +109,7 @@ def basis_build(z_sample, degree: int = 3, n_basis: int = 4) -> SplineBasis:
     m = n_basis - degree - 1
     if m > 0:
         probs = np.arange(1, m + 1) / (m + 1)
-        interior = np.quantile(z, probs)
+        interior = quantiles(z, probs)
         if interior.min() <= lo or interior.max() >= hi:
             raise InvalidInput(
                 "too few distinct exposure values to place interior knots"

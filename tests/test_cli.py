@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import rankscreen
 from rankscreen import bench, cli, simgen
 from rankscreen.cli import load_csv, main, save_csv
 from rankscreen.dataset import Dataset
@@ -798,6 +803,24 @@ class TestTestCommand:
         assert captured.out.startswith("x1: statistic")
         assert captured.err == ("error: covariate 'big': x_col's "
                                 "sign-flipped replicates overflow\n")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_golden_output_on_any_number_of_blas_threads(self, tmp_path,
+                                                         threads):
+        # the bootstrap's counting product may run on BLAS threads; its
+        # every sum is an exact integer, so the bytes cannot depend on them
+        golden = pathlib.Path(__file__).parent / "golden"
+        out = tmp_path / "test.json"
+        argv = ["test", "--input", str(golden / "ties.csv"), "--response",
+                "y", "--all", "--n-boot", "99", "--seed", "3",
+                "--output", str(out)]
+        src = str(pathlib.Path(rankscreen.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c",
+                        f"from rankscreen.cli import main; main({argv!r})"],
+                       env=env, check=True, capture_output=True)
+        assert out.read_bytes() == (golden / "test_all.json").read_bytes()
 
     @pytest.mark.parametrize("flag", [["--degree", "9"], ["--n-basis", "2"]])
     def test_spline_flags_rejected(self, small_csv, capsys, flag):

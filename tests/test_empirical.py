@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rankscreen import empirical
 from rankscreen.empirical import (
     as_finite_vector,
+    dominance_counts_choice,
     dominance_counts_matrix,
     leq_counts,
     leq_counts_choice,
     leq_counts_matrix,
-    rank_chunks,
+    quantiles,
 )
 from rankscreen.errors import InvalidInput
 from rankscreen.rc_screen import _rho_from_counts, rc_utilities, robust_corr
@@ -192,10 +195,39 @@ def _chosen(a, b, take_a):
     return np.where(take_a, a[:, None], b[:, None])
 
 
+def _responses(n):
+    """A continuous, a Bernoulli and a Poisson response of length n."""
+    rng = np.random.default_rng(n)
+    return (rng.standard_normal(n), rng.integers(0, 2, size=n).astype(float),
+            rng.poisson(2.0, size=n).astype(float))
+
+
+def _assert_choice_counts(monkeypatch, a, b, take_a):
+    """`dominance_counts_choice` equals the kernel on the formed matrix for
+    each response of `_responses`, in blocks of the default height, of one
+    row and of 7 rows (n = 255, 256 and 300 are no multiple of 7)."""
+    n = a.size
+    x = _chosen(a, b, take_a)
+    for y in _responses(n):
+        expected = dominance_counts_matrix(y, x)
+        for rows in (None, 1, 7):
+            with monkeypatch.context() as patch:
+                if rows:
+                    patch.setattr(empirical, "_CHOICE_CELLS", rows * (n + 1))
+                counts = dominance_counts_choice(y, a, b, take_a)
+            assert counts.dtype == np.min_scalar_type(n)
+            assert np.array_equal(counts, expected)
+
+
+_SIZES = [(1, 1), (2, 3), (17, 2), (255, 40), (256, 40), (300, 7)]
+
+
 class TestLeqCountsChoice:
-    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (17, 2), (255, 40),
-                                      (256, 40), (300, 7)])
-    def test_equals_ranks_of_the_formed_matrix(self, n, m):
+    """`leq_counts_choice` and `dominance_counts_choice` against the ranks
+    and joint counts of the formed matrix."""
+
+    @pytest.mark.parametrize("n, m", _SIZES)
+    def test_equals_ranks_of_the_formed_matrix(self, monkeypatch, n, m):
         rng = np.random.default_rng(n * m)
         a = rng.integers(-4, 5, size=n).astype(float)
         a[::3] = rng.standard_normal(a[::3].size)
@@ -205,44 +237,91 @@ class TestLeqCountsChoice:
         ranks = leq_counts_choice(a, b, take_a)
         assert ranks.dtype == np.min_scalar_type(n)
         assert np.array_equal(ranks, leq_counts_matrix(_chosen(a, b, take_a)))
+        _assert_choice_counts(monkeypatch, a, b, take_a)
 
-    def test_signed_zeros_tie(self):
+    @pytest.mark.parametrize("n, m", _SIZES)
+    def test_mirrored_values(self, monkeypatch, n, m):
+        # the bootstrap's a = mean + dev, b = mean - dev: nested intervals
+        # take one product per block, and a block with a tied deviation
+        # (here the three rows of x = 0.5) a second one
+        rng = np.random.default_rng(n + m)
+        take_a = rng.integers(0, 2, size=(n, m)).astype(bool)
+        x = rng.standard_normal(n)
+        for ties in (False, True):
+            x[:3] = 0.5 if ties else x[:3]
+            mean = x.mean()
+            dev = x - mean
+            _assert_choice_counts(monkeypatch, dev + mean, mean - dev, take_a)
+
+    def test_signed_zeros_tie(self, monkeypatch):
         a = np.array([0.0, -0.0, 1.0, -1.0])
         b = np.array([-0.0, 1.0, 0.0, 2.0])
         take_a = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]],
                           dtype=bool)
         assert np.array_equal(leq_counts_choice(a, b, take_a),
                               leq_counts_matrix(_chosen(a, b, take_a)))
+        _assert_choice_counts(monkeypatch, a, b, take_a)
 
-    def test_constant_and_one_sided_columns(self):
+    def test_constant_and_one_sided_columns(self, monkeypatch):
         a = np.full(6, 2.5)
         take_a = np.zeros((6, 4), dtype=bool)
         take_a[:, 1] = True
         ranks = leq_counts_choice(a, a.copy(), take_a)
         assert np.array_equal(ranks, np.full((6, 4), 6))
+        _assert_choice_counts(monkeypatch, a, a.copy(), take_a)
 
-    def test_unselected_values_need_not_be_finite(self):
+    def test_unselected_values_need_not_be_finite(self, monkeypatch):
         a = np.array([1.0, np.inf, 3.0, np.nan])
         b = np.array([np.nan, 0.5, -np.inf, 2.0])
         take_a = np.array([[1, 1], [0, 0], [1, 1], [0, 0]], dtype=bool)
         expected = leq_counts_matrix(_chosen(a, b, take_a))
         assert np.array_equal(leq_counts_choice(a, b, take_a), expected)
+        _assert_choice_counts(monkeypatch, a, b, take_a)
 
-    @pytest.mark.parametrize("width", [64, 128])
-    def test_rank_chunks_cover_every_column_once(self, monkeypatch, width):
-        rng = np.random.default_rng(width)
-        n, m = 30, 300
-        y = rng.integers(0, 3, size=n).astype(float)
-        ranks = leq_counts_matrix(rng.standard_normal((n, m))).astype(
-            np.uint8)
-        monkeypatch.setattr(empirical, "_CELLS", n * width)
-        los = []
-        for lo, r, c in rank_chunks(y, ranks):
-            assert r.shape[1] == min(width, m - lo)
-            assert np.array_equal(r, ranks[:, lo:lo + width])
-            assert np.array_equal(c, dominance_counts_matrix(y, r))
-            los.append(lo)
-        assert los == list(range(0, m, width))
+    @pytest.mark.parametrize("n", [2, 40, 256])
+    def test_first_column_counted_in_the_same_blocks(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        first = rng.integers(0, 6, size=n).astype(float)
+        a, b = rng.standard_normal((2, n))
+        take_a = rng.integers(0, 2, size=(n, 3)).astype(bool)
+        x = np.c_[first, _chosen(a, b, take_a)]
+        for y in _responses(n):
+            for rows in (None, 1, 7):
+                with monkeypatch.context() as patch:
+                    if rows:
+                        patch.setattr(empirical, "_CHOICE_CELLS",
+                                      rows * (n + 1))
+                    counts = dominance_counts_choice(y, a, b, take_a,
+                                                     first=first)
+                assert np.array_equal(counts, dominance_counts_matrix(y, x))
+
+    def test_float64_product(self, monkeypatch):
+        # the product's type past 2^24 rows, tried at n = 300
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(300)
+        take_a = rng.integers(0, 2, size=(300, 9)).astype(bool)
+        monkeypatch.setattr(empirical, "_FLOAT32_ROWS", 300)
+        _assert_choice_counts(monkeypatch, x, -x, take_a)
+        _assert_choice_counts(monkeypatch, x, rng.permutation(x), take_a)
+
+    def test_traced_peak_beyond_the_output_is_not_quadratic(self):
+        # an (n, n) float32 array would add 16 MB at n = 2000; the
+        # working arrays are O(n m) plus one block, so the peak beyond the
+        # output grows at most like n
+        peaks = []
+        for n in (500, 2000):
+            rng = np.random.default_rng(n)
+            y, x = rng.standard_normal((2, n))
+            take_a = rng.integers(0, 2, size=(n, 50)).astype(bool)
+            tracemalloc.start()
+            try:
+                out = dominance_counts_choice(y, x, -x, take_a, first=x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - out.nbytes)
+        assert peaks[1] < 4 * peaks[0]
+        assert peaks[1] < 2 ** 20
 
 
 class TestKernelAgainstOracle:
@@ -492,3 +571,37 @@ class TestValidation:
         dominance_counts_matrix(y, x)
         assert np.array_equal(y, y0)
         assert np.array_equal(x, x0)
+
+
+class TestQuantiles:
+    """`quantiles` keeps the bits of np.quantile and np.median."""
+
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 8, 9, 40, 41):
+            yield rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            yield rng.integers(-2, 3, size=n).astype(float)  # tied
+            yield rng.integers(0, 9, size=(n, 3))  # columns of ranks
+
+    def test_linear_quantiles(self):
+        probs = np.r_[0.0, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0]
+        for values in self._samples():
+            got = quantiles(values, probs)
+            want = np.quantile(values, probs, axis=0)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_medians(self):
+        for values in self._samples():
+            got = np.asarray(quantiles(values))
+            want = np.asarray(np.median(values, axis=0))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_even_median_is_the_mean_of_the_middle_pair(self):
+        # (a + b) / 2 here, a + (b - a) / 2 by the quantile rule
+        values = np.array([-0.9, -3.0])
+        assert quantiles(values) == -1.95 == np.median(values)
+        assert quantiles(values, [0.5])[0] == np.quantile(values, 0.5)
+        assert quantiles(values, [0.5])[0] == -1.9500000000000002

@@ -58,3 +58,35 @@ def test_counting_on_a_discrete_response_leaves_numpy_ma_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+_SIMULATE = ["simulate", "--scenario", "E4", "--n", "60", "--p", "12",
+             "--reps", "2", "--seed", "1", "--method", "rc", "--method",
+             "rpc-l2", "--method", "rpc-l1", "--method", "pearson",
+             "--method", "kendall"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SIMULATE,
+    # six basis functions of degree 3 place two interior knots at
+    # quantiles of the exposure
+    ["screen", "--input", "{csv}", "--response", "y", "--exposure",
+     "noise", "--method", "rpc-l1", "--n-basis", "6"],
+], ids=["simulate-all-methods", "screen-rpc-l1"])
+def test_commands_leave_numpy_ma_unloaded(argv, tmp_path):
+    # np.median and np.quantile import numpy.ma, about 7 ms of a cold
+    # command; the package takes medians and quantiles from its own sort
+    golden = pathlib.Path(__file__).parent / "golden" / "ties.csv"
+    argv = [a.format(csv=golden) for a in argv]
+    argv += ["--output", str(tmp_path / "out.json")]
+    code = (
+        "import sys\n"
+        "from rankscreen.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(rankscreen.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "False"

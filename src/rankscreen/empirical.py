@@ -304,9 +304,10 @@ def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
     before it are below every row of the block.  No (n, n) array is formed;
     memory is O(n m + _CHOICE_CELLS).
 
-    Exactness: every operand is 0, +-1 or a count, and every partial sum,
-    in any order, is a count of at most n rows, or a difference of two, so
-    no value formed exceeds n in magnitude.  Below ``_FLOAT32_ROWS`` = 2^24
+    Exactness: every operand is 0, +-1, a count or a difference of two
+    counts, and every partial sum, in any order, is a count of at most n
+    rows, or a difference of two, so no value formed exceeds n in
+    magnitude.  Below ``_FLOAT32_ROWS`` = 2^24
     rows each is exact in float32, on any number of BLAS threads and in any
     summation order; from there on the same code runs in float64.  Only the
     selected values need to be finite: an unselected value counts 0 or 1 in

@@ -30,8 +30,10 @@ Row i of every replicate holds one of two values, ``a_i`` or ``b_i``, so
 `leq_counts_choice` ranks them all from one sort of those 2n values, and
 `dominance_counts_choice` takes their joint counts as an exact float
 product of small integer matrices with the selection mask, which BLAS runs
-far faster than the kernel's row passes.  `dominance_counts_matrix` serves
-every other joint count.
+far faster than the kernel's row passes.  A y with large tie groups,
+which the kernel adds in histogram steps, can make the kernel on the
+replicates' ranks the cheaper count; `choice_product_pays` tells which.
+`dominance_counts_matrix` serves every other joint count.
 
 `quantiles` gives numpy's medians and linear quantiles bit for bit from one
 sort: `np.median` and `np.quantile` import numpy.ma, which costs a cold
@@ -50,6 +52,7 @@ __all__ = [
     "leq_counts_choice",
     "dominance_counts_matrix",
     "dominance_counts_choice",
+    "choice_product_pays",
     "count_chunks",
 ]
 
@@ -67,11 +70,25 @@ _STEP = 64
 # was faster at n = 500 but up to 1.7x slower at n = 60 and 100.
 _GROUP_COST = 16
 
-# Cells of the (h, n + 1) operand of one h-row block of
-# `dominance_counts_choice`: h = 81 rows at n = 200.  On `test --all` at
-# n = 200, n_boot = 500, 2^13 and 2^14 (40 and 81 rows) were level and
-# 2^15 was 4% slower (2-core Xeon, OpenBLAS 0.3.31, numpy 2.4).
-_CHOICE_CELLS = 2 ** 14
+# Rows of one block of `dominance_counts_choice`, whose operands are
+# (h, n + 1).  On `test --all` at n = 200, n_boot = 500, blocks of 50 to 100
+# rows were level.  Per call at n_boot = 500, 64 rows against the 2^14-cell
+# blocks tried first (8 rows at n = 2000, 4 at n = 4000) took 6.6 against
+# 9.8 ms at n = 1000 and 23 against 45 ms at n = 2000 (2-core Xeon, OpenBLAS
+# 0.3.31, numpy 2.4): a short block is a thin, memory-bound product.
+_CHOICE_ROWS = 64
+
+# `choice_product_pays`: the bootstrap counts its replicates with the
+# product of `dominance_counts_choice` while the product's operand cells
+# number at most this many times the kernel's cost in row-pass cells, and
+# with the kernel on the replicate ranks beyond.  A y without ties has the
+# ratio 1, a Bernoulli y about n / 75.  For S1c1's Bernoulli y, per column
+# at n_boot = 500, the product took 4.1 against the kernel's 5.3 ms at
+# n = 500, 11 against 11 ms at n = 1000 (but `test --all` over 40 columns
+# took 0.72 to 0.77 s against 0.62 to 0.64 s), and 38.5 against 21.7 ms at
+# n = 2000.  A Poisson(2) y at n = 1000 (ratio 4.9) took 7.2 against
+# 16.7 ms (2-core Xeon).
+_PRODUCT_GAIN = 8
 
 # `dominance_counts_choice` multiplies in float32 below this many rows, where
 # every integer it forms (at most n in magnitude) is exact, and in float64
@@ -100,19 +117,18 @@ def as_finite_pair(a, b, names=("y_col", "x_col"), min_size: int = 1):
     return a, b
 
 
-def quantiles(values, probs=None, axis: int = 0):
-    """``np.quantile(values, probs, axis=axis)`` (numpy's default linear
-    rule) or, without ``probs``, ``np.median(values, axis=axis)``, bit for
-    bit on finite values, from one sort (equal zeros of opposite sign may
-    trade places, as they do between numpy's own sort and partition).
+def quantiles(values, probs=None):
+    """``np.quantile(values, probs, axis=0)`` (numpy's default linear rule)
+    or, without ``probs``, ``np.median(values, axis=0)``, bit for bit on
+    finite values, from one sort (equal zeros of opposite sign may trade
+    places, as they do between numpy's own sort and partition).
 
     At the virtual index ``(n - 1) q`` between sorted neighbours a and b, at
     fraction t, a quantile is ``a + (b - a) t``, or ``b - (b - a) (1 - t)``
     when ``t >= 0.5``; an even-length median is ``(a + b) / 2``, which is
     not that rule at t = 0.5.  numpy's own functions import numpy.ma.
     """
-    s = np.moveaxis(np.sort(np.asarray(values, dtype=float), axis=axis),
-                    axis, 0)
+    s = np.sort(np.asarray(values, dtype=float), axis=0)
     n = s.shape[0]
     if probs is None:
         return s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
@@ -195,6 +211,37 @@ def leq_counts_choice(a: np.ndarray, b: np.ndarray,
     return cum[last[:n]] * take_a + cum[last[n:]] * ~take_a
 
 
+def _tie_groups(ys: np.ndarray):
+    """For y in increasing order: the start and size of every row's tie
+    group, and whether `dominance_counts_matrix` adds that group in one
+    histogram step, ``g (n - s) > _GROUP_COST (2n - s)``."""
+    n = ys.size
+    start = np.searchsorted(ys, ys, side="left")
+    size = np.searchsorted(ys, ys, side="right") - start
+    grouped = (size > 1) & (size * (n - start)
+                            > _GROUP_COST * (2 * n - start))
+    return start, size, grouped
+
+
+def choice_product_pays(y: np.ndarray) -> bool:
+    """Whether `dominance_counts_choice` should count a choice matrix
+    against y, rather than `dominance_counts_matrix` on its weak ranks.
+
+    Per column, the product's operands hold ``sum_i e_i`` cells, over the
+    ends ``e_i`` of the rows' y-tie groups in y order, and the kernel costs
+    n - s cells for a row pass and ``_GROUP_COST (2n - s)`` for a histogram
+    step.  The product pays while the first is at most ``_PRODUCT_GAIN``
+    times the second: a large tie group costs it the group's size times its
+    end, and the kernel one histogram step.
+    """
+    start, size, grouped = _tie_groups(np.sort(y))
+    n = start.size
+    steps = grouped & (start == np.arange(n))
+    kernel = ((n - start[~grouped]).sum()
+              + _GROUP_COST * (2 * n - start[steps]).sum())
+    return int((start + size).sum()) <= _PRODUCT_GAIN * int(kernel)
+
+
 def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Joint dominance counts of y against every column of x.
 
@@ -230,10 +277,7 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     n, p = x.shape
     order = np.argsort(y, kind="stable")
     ys, xs = y[order], x[order]
-    start = np.searchsorted(ys, ys, side="left")
-    size = np.searchsorted(ys, ys, side="right") - start
-    grouped = (size > 1) & (size * (n - start)
-                            > _GROUP_COST * (2 * n - start))
+    start, size, grouped = _tie_groups(ys)
     acc = np.min_scalar_type(n)
     counts = np.zeros((n, p), dtype=acc)
     rows = np.flatnonzero(~grouped)
@@ -270,12 +314,13 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
                             take_a: np.ndarray,
-                            first: np.ndarray | None = None) -> np.ndarray:
-    """Joint dominance counts of y against every column of the (n, m) matrix
-    x with ``x[i, d] = a[i]`` where ``take_a[i, d]`` and ``b[i]`` elsewhere,
-    without forming x: equal to ``dominance_counts_matrix(y, x)``, in
-    ``np.min_scalar_type(n)``.  With ``first``, an (n,) column, the result
-    has 1 + m columns and column 0 holds the joint counts of ``first``.
+                            first: np.ndarray) -> np.ndarray:
+    """Joint dominance counts of y against the (n,) column ``first`` and
+    every column of the (n, m) matrix x with ``x[i, d] = a[i]`` where
+    ``take_a[i, d]`` and ``b[i]`` elsewhere, without forming x: equal to
+    ``dominance_counts_matrix(y, np.c_[first, x])``, in
+    ``np.min_scalar_type(n)``.  ``first`` is counted in the same row blocks
+    as x, by direct comparison.
 
     With ``Y[i, k] = [y_k <= y_i]`` and ``T = take_a``, the count of row i
     in column d at a value v is linear in T:
@@ -297,12 +342,12 @@ def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
     they do not takes a second, a-side product, and keeps
     ``cb + T (ca - cb)``.
 
-    Rows are taken in increasing y order, h at a time, with ``h (n + 1)``
-    near ``_CHOICE_CELLS``.  Row i dominates in y exactly the rows before
-    the end of its y-tie group, so a block's operand spans those rows of its
-    last row only, and its y mask starts at the block's first row: the rows
-    before it are below every row of the block.  No (n, n) array is formed;
-    memory is O(n m + _CHOICE_CELLS).
+    Rows are taken in increasing y order, h = ``_CHOICE_ROWS`` at a time.
+    Row i dominates in y exactly the rows before the end of its y-tie group,
+    so a block's operand spans those rows of its last row only, and its y
+    mask starts at the block's first row: the rows before it are below
+    every row of the block.  No (n, n) array is formed; memory is
+    O(n m + h n).
 
     Exactness: every operand is 0, +-1, a count or a difference of two
     counts, and every partial sum, in any order, is a count of at most n
@@ -322,12 +367,10 @@ def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
     mask = np.empty((n + 1, m), dtype=real)
     mask[0] = 1
     mask[1:] = take_a[order]
-    h = min(n, max(1, _CHOICE_CELLS // (n + 1)))
+    h = min(n, _CHOICE_ROWS)
     prod = np.empty((h, m), dtype=real)
-    lead = 0 if first is None else 1
-    counts = np.empty((n, lead + m), dtype=np.min_scalar_type(n))
-    if first is not None:
-        first = first[order]
+    counts = np.empty((n, 1 + m), dtype=np.min_scalar_type(n))
+    first = first[order]
     for lo in range(0, n, h):
         hi = min(lo + h, n)
         g, e = hi - lo, int(end[hi - 1])
@@ -354,11 +397,10 @@ def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
         else:
             op[:, 1:][own] = base[:g] - base[g:] + diff[:g][own]
             c = np.matmul(op, mask[:e + 1], out=prod[:g])
-        counts[lo:hi, lead:] = c
-        if first is not None:
-            le = first[:e] <= first[lo:hi, None]
-            le[:, lo:] &= below
-            counts[lo:hi, 0] = np.count_nonzero(le, axis=1)
+        counts[lo:hi, 1:] = c
+        le = first[:e] <= first[lo:hi, None]
+        le[:, lo:] &= below
+        counts[lo:hi, 0] = np.count_nonzero(le, axis=1)
     out = np.empty_like(counts)
     out[order] = counts
     return out

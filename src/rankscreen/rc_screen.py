@@ -15,7 +15,10 @@ The screening paths take their counts from the batch kernel
 by `~rankscreen.empirical.count_chunks`; the bootstrap takes the counts of
 its sign-flip replicates, which it never forms, from
 `~rankscreen.empirical.dominance_counts_choice`, an exact integer matrix
-product that may run on BLAS threads.  Nothing else runs in threads.
+product that may run on BLAS threads, unless y's large tie groups make the
+kernel on the replicates' ranks cheaper
+(`~rankscreen.empirical.choice_product_pays`).  Nothing else runs in
+threads.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ import numpy as np
 
 from .dataset import Dataset
 from .empirical import (
+    _chunk_width,
     as_finite_pair,
+    choice_product_pays,
     count_chunks,
     dominance_counts_choice,
+    dominance_counts_matrix,
     leq_counts,
     leq_counts_choice,
 )
@@ -314,7 +320,10 @@ def _bootstrap_utilities(y: np.ndarray, x: np.ndarray,
     come from one sort of those 2n values (`leq_counts_choice`), their joint
     counts from one matrix product with the mask
     (`dominance_counts_choice`, which counts x in the same row blocks), and
-    no (n, n_boot) float replicate matrix is formed.  A selected ``a_i`` or
+    no (n, n_boot) float replicate matrix is formed.  A y whose large tie
+    groups make the kernel the cheaper count (`choice_product_pays`) is
+    counted by `dominance_counts_matrix` on the ranks instead, in column
+    chunks of `_chunk_width` (n) columns.  A selected ``a_i`` or
     ``b_i`` that overflows raises InvalidInput.
     """
     n = y.size
@@ -328,8 +337,14 @@ def _bootstrap_utilities(y: np.ndarray, x: np.ndarray,
     ranks = np.empty((n, 1 + take_a.shape[1]), dtype=np.min_scalar_type(n))
     ranks[:, 0] = leq_counts(x)
     ranks[:, 1:] = leq_counts_choice(a, b, take_a)
-    counts = dominance_counts_choice(y, a, b, take_a, first=x)
-    return _utilities(y, [(0, ranks, counts)], ranks.shape[1])
+    if choice_product_pays(y):
+        chunks = [(0, ranks, dominance_counts_choice(y, a, b, take_a, x))]
+    else:
+        w = _chunk_width(n)
+        chunks = ((lo, ranks[:, lo:lo + w],
+                   dominance_counts_matrix(y, ranks[:, lo:lo + w]))
+                  for lo in range(0, ranks.shape[1], w))
+    return _utilities(y, chunks, ranks.shape[1])
 
 
 def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,

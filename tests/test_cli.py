@@ -808,7 +808,10 @@ class TestTestCommand:
     def test_golden_output_on_any_number_of_blas_threads(self, tmp_path,
                                                          threads):
         # the bootstrap's counting product may run on BLAS threads; its
-        # every sum is an exact integer, so the bytes cannot depend on them
+        # every sum is an exact integer, so the bytes cannot depend on them.
+        # At n = 48 OpenBLAS likely keeps each product on one thread;
+        # test_empirical's test_choice_counts_on_any_number_of_blas_threads
+        # runs products large enough to be split
         golden = pathlib.Path(__file__).parent / "golden"
         out = tmp_path / "test.json"
         argv = ["test", "--input", str(golden / "ties.csv"), "--response",

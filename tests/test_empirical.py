@@ -1,11 +1,18 @@
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import rankscreen
 from rankscreen import empirical
 from rankscreen.empirical import (
     as_finite_vector,
+    choice_product_pays,
     dominance_counts_choice,
     dominance_counts_matrix,
     leq_counts,
@@ -203,18 +210,20 @@ def _responses(n):
 
 
 def _assert_choice_counts(monkeypatch, a, b, take_a):
-    """`dominance_counts_choice` equals the kernel on the formed matrix for
-    each response of `_responses`, in blocks of the default height, of one
-    row and of 7 rows (n = 255, 256 and 300 are no multiple of 7)."""
+    """`dominance_counts_choice` equals the kernel on the formed matrix,
+    behind a tied first column, for each response of `_responses`, in blocks
+    of the default height, of one row and of 7 rows (n = 255, 256 and 300
+    are no multiple of 7)."""
     n = a.size
-    x = _chosen(a, b, take_a)
+    first = np.random.default_rng(n).integers(0, 6, size=n).astype(float)
+    x = np.c_[first, _chosen(a, b, take_a)]
     for y in _responses(n):
         expected = dominance_counts_matrix(y, x)
         for rows in (None, 1, 7):
             with monkeypatch.context() as patch:
                 if rows:
-                    patch.setattr(empirical, "_CHOICE_CELLS", rows * (n + 1))
-                counts = dominance_counts_choice(y, a, b, take_a)
+                    patch.setattr(empirical, "_CHOICE_ROWS", rows)
+                counts = dominance_counts_choice(y, a, b, take_a, first)
             assert counts.dtype == np.min_scalar_type(n)
             assert np.array_equal(counts, expected)
 
@@ -278,23 +287,6 @@ class TestLeqCountsChoice:
         assert np.array_equal(leq_counts_choice(a, b, take_a), expected)
         _assert_choice_counts(monkeypatch, a, b, take_a)
 
-    @pytest.mark.parametrize("n", [2, 40, 256])
-    def test_first_column_counted_in_the_same_blocks(self, monkeypatch, n):
-        rng = np.random.default_rng(n)
-        first = rng.integers(0, 6, size=n).astype(float)
-        a, b = rng.standard_normal((2, n))
-        take_a = rng.integers(0, 2, size=(n, 3)).astype(bool)
-        x = np.c_[first, _chosen(a, b, take_a)]
-        for y in _responses(n):
-            for rows in (None, 1, 7):
-                with monkeypatch.context() as patch:
-                    if rows:
-                        patch.setattr(empirical, "_CHOICE_CELLS",
-                                      rows * (n + 1))
-                    counts = dominance_counts_choice(y, a, b, take_a,
-                                                     first=first)
-                assert np.array_equal(counts, dominance_counts_matrix(y, x))
-
     def test_float64_product(self, monkeypatch):
         # the product's type past 2^24 rows, tried at n = 300
         rng = np.random.default_rng(3)
@@ -305,9 +297,10 @@ class TestLeqCountsChoice:
         _assert_choice_counts(monkeypatch, x, rng.permutation(x), take_a)
 
     def test_traced_peak_beyond_the_output_is_not_quadratic(self):
-        # an (n, n) float32 array would add 16 MB at n = 2000; the
-        # working arrays are O(n m) plus one block, so the peak beyond the
-        # output grows at most like n
+        # an (n, n) float32 array would add 16 MB at n = 2000 and an (n, n)
+        # bool array 4 MB; the working arrays are O(n m) plus one block of
+        # _CHOICE_ROWS rows, O(n), so the peak beyond the output grows at
+        # most like n (it read 0.72 MB at n = 500 and 2.63 MB at n = 2000)
         peaks = []
         for n in (500, 2000):
             rng = np.random.default_rng(n)
@@ -315,13 +308,78 @@ class TestLeqCountsChoice:
             take_a = rng.integers(0, 2, size=(n, 50)).astype(bool)
             tracemalloc.start()
             try:
-                out = dominance_counts_choice(y, x, -x, take_a, first=x)
+                out = dominance_counts_choice(y, x, -x, take_a, x)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             peaks.append(peak - out.nbytes)
         assert peaks[1] < 4 * peaks[0]
-        assert peaks[1] < 2 ** 20
+        assert peaks[1] < 3 * 2 ** 20
+
+
+class TestChoiceProductPays:
+    """`choice_product_pays` against the kernel's cost."""
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 2000])
+    def test_untied_y_takes_the_product(self, n):
+        # the product's cells equal the kernel's row-pass cells
+        assert choice_product_pays(np.random.default_rng(n).permutation(n))
+
+    @pytest.mark.parametrize("n, pays", [(200, True), (500, True),
+                                         (1000, False), (2000, False)])
+    def test_bernoulli_y_takes_the_kernel_from_n_1000(self, n, pays):
+        # two histogram steps cost the kernel O(n); the product's two tie
+        # groups cost it about 3 n^2 / 4 cells
+        y = np.random.default_rng(n).integers(0, 2, size=n).astype(float)
+        assert choice_product_pays(y) is pays
+
+    def test_ratio_bound(self, monkeypatch):
+        # y sorts to [0, 0, 0, 1, 1]: the product's cells are 3 * 3 + 2 * 5
+        # = 19.  At _GROUP_COST = 1 the kernel adds the first group in one
+        # step, 1 * (10 - 0), and the other two rows in passes, 2 * (5 - 3):
+        # 14 cells, so the product pays up to the ratio 19 / 14 = 1.357
+        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+        monkeypatch.setattr(empirical, "_GROUP_COST", 1)
+        monkeypatch.setattr(empirical, "_PRODUCT_GAIN", 1.36)
+        assert choice_product_pays(y)
+        monkeypatch.setattr(empirical, "_PRODUCT_GAIN", 1.35)
+        assert not choice_product_pays(y)
+
+
+_CHOICE_AT_TEST_BOOT_SHAPE = """
+import hashlib
+import numpy as np
+from rankscreen.empirical import dominance_counts_choice
+rng = np.random.default_rng(7)
+y, x = rng.standard_normal((2, 200))
+take_a = rng.integers(0, 2, size=(200, 500)).astype(bool)
+dev = x - x.mean()
+counts = dominance_counts_choice(y, dev + x.mean(), x.mean() - dev, take_a, x)
+print(hashlib.sha256(counts.tobytes()).hexdigest())
+"""
+
+
+def test_choice_counts_on_any_number_of_blas_threads():
+    # At the bootstrap's n = 200, n_boot = 500, the four blocks' products
+    # take 0.8 to 6.2 million multiply-adds each.  OpenBLAS runs a product
+    # on one thread only up to 65536 * 4 of them, so the second run splits
+    # every product between two threads.  Its sums are exact integers, so
+    # the bytes match the one-thread run and the kernel.
+    src = str(pathlib.Path(rankscreen.__file__).parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        digests.append(subprocess.run(
+            [sys.executable, "-c", _CHOICE_AT_TEST_BOOT_SHAPE], env=env,
+            check=True, capture_output=True, text=True).stdout.strip())
+    rng = np.random.default_rng(7)
+    y, x = rng.standard_normal((2, 200))
+    take_a = rng.integers(0, 2, size=(200, 500)).astype(bool)
+    dev = x - x.mean()
+    formed = np.c_[x, _chosen(dev + x.mean(), x.mean() - dev, take_a)]
+    kernel = dominance_counts_matrix(y, formed).astype(np.uint8)
+    assert digests == [hashlib.sha256(kernel.tobytes()).hexdigest()] * 2
 
 
 class TestKernelAgainstOracle:

@@ -28,9 +28,10 @@ def budgets(request, monkeypatch):
         monkeypatch.setattr(cli, "_CELLS", 1)
         monkeypatch.setattr(empirical, "_CELLS", 1)
         monkeypatch.setattr(empirical, "_STEP", 1)
-        # the bootstrap's counting product takes one row at a time
-        monkeypatch.setattr(empirical, "_CHOICE_CELLS", 1)
-        # every y-tie group of two or more rows takes the histogram step
+        # every y-tie group of two or more rows takes the histogram step,
+        # so the bootstrap counts its replicates with the kernel on their
+        # ranks, in one-column chunks, not with the product of the real
+        # budgets (`empirical.choice_product_pays`)
         monkeypatch.setattr(empirical, "_GROUP_COST", 0)
 
 

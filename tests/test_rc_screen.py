@@ -230,6 +230,31 @@ class TestRcUtilitiesBatch:
         assert _bootstrap_utilities(y, x, take_a).tobytes() == whole.tobytes()
         _assert_bootstrap_matches_formed(y, x, 300, seed=width)
 
+    @pytest.mark.parametrize("width", [None, 64])
+    @pytest.mark.parametrize("case", ["bernoulli", "cross_row_ties",
+                                      "continuous"])
+    def test_bootstrap_on_the_kernel_path_bitwise(self, monkeypatch, case,
+                                                  width):
+        # with _PRODUCT_GAIN = 0 every y takes the kernel on the replicate
+        # ranks, in one chunk or in 64-column chunks with a ragged last one
+        rng = np.random.default_rng(len(case))
+        n = 50
+        y = rng.integers(0, 2, size=n).astype(float)
+        x = rng.standard_normal(n)
+        if case == "cross_row_ties":
+            x = np.round(x - x.mean(), 1)
+        elif case == "continuous":
+            y = rng.standard_normal(n)
+        monkeypatch.setattr(empirical, "_PRODUCT_GAIN", 0)
+        if width:
+            monkeypatch.setattr(empirical, "_CELLS", n * width)
+
+        def no_product(*args):
+            raise AssertionError("the product path was taken")
+
+        monkeypatch.setattr(rc_module, "dominance_counts_choice", no_product)
+        _assert_bootstrap_matches_formed(y, x, 150, seed=len(case))
+
     @pytest.mark.parametrize("width", [64, 128])
     def test_count_chunks_equal_one_chunk_bitwise(self, monkeypatch, width):
         # 300 columns at n = 50: one chunk at the real budget; 64- or

@@ -1,6 +1,11 @@
 """Command-line interface: CSV ingestion and the screen / simulate / test
 workflows.
 
+`load_csv` and `save_csv` cut a large file's rows into ranges, up to one per
+CPU in the affinity mask: this process does the first and a forked child each
+other one (`_forked`).  Results are bit-identical whatever the number of
+processes.  The package starts no other process or thread.
+
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
 
@@ -8,10 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
+import os
+import signal
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -96,26 +105,218 @@ def _parse_lines(path: str, header: list, lines: list,
     return _parse_block(path, header, lines, first_row)
 
 
-def _data_blocks(fh, block_rows: int):
-    """The lines after the header in blocks of ``block_rows`` lines, each
-    extended one line at a time until it holds an even number of ``"``
-    characters (a record spanning lines ends in the block it starts in) or
-    the added lines, all in one open quoted cell, pass the size at which
-    ``csv.reader`` rejects that cell."""
-    while lines := list(itertools.islice(fh, block_rows)):
+def _data_blocks(lines, block_rows: int):
+    """``lines`` in blocks of ``block_rows`` lines, each extended one line
+    at a time until it holds an even number of ``"`` characters (a record
+    spanning lines ends in the block it starts in) or the added lines, all
+    in one open quoted cell, pass the size at which ``csv.reader`` rejects
+    that cell."""
+    while block := list(itertools.islice(lines, block_rows)):
         # `in` skips a line without quotes faster than `count` would
-        quotes = sum(line.count('"') for line in lines if '"' in line)
+        quotes = sum(line.count('"') for line in block if '"' in line)
         spanned = 0
         while (quotes % 2 and spanned <= csv.field_size_limit()
-               and (line := next(fh, None)) is not None):
-            lines.append(line)
+               and (line := next(lines, None)) is not None):
+            block.append(line)
             quotes += line.count('"')
             spanned += len(line)
-        yield lines
+        yield block
 
 
 # Cells parsed per block: bounds the text alive at once.
 _CELLS = 2 ** 17
+
+# Bytes read from a file at a time.
+_CHUNK = 2 ** 16
+
+# The least CSV text, in bytes, worth a process of its own.  On the 2-core
+# Xeon VM (a 30 MB parent) a fork, pipe and reap cost about 1.5 ms: two
+# processes first read a file faster at about 0.5 MB of text, 0.26 MB each
+# (slower at 0.25 MB, level at 0.52 MB, 9% faster at 0.80 MB), and first
+# wrote one faster at about 0.2 MB.  Twice the read's break-even keeps a
+# margin; `test --all`'s 161 KB CSV stays serial.
+_RANGE_BYTES = 2 ** 19
+
+
+class _Range(io.RawIOBase):
+    """The next ``size`` bytes of the binary file ``fh``, all the rest if
+    ``size`` is negative, as a raw stream that leaves ``fh`` open."""
+
+    def __init__(self, fh, size: int):
+        self.fh, self.left = fh, size
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if self.left >= 0:
+            buffer = memoryview(buffer)[:self.left]
+        n = self.fh.readinto(buffer)
+        self.left -= n
+        return n
+
+
+def _lines(fh, size: int = -1):
+    """The lines of `_Range(fh, size)` as the file's text mode reads them:
+    UTF-8 that keeps each byte that is not as a lone surrogate
+    (``surrogateescape``, which encodes back to the same bytes), split
+    after ``\\n``, ``\\r\\n`` or a lone ``\\r``."""
+    return io.TextIOWrapper(io.BufferedReader(_Range(fh, size), _CHUNK),
+                            encoding="utf-8", errors="surrogateescape",
+                            newline="")
+
+
+def _read_header(path: str, lines) -> tuple[list, int]:
+    """The header record from the first of ``lines``, a leading byte-order
+    mark skipped (spreadsheets write one), and the bytes it takes."""
+    taken = []
+
+    def source():
+        for line in lines:
+            taken.append(line)
+            if len(taken) == 1:
+                line = line.removeprefix("\ufeff")
+            if line:  # empty only in a file of just the mark
+                yield line
+
+    try:
+        header = next(csv.reader(source()))
+    except StopIteration:
+        raise InvalidInput(f"{path}: file is empty") from None
+    except csv.Error as exc:
+        raise InvalidInput(f"{path}: row 1: {exc}") from None
+    return header, len("".join(taken).encode("utf-8", "surrogateescape"))
+
+
+def _parse_range(path: str, header: list, lines):
+    """The float array of each block of ``lines``, which hold whole records
+    (`_data_blocks`, about ``_CELLS`` cells a block).  Errors name rows as
+    if the lines began at file row 2, as the data's first range does."""
+    first_row = 2
+    for block in _data_blocks(lines, max(2, _CELLS // len(header))):
+        data = _parse_lines(path, header, block, first_row)
+        first_row += len(data)
+        yield data
+
+
+def _workers(size: int) -> int:
+    """How many processes share ``size`` bytes of CSV text: one per CPU
+    this process may run on, each with at least ``_RANGE_BYTES``.  One
+    where the affinity mask is unknown or another thread runs, because a
+    forked child holds only the forking thread, and every lock another
+    thread held stays locked in it."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES))
+
+
+def _cuts(fh, start: int, end: int, k: int) -> list:
+    """Offsets ``start < c1 < ... < end`` in the binary file ``fh`` that cut
+    its bytes ``[start, end)`` into at most ``k`` ranges of about equal
+    size.  Each cut follows the first ``\\n`` at or past its target after
+    which the count of ``"`` since ``start`` is even, as a `_data_blocks`
+    block ends, so no record spanning lines is cut; a file whose lines end
+    in a bare ``\\r`` has no ``\\n`` and stays one range."""
+    cuts, pos, quotes = [start], start, 0
+    fh.seek(start)
+    for i in range(1, k):
+        target = start + (end - start) * i // k
+        if pos >= target:  # the last cut passed it
+            continue
+        while pos < target and (chunk := fh.read(min(_CHUNK, target - pos))):
+            pos += len(chunk)
+            if b'"' in chunk:  # `in` passes a chunk without quotes faster
+                quotes += chunk.count(b'"')
+        while line := fh.readline():
+            pos += len(line)
+            quotes += line.count(b'"')
+            if quotes % 2 == 0:
+                break
+        if cuts[-1] < pos < end:
+            cuts.append(pos)
+    return cuts + [end]
+
+
+def _forked(ranges: list, work, here, take) -> bool:
+    """Do a job cut into ``ranges``: ``here(r)`` in this process for the
+    first range while a forked child does ``work(r)`` for each other, then
+    ``take(pipe)`` reads each child's result, in range order.
+
+    ``work`` returns bytes-like chunks, which the child writes only once
+    all are made, since this process reads no pipe before ``here``
+    returns.  A child exits 0 once it has written them and 1 on any
+    exception; it never returns into the caller.  Returns False at the
+    first child that failed or could not be started: the caller then does
+    the whole job here.  Every child is reaped before this returns or
+    raises, and one not yet read is killed first.
+    """
+    children = []
+    try:
+        for r in ranges[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # a process limit, say: no child, no job lost
+                os.close(read)
+                os.close(write)
+                return False
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    chunks = work(r)
+                    with open(write, "wb") as pipe:
+                        pipe.writelines(chunks)
+                    code = 0
+                except BaseException:
+                    pass  # the caller redoes the job and reports any error
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        here(ranges[0])
+        while children:
+            pid, pipe = children[0]
+            take(pipe)
+            del children[0]
+            pipe.close()
+            if os.waitpid(pid, 0)[1]:
+                return False
+        return True
+    finally:
+        for pid, pipe in children:  # left early: a failure
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _parse_forked(path: str, header: list, fh, ranges: list, keep) -> bool:
+    """Parse the byte ranges of ``fh`` with `_forked`, the first here, and
+    pass the float array of every block of rows to ``keep``, in file
+    order.  A child sends each block as its row count and float64 rows."""
+
+    def parse(own, start, end):
+        own.seek(start)
+        return _parse_range(path, header, _lines(own, end - start))
+
+    def work(r):
+        # its own file: a forked child would share the offset of fh
+        with open(path, "rb") as own:
+            return [part for data in parse(own, *r)
+                    for part in (len(data).to_bytes(8, "little"), data)]
+
+    def here(r):
+        for data in parse(fh, *r):
+            keep(data)
+
+    def take(pipe):
+        while rows := pipe.read(8):
+            data = np.empty((int.from_bytes(rows, "little"), len(header)))
+            if pipe.readinto(data) < data.nbytes:  # the child failed
+                return
+            keep(data)
+
+    return _forked(ranges, work, here, take)
 
 
 def load_csv(path: str, response_name: str,
@@ -136,15 +337,19 @@ def load_csv(path: str, response_name: str,
     not, or, where it fails, cell by cell through ``csv.reader`` and
     ``float`` with the same values.  ``x`` is column-major; no returned
     array shares memory with the parse.
+
+    Data of ``2 * _RANGE_BYTES`` bytes or more is cut into ranges at line
+    ends where the count of ``"`` since the header is even, one per CPU in
+    the affinity mask and each of at least ``_RANGE_BYTES`` (`_workers`,
+    `_cuts`).  This process parses the first range and a forked child each
+    other one, which sends back its float64 rows.  If any range fails,
+    this process parses the whole file again, so every value, message and
+    row number is the one a single process gives.  No child outlives the
+    call.
     """
-    with open(path, newline="", encoding="utf-8-sig",
-              errors="surrogateescape") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise InvalidInput(f"{path}: file is empty") from None
-        except csv.Error as exc:
-            raise InvalidInput(f"{path}: row 1: {exc}") from None
+    with open(path, "rb") as fh:
+        lines = _lines(fh)
+        header, start = _read_header(path, lines)
         if response_name not in header:
             raise InvalidInput(f"{path}: no column named '{response_name}'")
         if exposure_name is not None and exposure_name not in header:
@@ -161,9 +366,8 @@ def load_csv(path: str, response_name: str,
                     f"both named '{name}'"
                 )
             first[name] = j
-        blocks = _data_blocks(fh, max(2, _CELLS // len(header)))
-        block = next(blocks, [])
-        if len(block) < 2:
+        head = list(itertools.islice(lines, 2))
+        if len(head) < 2:
             raise InvalidInput(f"{path}: need at least 2 data rows")
         y_idx = first[response_name]
         z_idx = first[exposure_name] if exposure_name is not None else None
@@ -171,17 +375,34 @@ def load_csv(path: str, response_name: str,
         if not x_idx:
             raise InvalidInput(f"{path}: no covariate columns remain")
         y_parts, z_parts, x_parts = [], [], []
-        n = 0
-        while block:
-            data = _parse_lines(path, header, block, n + 2)
-            n += len(data)
-            block = None  # free this block's text before reading more
+
+        def keep(data):
             # copies, not views, so that no full-width block stays alive
             y_parts.append(data[:, y_idx].copy())
             if z_idx is not None:
                 z_parts.append(data[:, z_idx].copy())
             x_parts.append(data[:, x_idx])
-            block = next(blocks, [])
+
+        end = os.fstat(fh.fileno()).st_size  # 0 for a pipe: one process
+        k = _workers(end - start)
+        done = False
+        if k > 1:
+            cuts = _cuts(fh, start, end, k)
+            try:
+                done = _parse_forked(path, header, fh,
+                                     list(zip(cuts, cuts[1:])), keep)
+            except InvalidInput:  # in the first range: named again below
+                pass
+            if not done:  # parse the whole file here
+                for parts in (y_parts, z_parts, x_parts):
+                    parts.clear()
+                fh.seek(start)
+                head, lines = [], _lines(fh)
+        if not done:
+            for data in _parse_range(path, header,
+                                     itertools.chain(head, lines)):
+                keep(data)
+    n = sum(map(len, y_parts))
     if n < 2:  # a record may span lines
         raise InvalidInput(f"{path}: need at least 2 data rows")
     # column-major, as a column selection of the whole table was: each
@@ -203,6 +424,14 @@ def save_csv(dataset: Dataset, path: str):
     Data cells are ``repr`` of each float, which never needs quoting, so the
     rows are joined directly with the ``csv`` module's default ``\\r\\n``
     line ending.
+
+    A table whose text takes ``2 * _RANGE_BYTES`` bytes or more, judged by
+    its first row, is cut into ranges of rows as `load_csv` cuts a file:
+    this process formats the first and a forked child each other one,
+    which sends back its text, and the ranges are written in row order.
+    If any child fails, this process writes every row itself.  The bytes
+    do not depend on the number of processes, and no child outlives the
+    call.
     """
     header = [dataset.y_name]
     columns = [dataset.y]
@@ -211,10 +440,29 @@ def save_csv(dataset: Dataset, path: str):
         columns.append(dataset.z)
     header.extend(dataset.x_names)
     columns.append(dataset.x)
+    n = dataset.n
+
+    def text(rows):
+        table = np.column_stack([c[slice(*rows)] for c in columns]).tolist()
+        return (",".join(map(repr, row)) + "\r\n" for row in table)
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row)) + "\r\n"
-                      for row in np.column_stack(columns).tolist())
+        start = fh.tell()
+        k = _workers(n * len(next(text((0, 1)), "")))
+        bounds = [n * i // k for i in range(k + 1)]
+
+        def take(pipe):
+            fh.flush()  # the rows written so far go first
+            while chunk := pipe.read(_CHUNK):
+                fh.buffer.write(chunk)
+
+        if not _forked(list(zip(bounds, bounds[1:])),
+                       lambda rows: ["".join(text(rows)).encode()],
+                       lambda rows: fh.writelines(text(rows)), take):
+            fh.seek(start)
+            fh.truncate()
+            fh.writelines(text((0, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed; omit for entropy (printed for replay)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect "
-                            "(BLAS threads follow OPENBLAS_NUM_THREADS)")
+                            "(BLAS threads follow OPENBLAS_NUM_THREADS, CSV "
+                            "workers the CPU affinity mask)")
         if spline:  # `test` fits no splines
             p.add_argument("--degree", type=int, default=3,
                            help="spline degree for rpc-* methods")

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -56,6 +57,46 @@ def exposure_csv(tmp_path):
     return _write(tmp_path / "exp.csv", "\n".join(lines) + "\n")
 
 
+def _force_split(monkeypatch, k):
+    """Make `load_csv` and `save_csv` cut even a small file into up to
+    ``k`` ranges: a one-byte minimum per process and ``k`` CPUs in the
+    affinity mask."""
+    monkeypatch.setattr(cli, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                        raising=False)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda k: f"k{k}")
+def split(request, monkeypatch):
+    """Run a test with CSV work cut into up to k = 1, 2 or 3 ranges, each
+    but the first in a forked child.  ``calls`` gets one (ranges, every
+    child succeeded) pair per call of `cli._forked`; False means that this
+    process did the whole job again, as it does after a failure here."""
+    if request.param > 1:
+        _force_split(monkeypatch, request.param)
+    record = types.SimpleNamespace(k=request.param, calls=[])
+    real = cli._forked
+
+    def recorded(ranges, *args):
+        record.calls.append((len(ranges), False))  # kept if it raises
+        record.calls[-1] = (len(ranges), real(ranges, *args))
+        return record.calls[-1][1]
+
+    monkeypatch.setattr(cli, "_forked", recorded)
+    return record
+
+
+def _no_retry(split):
+    """No child failed, so no job was done again in this process."""
+    assert all(ok for _, ok in split.calls)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("split")
 class TestLoadCsv:
     def test_three_column_file(self, tmp_path):
         path = _write(tmp_path / "t.csv", "y,x1,x2\n1,2,3\n4,5,6\n")
@@ -193,6 +234,7 @@ def _set_block_cells(monkeypatch, cells):
         monkeypatch.setattr(cli, "_CELLS", cells)
 
 
+@pytest.mark.usefixtures("split")
 class TestBlockParse:
     """Files spanning several parse blocks (``cli._CELLS`` shrunk so that
     small files do) report the same errors and values as one block."""
@@ -267,18 +309,21 @@ class TestBlockParse:
         (7, 40, "z", 64),       # 42 columns > 64 // 2: two rows per block
         (10_000, 2, None, 2 ** 10),
         (10_000, 2, None, None),
+        (10_001, 3, "z", None),
     ])
-    def test_values_round_trip_bitwise(self, tmp_path, monkeypatch, n, p,
-                                       exposure, cells):
+    def test_values_round_trip_bitwise(self, tmp_path, monkeypatch, split,
+                                       n, p, exposure, cells):
         _set_block_cells(monkeypatch, cells)
         rng = np.random.default_rng(n + p)
         x = rng.standard_normal((n, p))
         x.flat[:4] = [-0.0, 5e-324, 1e16, -2.2250738585072014e-308]
         ds = Dataset(y=rng.standard_normal(n), x=x, z_name=exposure,
                      z=rng.random(n) if exposure else None)
-        path = str(tmp_path / "rt.csv")
-        save_csv(ds, path)
-        back = load_csv(path, "y", exposure)
+        path = tmp_path / "rt.csv"
+        save_csv(ds, str(path))
+        back = load_csv(str(path), "y", exposure)
+        assert split.calls[0][0] == split.k  # save_csv's rows
+        _no_retry(split)
         assert back.y.tobytes() == ds.y.tobytes()
         assert back.x.tobytes() == ds.x.tobytes()
         if exposure:
@@ -286,6 +331,10 @@ class TestBlockParse:
         assert back.x.flags.f_contiguous
         for arr in (back.y, back.x, back.z):
             assert arr is None or arr.flags.owndata
+        # one process writes the same bytes
+        monkeypatch.setattr(cli, "_RANGE_BYTES", 2 ** 62)
+        save_csv(ds, str(tmp_path / "one.csv"))
+        assert (tmp_path / "one.csv").read_bytes() == path.read_bytes()
 
     # file row 12 is the third row of the fourth 12-cell block
     @pytest.mark.parametrize("cells", [12, None])
@@ -434,6 +483,7 @@ def _loadtxt_cells(rng):
     return cells + ["1.5E+3", " 1 ", "+inf", "-1e-400", "0.1"]
 
 
+@pytest.mark.usefixtures("split")
 class TestLoadtxtPath:
     """The block parse is ``np.loadtxt``; it must give ``float``'s bits."""
 
@@ -447,7 +497,8 @@ class TestLoadtxtPath:
         expected = np.array([[float(c) for c in r] for r in rows])
         assert data.tobytes() == expected.tobytes()
 
-    def test_finite_blocks_never_fall_back(self, tmp_path, monkeypatch):
+    def test_finite_blocks_never_fall_back(self, tmp_path, monkeypatch,
+                                           split):
         cells = [c for c in _loadtxt_cells(np.random.default_rng(6))
                  if c != "+inf"]
         rows = [cells[:2], cells[2:4]] + [[c, "1"] for c in cells[4:]]
@@ -460,12 +511,13 @@ class TestLoadtxtPath:
         monkeypatch.setattr(cli, "_parse_block", no_fallback)
         _set_block_cells(monkeypatch, 8)
         ds = load_csv(path, "y")
+        _no_retry(split)  # a child's range did not fall back either
         expected = np.array([[float(c) for c in r] for r in rows])
         assert np.column_stack([ds.y, ds.x]).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("cells", [12, None])
     def test_quote_all_copy_never_falls_back(self, tmp_path, monkeypatch,
-                                             cells):
+                                             split, cells):
         # spreadsheet "quote all" exports: every cell quoted, CRLF endings
         rows = _grid(20, 4)
         plain = load_csv(_write_grid(tmp_path, rows, 4), "y")
@@ -481,10 +533,150 @@ class TestLoadtxtPath:
         monkeypatch.setattr(cli, "_parse_block", no_fallback)
         _set_block_cells(monkeypatch, cells)
         ds = load_csv(str(quoted), "y")
+        _no_retry(split)
         assert ds.x_names == plain.x_names
         assert ds.y.tobytes() == plain.y.tobytes()
         assert ds.x.tobytes() == plain.x.tobytes()
 
+
+
+class TestForkedRanges:
+    """A file cut into ranges, each but the first parsed in a forked
+    child, reads as in one process, and leaves no child behind."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("exposure", [None, "x2"])
+    def test_line_endings_mark_and_exposure(self, tmp_path, split, newline,
+                                            mark, exposure):
+        rows = _grid(40, 4)
+        text = newline.join(["y,x1,x2,x3"] + [",".join(r) for r in rows])
+        path = tmp_path / "t.csv"
+        path.write_bytes(mark + (text + newline).encode())
+        ds = load_csv(str(path), "y", exposure)
+        _no_retry(split)
+        # a bare "\r" file has no "\n" to cut at
+        ranges = 1 if newline == "\r" else split.k
+        assert [r for r, _ in split.calls] == ([] if split.k == 1
+                                                else [ranges])
+        table = np.array(rows, dtype=float)
+        x_cols = [1, 3] if exposure else [1, 2, 3]
+        assert ds.y.tobytes() == table[:, 0].tobytes()
+        assert ds.x.tobytes() == np.asfortranarray(table[:, x_cols]).tobytes()
+        if exposure:
+            assert ds.z.tobytes() == table[:, 2].tobytes()
+
+    @pytest.mark.parametrize("bad_row", [None, 16, 30])
+    def test_quoted_record_across_the_midpoint(self, tmp_path, split,
+                                               bad_row):
+        # file row 21 spans two lines and most of the file's bytes, so
+        # every cut's target falls inside it
+        rows = _grid(40, 4)
+        pad = " " * 300
+        rows[19][2] = f'"{pad}7\n{pad}"'
+        if bad_row is not None:
+            rows[bad_row - 2][1] = "abc"
+        path = _write_grid(tmp_path, rows, 4)
+        if bad_row is not None:
+            with pytest.raises(InvalidInput) as info:
+                load_csv(path, "y")
+            assert str(info.value) == (
+                f"{path}: row {bad_row}, column 'x1': non-numeric value 'abc'")
+            _no_child_left()
+            return
+        ds = load_csv(path, "y")
+        _no_retry(split)
+        expected = np.array(_grid(40, 4), dtype=float)
+        expected[19, 2] = 7.0
+        assert np.column_stack([ds.y, ds.x]).tobytes() == expected.tobytes()
+        if split.k > 1:  # one cut, after the record
+            assert split.calls == [(2, True)]
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_cuts_end_records_and_leave_no_range_empty(self, tmp_path, k):
+        # a long first line passes several targets; quoted cells span lines
+        lines = ["1" * 60 + ",2\n", '"3\n",4\n', "5,6\n", '"7\n\n",8\r\n',
+                 "9,10\n", "11,12"]
+        data = "".join(lines).encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"y,x1\n" + data)
+        with open(path, "rb") as fh:
+            cuts = cli._cuts(fh, 5, 5 + len(data), k)
+        assert cuts[0] == 5 and cuts[-1] == 5 + len(data)
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        for cut in cuts[1:-1]:
+            assert data[cut - 6:cut - 5] == b"\n"
+            assert data[:cut - 5].count(b'"') % 2 == 0
+        assert len(cuts) > 2
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 2 ** 16])
+    def test_lines_split_and_decode_as_text_mode(self, tmp_path,
+                                                 monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        raw = ("a,\u00e9\r\nb\rc\n\r\r\n\nd\u20ac,1\r".encode()
+               + b"\xff\xe2\x82\ne\r\n\r")
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with open(path, newline="", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            expected = list(fh)  # text mode's lines
+        with open(path, "rb") as fh:
+            assert list(cli._lines(fh)) == expected
+            # a range that ends after a "\n" holds its lines and no more
+            cut = raw.index(b"\n", 10) + 1
+            fh.seek(0)
+            head = list(cli._lines(fh, cut))
+        assert "".join(head).encode("utf-8", "surrogateescape") == raw[:cut]
+        assert head == expected[:len(head)]
+
+    @pytest.mark.parametrize("row", [3, 50])
+    def test_bad_cell_in_either_range_named_as_in_one_process(
+            self, tmp_path, monkeypatch, capfd, row):
+        # row 3 is in this process's range, row 50 in the child's
+        _force_split(monkeypatch, 2)
+        rows = _grid(60, 4)
+        rows[row - 2][3] = "nan"
+        path = _write_grid(tmp_path, rows, 4)
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value) == (
+            f"{path}: row {row}, column 'x3': non-finite value 'nan'")
+        _no_child_left()
+        assert main(["screen", "--input", path, "--response", "y"]) == 1
+        _no_child_left()
+        # one error line, once: no child printed or returned into main
+        assert capfd.readouterr() == (
+            "", f"error: {path}: row {row}, column 'x3': non-finite value "
+                "'nan'\n")
+
+    def test_no_child_left_after_load_and_save(self, tmp_path, monkeypatch):
+        _force_split(monkeypatch, 3)
+        rng = np.random.default_rng(8)
+        ds = Dataset(y=rng.standard_normal(31),
+                     x=rng.standard_normal((31, 5)))
+        path = str(tmp_path / "t.csv")
+        save_csv(ds, path)
+        _no_child_left()
+        back = load_csv(path, "y")
+        _no_child_left()
+        assert back.x.tobytes() == np.asfortranarray(ds.x).tobytes()
+
+    def test_fork_failure_leaves_the_job_here(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        ds = Dataset(y=rng.standard_normal(30),
+                     x=rng.standard_normal((30, 4)))
+        path = tmp_path / "t.csv"
+        save_csv(ds, str(path))
+
+        def fail():
+            raise OSError("no more processes")
+
+        _force_split(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fail)
+        back = load_csv(str(path), "y")
+        assert back.x.tobytes() == np.asfortranarray(ds.x).tobytes()
+        save_csv(back, str(tmp_path / "again.csv"))
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 class TestScreenCommand:
     def test_duplicate_covariate_listed_first(self, small_csv, tmp_path,

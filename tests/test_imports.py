@@ -90,3 +90,29 @@ def test_commands_leave_numpy_ma_unloaded(argv, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip().splitlines()[-1] == "False"
+
+
+def test_forked_csv_read_leaves_process_pools_unloaded(tmp_path):
+    # the CSV workers are os.fork children; importing multiprocessing.pool
+    # alone costs a cold command about 11 ms
+    path = tmp_path / "t.csv"
+    path.write_text("y,x1\n" + "".join(f"{i},{i * i}\n" for i in range(50)),
+                    encoding="utf-8")
+    code = (
+        "import os, sys\n"
+        "from rankscreen import cli\n"
+        "cli._RANGE_BYTES = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"ds = cli.load_csv({str(path)!r}, 'y')\n"
+        "assert forks and ds.n == 50\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'}\n"
+        "             & set(sys.modules)))\n"
+    )
+    src = str(pathlib.Path(rankscreen.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

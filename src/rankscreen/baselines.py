@@ -108,13 +108,15 @@ def _kendall_taus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     n, p = x.shape
     n0 = n * (n - 1) // 2
-    ry = leq_counts(y)
+    # compact counts: the key and the sums are formed in int64
+    ry = leq_counts(y).astype(np.int64)
     n2 = int(ry.sum()) - n - n0
     taus = np.empty(p)
     for lo, rx, c in count_chunks(y, x):
-        n1 = rx.sum(axis=0) - n - n0
-        n3 = leq_counts_matrix(ry[:, None] * (n + 1) + rx).sum(axis=0) - n - n0
-        s = 2 * c.sum(axis=0) - 2 * n - n0 - n1 - n2 - n3
+        n1 = rx.sum(axis=0, dtype=np.int64) - n - n0
+        n3 = leq_counts_matrix(ry[:, None] * (n + 1) + rx).sum(
+            axis=0, dtype=np.int64) - n - n0
+        s = 2 * c.sum(axis=0, dtype=np.int64) - 2 * n - n0 - n1 - n2 - n3
         for j, (s_j, n1_j) in enumerate(zip(s.tolist(), n1.tolist())):
             taus[lo + j] = _tau_b(s_j, n0, n1_j, n2)
     return taus

@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import kendall_sis, pearson_sis
 from .dataset import Dataset
 from .empirical import quantiles
-from .errors import HarnessError, InvalidInput, check_seed
+from .errors import HarnessError, InvalidInput, _is_int, check_seed
 from .rc_screen import rc_screen
 from .report import (
     SCHEMA_VERSION,
@@ -191,8 +191,9 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
     HarnessError
         If more than ``MAX_FAILURE_FRACTION`` of the replications fail.
     """
-    if n_reps < 1:
-        raise InvalidInput("need at least one replication")
+    if not _is_int(n_reps) or n_reps < 1:
+        raise InvalidInput(
+            f"n_reps must be an integer >= 1, got {n_reps!r}")
     check_seed(base_seed)
     if not methods:
         raise InvalidInput("need at least one method")

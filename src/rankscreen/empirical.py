@@ -4,12 +4,12 @@ Every correlation-type quantity downstream reduces to three integer counts
 per sample point: the marginal weak-rank counts ``#{k : y_k <= y_i}`` and
 ``#{k : x_k <= x_i}`` and the joint dominance count
 ``#{k : y_k <= y_i, x_k <= x_i}``.  This module computes those counts
-exactly; `dominance_counts_matrix` is the joint-count kernel of every
-screening path, and a single column is its p = 1 call.  The kernel only
-compares values, so any input with the same per-column ``<=`` order gives
-the same counts: the screening utilities pass the weak ranks
-``x_k <= x_i <=> r_k <= r_i`` in the smallest unsigned integer type that
-holds n, which moves a quarter of the bytes of a float column or fewer.
+exactly.  No count exceeds n, so every counting function returns them in
+``np.min_scalar_type(n)`` (uint8 up to n = 255, uint16 up to 65,535), in
+input row order.  `dominance_counts_matrix` is the joint-count kernel of
+every screening path, and a single column is its p = 1 call.  The kernel
+only compares values, so any input with the same per-column ``<=`` order
+gives the same counts: the screening utilities pass the weak ranks.
 The ``n/(n+1)`` boundary rescale of the empirical CDFs,
 ``(n/(n+1)) * (count/n) == count/(n+1)``, is applied where the counts are
 turned into correlations (``rc_screen._rho_from_counts``).
@@ -29,11 +29,7 @@ The bootstrap's sign-flip replicates are counted without forming them.
 Row i of every replicate holds one of two values, ``a_i`` or ``b_i``, so
 `leq_counts_choice` ranks them all from one sort of those 2n values, and
 `dominance_counts_choice` takes their joint counts as an exact float
-product of small integer matrices with the selection mask, which BLAS runs
-far faster than the kernel's row passes.  A y with large tie groups,
-which the kernel adds in histogram steps, can make the kernel on the
-replicates' ranks the cheaper count; `choice_product_pays` tells which.
-`dominance_counts_matrix` serves every other joint count.
+product of small integer matrices with the selection mask.
 
 `quantiles` gives numpy's medians and linear quantiles bit for bit from one
 sort: `np.median` and `np.quantile` import numpy.ma, which costs a cold
@@ -52,7 +48,6 @@ __all__ = [
     "leq_counts_choice",
     "dominance_counts_matrix",
     "dominance_counts_choice",
-    "choice_product_pays",
     "count_chunks",
 ]
 
@@ -77,18 +72,6 @@ _GROUP_COST = 16
 # 9.8 ms at n = 1000 and 23 against 45 ms at n = 2000 (2-core Xeon, OpenBLAS
 # 0.3.31, numpy 2.4): a short block is a thin, memory-bound product.
 _CHOICE_ROWS = 64
-
-# `choice_product_pays`: the bootstrap counts its replicates with the
-# product of `dominance_counts_choice` while the product's operand cells
-# number at most this many times the kernel's cost in row-pass cells, and
-# with the kernel on the replicate ranks beyond.  A y without ties has the
-# ratio 1, a Bernoulli y about n / 75.  For S1c1's Bernoulli y, per column
-# at n_boot = 500, the product took 4.1 against the kernel's 5.3 ms at
-# n = 500, 11 against 11 ms at n = 1000 (but `test --all` over 40 columns
-# took 0.72 to 0.77 s against 0.62 to 0.64 s), and 38.5 against 21.7 ms at
-# n = 2000.  A Poisson(2) y at n = 1000 (ratio 4.9) took 7.2 against
-# 16.7 ms (2-core Xeon).
-_PRODUCT_GAIN = 8
 
 # `dominance_counts_choice` multiplies in float32 below this many rows, where
 # every integer it forms (at most n in magnitude) is exact, and in float64
@@ -172,14 +155,16 @@ def leq_counts(col: np.ndarray) -> np.ndarray:
 
 def leq_counts_matrix(x: np.ndarray) -> np.ndarray:
     """Per-column weak-rank counts ``r[i, j] = #{k : x[k, j] <= x[i, j]}``,
-    exact int64: after one sort of every column, the count at a sorted
-    position is one past the last position of its tie group.
+    exact: after one sort of every column, the count at a sorted position
+    is one past the last position of its tie group.
     """
     n = x.shape[0]
     order = np.argsort(x, axis=0)
     xs = np.take_along_axis(x, order, axis=0)
-    counts = np.full(x.shape, n, dtype=np.int64)
-    np.copyto(counts[:-1], np.arange(1, n)[:, None], where=xs[:-1] != xs[1:])
+    acc = np.min_scalar_type(n)
+    counts = np.full(x.shape, n, dtype=acc)
+    np.copyto(counts[:-1], np.arange(1, n, dtype=acc)[:, None],
+              where=xs[:-1] != xs[1:])
     del xs
     np.minimum.accumulate(counts[::-1], axis=0, out=counts[::-1])
     out = np.empty_like(counts)
@@ -191,7 +176,7 @@ def leq_counts_choice(a: np.ndarray, b: np.ndarray,
                       take_a: np.ndarray) -> np.ndarray:
     """Weak-rank counts of the (n, m) matrix x with ``x[i, d] = a[i]`` where
     ``take_a[i, d]`` and ``b[i]`` elsewhere, without forming x: equal to
-    ``leq_counts_matrix(x)``, in ``np.min_scalar_type(n)``.
+    ``leq_counts_matrix(x)``.
 
     Every entry of x is one of the 2n values ``[a; b]``, which are sorted
     once.  In sorted order, the rows of the selection mask
@@ -211,41 +196,10 @@ def leq_counts_choice(a: np.ndarray, b: np.ndarray,
     return cum[last[:n]] * take_a + cum[last[n:]] * ~take_a
 
 
-def _tie_groups(ys: np.ndarray):
-    """For y in increasing order: the start and size of every row's tie
-    group, and whether `dominance_counts_matrix` adds that group in one
-    histogram step, ``g (n - s) > _GROUP_COST (2n - s)``."""
-    n = ys.size
-    start = np.searchsorted(ys, ys, side="left")
-    size = np.searchsorted(ys, ys, side="right") - start
-    grouped = (size > 1) & (size * (n - start)
-                            > _GROUP_COST * (2 * n - start))
-    return start, size, grouped
-
-
-def choice_product_pays(y: np.ndarray) -> bool:
-    """Whether `dominance_counts_choice` should count a choice matrix
-    against y, rather than `dominance_counts_matrix` on its weak ranks.
-
-    Per column, the product's operands hold ``sum_i e_i`` cells, over the
-    ends ``e_i`` of the rows' y-tie groups in y order, and the kernel costs
-    n - s cells for a row pass and ``_GROUP_COST (2n - s)`` for a histogram
-    step.  The product pays while the first is at most ``_PRODUCT_GAIN``
-    times the second: a large tie group costs it the group's size times its
-    end, and the kernel one histogram step.
-    """
-    start, size, grouped = _tie_groups(np.sort(y))
-    n = start.size
-    steps = grouped & (start == np.arange(n))
-    kernel = ((n - start[~grouped]).sum()
-              + _GROUP_COST * (2 * n - start[steps]).sum())
-    return int((start + size).sum()) <= _PRODUCT_GAIN * int(kernel)
-
-
 def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Joint dominance counts of y against every column of x.
 
-    Returns an (n, p) int64 array with
+    Returns the (n, p) counts
     ``c[i, j] = #{k : y_k <= y_i and x[k, j] <= x[i, j]}``.
 
     Rows are taken in increasing y order.  Every row from the first member
@@ -261,11 +215,9 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Only ``<=`` between entries of the same column is used, so x may be
     anything with the same per-column order, such as its weak ranks
-    (`leq_counts_matrix`) in a small integer type.  Histogram steps use x
-    as its own ranks when it is unsigned with no value above n, and rank it
-    once otherwise.  No count exceeds n, so both steps accumulate exactly
-    in ``np.min_scalar_type(n)`` (uint8 up to n = 255, uint16 up to 65,535)
-    before the result is widened to int64.
+    (`leq_counts_matrix`).  Histogram steps use x as its own ranks when it
+    is unsigned with no value above n, and rank it once otherwise.  Both
+    steps accumulate in the counts' own type.
 
     A row pass is two ufunc calls on views of buffers made once: its
     comparisons go into one (n, p) bool buffer, whose uint8 view (0 or 1)
@@ -277,7 +229,10 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     n, p = x.shape
     order = np.argsort(y, kind="stable")
     ys, xs = y[order], x[order]
-    start, size, grouped = _tie_groups(ys)
+    start = np.searchsorted(ys, ys, side="left")
+    size = np.searchsorted(ys, ys, side="right") - start
+    grouped = (size > 1) & (size * (n - start)
+                            > _GROUP_COST * (2 * n - start))
     acc = np.min_scalar_type(n)
     counts = np.zeros((n, p), dtype=acc)
     rows = np.flatnonzero(~grouped)
@@ -307,7 +262,7 @@ def dominance_counts_matrix(y: np.ndarray, x: np.ndarray) -> np.ndarray:
                                minlength=p * (n + 1))
             cum = hist.reshape(p, n + 1).cumsum(axis=1, dtype=acc)
             counts[s:] += np.take(cum, bins[s:])
-    out = np.empty((n, p), dtype=np.int64)
+    out = np.empty_like(counts)
     out[order] = counts
     return out
 
@@ -318,9 +273,8 @@ def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Joint dominance counts of y against the (n,) column ``first`` and
     every column of the (n, m) matrix x with ``x[i, d] = a[i]`` where
     ``take_a[i, d]`` and ``b[i]`` elsewhere, without forming x: equal to
-    ``dominance_counts_matrix(y, np.c_[first, x])``, in
-    ``np.min_scalar_type(n)``.  ``first`` is counted in the same row blocks
-    as x, by direct comparison.
+    ``dominance_counts_matrix(y, np.c_[first, x])``.  ``first`` is counted
+    in the same row blocks as x, by direct comparison.
 
     With ``Y[i, k] = [y_k <= y_i]`` and ``T = take_a``, the count of row i
     in column d at a value v is linear in T:
@@ -411,13 +365,12 @@ def count_chunks(y: np.ndarray, x: np.ndarray):
 
     Yields ``(lo, rx, c)`` for each chunk ``x[:, lo:lo + w]`` of
     `column_chunks`: ``rx`` is the chunk's `leq_counts_matrix` and ``c`` its
-    `dominance_counts_matrix` against y, both (n, w) int64.  Every count is
-    an exact integer, so no count depends on the width.  A non-finite y, or
-    a non-finite column of the chunk, raises InvalidInput.
+    `dominance_counts_matrix` against y, both (n, w).  Every count is an
+    exact integer, so no count depends on the width.  A non-finite y, or a
+    non-finite column of the chunk, raises InvalidInput.
     """
     as_finite_vector(y, "response")
-    small = np.min_scalar_type(x.shape[0])
     for lo, chunk in column_chunks(x):
         rx = leq_counts_matrix(chunk)
-        yield lo, rx, dominance_counts_matrix(y, rx.astype(small))
+        yield lo, rx, dominance_counts_matrix(y, rx)
 

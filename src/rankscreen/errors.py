@@ -36,6 +36,10 @@ def _is_int(value) -> bool:  # numpy's integers too, but not a bool
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:  # numpy's reals too, but not a bool
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_seed(seed):
     """Raise InvalidInput unless ``seed`` is an integer >= 0."""
     if not _is_int(seed) or seed < 0:

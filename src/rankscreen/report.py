@@ -8,7 +8,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _is_int, _is_real
 
 __all__ = [
     "TopD",
@@ -29,8 +29,9 @@ class TopD:
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InvalidInput("top-d budget must be >= 1")
+        if not _is_int(self.d) or self.d < 1:
+            raise InvalidInput(
+                f"top-d budget must be an integer >= 1, got {self.d!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,9 @@ class UtilityThreshold:
     value: float
 
     def __post_init__(self):
+        if not _is_real(self.value):
+            raise InvalidInput(
+                f"utility threshold must be a number, got {self.value!r}")
         if not math.isfinite(self.value):
             raise InvalidInput("utility threshold must be finite")
 

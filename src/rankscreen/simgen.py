@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import Dataset
-from .errors import InvalidInput, check_seed
+from .errors import InvalidInput, _is_int, _is_real, check_seed
 
 __all__ = [
     "Scenario",
@@ -92,11 +92,17 @@ class Scenario:
             object.__setattr__(self, "w0",
                                0.95 if self.case in (2, 3, 4) else 1.0)
         reads = design.defaults
-        for key in _PARAMS:
-            if (getattr(self, key) is None) == (key in reads):
+        for key, kind in _PARAMS.items():
+            value = getattr(self, key)
+            if (value is None) == (key in reads):
                 verb = "needs" if key in reads else "does not read"
                 raise InvalidInput(f"scenario {self.id} {verb} '{key}'; it "
                                    f"reads {', '.join(reads)}")
+            typed = (_is_int(value) if kind is int else _is_real(value)
+                     if kind is float else isinstance(value, kind))
+            if value is not None and not typed:
+                raise InvalidInput(f"scenario parameter '{key}' must be of "
+                                   f"type {kind.__name__}, got {value!r}")
         if self.n < 2 or self.p <= max(design.active):
             raise InvalidInput(f"scenario {self.id} needs n >= 2 and "
                                f"p > {max(design.active)}")

@@ -7,6 +7,7 @@ import pytest
 
 from rankscreen import empirical
 from rankscreen.baselines import (
+    _kendall_taus,
     kendall_sis,
     kendall_tau_b,
     kendall_utility,
@@ -14,6 +15,7 @@ from rankscreen.baselines import (
     pearson_utility,
 )
 from rankscreen.dataset import Dataset
+from rankscreen.empirical import leq_counts
 from rankscreen.errors import InvalidInput
 from rankscreen.rc_screen import rc_screen
 
@@ -164,6 +166,35 @@ class TestKendallBatch:
         x[:, 5] = rng.standard_normal(n)
         x[:, 7] = 2.0  # constant column
         self._assert_matches_oracle(y, x)
+
+    @pytest.mark.parametrize("n, y_sizes, x_sizes", [
+        (256, [1, 200, 55], [120, 1, 135]),
+        (300, [50, 218, 32], [100, 82, 118]),
+    ])
+    def test_signed_taus_past_a_byte(self, n, y_sizes, x_sizes):
+        # uint16 counts.  The tie groups of y and of column 0 are sized so
+        # that the key ry (n + 1) + rx, wrapped at 2^16, would give distinct
+        # (ry, rx) pairs one value (257 * 255 + 1 = 301 * 218 - 82 = 2^16);
+        # column 1 is negatively associated with y, so S < 0
+        rng = np.random.default_rng(n)
+        y = np.repeat([0.0, 1.0, 2.0], y_sizes)
+        x = rng.permutation(np.repeat([0.0, 1.0, 2.0], x_sizes))
+        # at n = 256 the colliding rows are the lowest y at x = 0 and the
+        # highest y at x = 1
+        one = np.flatnonzero(x == 1.0)[0]
+        x[[one, -1]] = x[[-1, one]]
+        zero = np.flatnonzero(x == 0.0)[0]
+        x[[zero, 0]] = x[[0, zero]]
+        ry, rx = leq_counts(y).astype(int), leq_counts(x).astype(int)
+        wrapped = (ry * (n + 1) + rx) % 2 ** 16
+        assert len(set(wrapped.tolist())) < len(set(zip(ry, rx)))
+        x = np.c_[x, rng.integers(0, 2, n) - y, rng.standard_normal(n)]
+        rows = rng.permutation(n)
+        y, x = y[rows], x[rows]
+        taus = _kendall_taus(y, x)
+        assert taus[1] < -0.5
+        for j in range(3):
+            assert taus[j] == kendall_tau_oracle(list(y), list(x[:, j]))
 
     def test_constant_y(self):
         rng = np.random.default_rng(3)

@@ -222,6 +222,19 @@ class TestRunReplications:
             run_replications(counted, ["rc"], 2, base_seed=-1)
         assert calls == []
 
+    @pytest.mark.parametrize("n_reps", [0, 2.5, True])
+    def test_replication_count_is_an_integer_at_least_one(self, n_reps):
+        calls = []
+        make = _duplicate_generator()
+
+        def counted(seq):
+            calls.append(seq)
+            return make(seq)
+
+        with pytest.raises(InvalidInput, match="n_reps"):
+            run_replications(counted, ["rc"], n_reps, base_seed=9)
+        assert calls == []
+
     def test_aggregation_permutation_invariant(self):
         report = run_replications(_duplicate_generator(p=5), ["pearson"], 9,
                                   base_seed=10)

@@ -12,7 +12,7 @@ import rankscreen
 from rankscreen import empirical
 from rankscreen.empirical import (
     as_finite_vector,
-    choice_product_pays,
+    count_chunks,
     dominance_counts_choice,
     dominance_counts_matrix,
     leq_counts,
@@ -35,7 +35,7 @@ def _kernel(y, x):
 
 def _assert_kernel_matches_oracle(y, x):
     mat = dominance_counts_matrix(y, x)
-    assert mat.dtype == np.int64
+    assert mat.dtype == np.min_scalar_type(x.shape[0])
     assert mat.shape == x.shape
     assert np.array_equal(mat, dominance_counts_oracle(y, x))
 
@@ -192,7 +192,7 @@ class TestBatchCounts:
         x[::2, 2] = -0.0
         expected = (x[None, :, :] <= x[:, None, :]).sum(axis=1)
         mat = leq_counts_matrix(x)
-        assert mat.dtype == np.int64
+        assert mat.dtype == np.uint8
         assert np.array_equal(mat, expected)
         assert np.array_equal(leq_counts(x[:, 3]), expected[:, 3])
 
@@ -317,35 +317,6 @@ class TestLeqCountsChoice:
         assert peaks[1] < 3 * 2 ** 20
 
 
-class TestChoiceProductPays:
-    """`choice_product_pays` against the kernel's cost."""
-
-    @pytest.mark.parametrize("n", [1, 2, 200, 2000])
-    def test_untied_y_takes_the_product(self, n):
-        # the product's cells equal the kernel's row-pass cells
-        assert choice_product_pays(np.random.default_rng(n).permutation(n))
-
-    @pytest.mark.parametrize("n, pays", [(200, True), (500, True),
-                                         (1000, False), (2000, False)])
-    def test_bernoulli_y_takes_the_kernel_from_n_1000(self, n, pays):
-        # two histogram steps cost the kernel O(n); the product's two tie
-        # groups cost it about 3 n^2 / 4 cells
-        y = np.random.default_rng(n).integers(0, 2, size=n).astype(float)
-        assert choice_product_pays(y) is pays
-
-    def test_ratio_bound(self, monkeypatch):
-        # y sorts to [0, 0, 0, 1, 1]: the product's cells are 3 * 3 + 2 * 5
-        # = 19.  At _GROUP_COST = 1 the kernel adds the first group in one
-        # step, 1 * (10 - 0), and the other two rows in passes, 2 * (5 - 3):
-        # 14 cells, so the product pays up to the ratio 19 / 14 = 1.357
-        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-        monkeypatch.setattr(empirical, "_GROUP_COST", 1)
-        monkeypatch.setattr(empirical, "_PRODUCT_GAIN", 1.36)
-        assert choice_product_pays(y)
-        monkeypatch.setattr(empirical, "_PRODUCT_GAIN", 1.35)
-        assert not choice_product_pays(y)
-
-
 _CHOICE_AT_TEST_BOOT_SHAPE = """
 import hashlib
 import numpy as np
@@ -378,7 +349,7 @@ def test_choice_counts_on_any_number_of_blas_threads():
     take_a = rng.integers(0, 2, size=(200, 500)).astype(bool)
     dev = x - x.mean()
     formed = np.c_[x, _chosen(dev + x.mean(), x.mean() - dev, take_a)]
-    kernel = dominance_counts_matrix(y, formed).astype(np.uint8)
+    kernel = dominance_counts_matrix(y, formed)
     assert digests == [hashlib.sha256(kernel.tobytes()).hexdigest()] * 2
 
 
@@ -411,21 +382,80 @@ class TestKernelAgainstOracle:
         _assert_kernel_matches_oracle(np.array(y), np.array(x))
 
 
-def _compact_ranks(x):
-    return leq_counts_matrix(x).astype(np.min_scalar_type(x.shape[0]))
+def _brute_counts(y, x, rows):
+    """``#{k : y_k <= y_i and x[k, j] <= x[i, j]}`` at the given rows i of
+    the (n, p) array x, every pair compared; weak ranks where y is None."""
+    ley = True if y is None else y[None, :] <= y[rows, None]
+    return np.stack([np.count_nonzero(ley & (col[None, :] <= col[rows, None]),
+                                      axis=1) for col in x.T], axis=1)
+
+
+_COUNTERS = ["leq_counts", "leq_counts_matrix", "leq_counts_choice",
+             "dominance_counts_matrix", "dominance_counts_choice",
+             "count_chunks"]
+
+
+def _counted(name, y, x, take_a):
+    """``(counts, y or None, formed x)`` of every array the counting
+    function returns on y, x and the choice ``x[:, 0]`` or ``-x[:, 0]``."""
+    a, b = x[:, 0], -x[:, 0]
+    chosen = _chosen(a, b, take_a)
+    if name == "leq_counts":
+        return [(leq_counts(x[:, 0]), None, x[:, :1])]
+    if name == "leq_counts_matrix":
+        return [(leq_counts_matrix(x), None, x)]
+    if name == "leq_counts_choice":
+        return [(leq_counts_choice(a, b, take_a), None, chosen)]
+    if name == "dominance_counts_matrix":
+        return [(dominance_counts_matrix(y, x), y, x)]
+    if name == "dominance_counts_choice":
+        return [(dominance_counts_choice(y, a, b, take_a, x[:, 1]), y,
+                 np.c_[x[:, 1], chosen])]
+    out = []
+    for lo, rx, c in count_chunks(y, x):
+        out += [(rx, None, x[:, lo:lo + 1]), (c, y, x[:, lo:lo + 1])]
+    return out
+
+
+@pytest.mark.parametrize("n", [255, 256, 65536])
+@pytest.mark.parametrize("name", _COUNTERS)
+def test_counts_in_the_smallest_type_that_holds_n(monkeypatch, name, n):
+    # every counting function returns np.min_scalar_type(n), in input row
+    # order, equal to the pair enumeration at every row up to n = 256 and
+    # at every 257th row and the last past uint16; the constant column
+    # brings a count to n, which would wrap a type one size smaller.  The
+    # kernel takes histogram steps on a 3-level y and the product small tie
+    # groups, the cheap case of each at n = 65536
+    monkeypatch.setattr(empirical, "_STEP", 1)
+    monkeypatch.setattr(empirical, "_CELLS", n)  # count_chunks: 1 column
+    rng = np.random.default_rng(n)
+    levels = n // 4 if name == "dominance_counts_choice" else 3
+    y = rng.integers(0, levels, size=n).astype(float)
+    x = np.c_[rng.standard_normal(n), np.zeros(n)]
+    take_a = rng.integers(0, 2, size=(n, 2)).astype(bool)
+    rows = np.arange(n) if n <= 256 else np.r_[:n:257, n - 1]
+    results = _counted(name, y, x, take_a)
+    assert len(results) == (4 if name == "count_chunks" else 1)
+    top = 0
+    for counts, yy, formed in results:
+        assert counts.dtype == np.min_scalar_type(n)
+        counts = counts.reshape(n, -1)
+        assert np.array_equal(counts[rows], _brute_counts(yy, formed, rows))
+        top = max(top, counts.max())
+    assert top == n
 
 
 class TestCompactAccumulator:
-    """The sweep accumulates in ``np.min_scalar_type(n)``; counts reach n
-    exactly at each dtype boundary and are returned as int64."""
+    """The sweep accumulates in ``np.min_scalar_type(n)`` and returns that
+    type; counts reach n exactly at each dtype boundary."""
 
     @pytest.mark.parametrize("n", [255, 256])
     def test_constant_margins_reach_n(self, n):
         y = np.full(n, 2.5)
         x = np.full((n, 2), -1.0)
-        for arg in (x, _compact_ranks(x)):
+        for arg in (x, leq_counts_matrix(x)):
             mat = dominance_counts_matrix(y, arg)
-            assert mat.dtype == np.int64
+            assert mat.dtype == np.min_scalar_type(n)
             assert np.all(mat == n)
 
     @pytest.mark.parametrize("n", [255, 256])
@@ -435,10 +465,10 @@ class TestCompactAccumulator:
         x = rng.standard_normal((n, 3))
         x[:, 1] = rng.integers(0, 3, size=n)
         x[:, 2] = 0.0
-        ranks = _compact_ranks(x)
+        ranks = leq_counts_matrix(x)
         assert ranks.dtype == np.min_scalar_type(n)
         mat = dominance_counts_matrix(y, x)
-        assert mat.dtype == np.int64
+        assert mat.dtype == np.min_scalar_type(n)
         assert np.array_equal(dominance_counts_matrix(y, ranks), mat)
         for j in range(3):
             assert np.array_equal(mat[:, j],
@@ -450,11 +480,11 @@ class TestCompactAccumulator:
         n = 65536
         y = np.zeros(n)
         x = np.ones((n, 1))
-        ranks = _compact_ranks(x)
+        ranks = leq_counts_matrix(x)
         assert ranks.dtype == np.uint32
         for arg in (x, ranks):
             mat = dominance_counts_matrix(y, arg)
-            assert mat.dtype == np.int64
+            assert mat.dtype == np.uint32
             assert np.all(mat == n)
 
 
@@ -526,7 +556,8 @@ class TestTieGroupSteps:
         ranks = leq_counts_matrix(x)
         mat = dominance_counts_matrix(y, x)
         assert mat.max() == n
-        for arg in (ranks, _compact_ranks(x)):
+        # compact ranks are the kernel's own; int64 ones are ranked again
+        for arg in (ranks, ranks.astype(np.int64)):
             assert np.array_equal(dominance_counts_matrix(y, arg), mat)
         _assert_kernel_matches_oracle(y, x)
 
@@ -556,7 +587,7 @@ class TestRowPassesPastAByte:
 
     def _check(self, y, rng):
         x = _mixed_x(rng, y.size)
-        for arg in (x, _compact_ranks(x)):
+        for arg in (x, leq_counts_matrix(x)):
             _assert_kernel_matches_oracle(y, arg)
         assert dominance_counts_matrix(y, x).max() == y.size  # constant
 

@@ -28,10 +28,9 @@ def budgets(request, monkeypatch):
         monkeypatch.setattr(cli, "_CELLS", 1)
         monkeypatch.setattr(empirical, "_CELLS", 1)
         monkeypatch.setattr(empirical, "_STEP", 1)
-        # every y-tie group of two or more rows takes the histogram step,
-        # so the bootstrap counts its replicates with the kernel on their
-        # ranks, in one-column chunks, not with the product of the real
-        # budgets (`empirical.choice_product_pays`)
+        # the screens count one column per chunk, and the kernel adds every
+        # y-tie group of two or more rows in one histogram step; the
+        # bootstrap counts its replicates with one product either way
         monkeypatch.setattr(empirical, "_GROUP_COST", 0)
 
 

@@ -90,6 +90,10 @@ class TestRobustCorrCi:
         with pytest.raises(InvalidInput):
             robust_corr_ci(0, 0, [1, 2, 3], [1, 2, 3], level=1.5)
 
+    def test_nan_query_point_rejected(self):
+        with pytest.raises(InvalidInput, match="NaN"):
+            robust_corr_ci(np.nan, 0, [1, 2, 3], [1, 2, 3])
+
 
 class TestWildBootstrap:
     def test_rademacher_matrix_reused_read_only(self):
@@ -162,9 +166,10 @@ class TestWildBootstrap:
         replay = wild_bootstrap_test(y, x, n_boot=100, seed=first.seed)
         assert first == replay
 
-    def test_too_few_replicates(self):
-        with pytest.raises(InvalidInput):
-            wild_bootstrap_test([1, 2, 3], [1, 2, 3], n_boot=1)
+    @pytest.mark.parametrize("n_boot", [1, 2.5, True, "10"])
+    def test_too_few_replicates(self, n_boot):
+        with pytest.raises(InvalidInput, match="bootstrap replicates"):
+            wild_bootstrap_test([1, 2, 3], [1, 2, 3], n_boot=n_boot)
 
     def test_bad_alpha(self):
         with pytest.raises(InvalidInput):

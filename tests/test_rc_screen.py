@@ -63,6 +63,13 @@ class TestRobustCorr:
         with pytest.raises(InvalidInput):
             robust_corr(0, 0, [1.0], [1.0])
 
+    @pytest.mark.parametrize("y, x", [(np.nan, 0.0), (0.0, np.nan)])
+    def test_nan_query_point_rejected(self, y, x):
+        # a NaN compares false with every sample value, which would read as
+        # a point below all data and return the convention's 0
+        with pytest.raises(InvalidInput, match="NaN"):
+            robust_corr(y, x, [1.0, 2.0, 3.0], [3.0, 1.0, 2.0])
+
 
 class TestRcUtility:
     def test_identity_is_exactly_one(self):
@@ -189,14 +196,21 @@ class TestRcUtilitiesBatch:
 
     @pytest.mark.parametrize("case", [
         "zero_deviations", "cross_row_ties", "constant", "n255", "n256",
-        "two_replicates", "continuous"])
+        "two_replicates", "continuous", "bernoulli_n700", "poisson_n700"])
     def test_bootstrap_utilities_are_rc_utilities_bitwise(self, case):
         # replicate ranks from one sort of mean +- dev, and their utilities,
-        # equal those of the formed (n, n_boot + 1) matrix, byte for byte
+        # equal those of the formed (n, n_boot + 1) matrix, byte for byte;
+        # at n = 700 a Bernoulli or Poisson(2) y has tie groups of hundreds
+        # of rows, which the product counts row by row
         rng = np.random.default_rng(len(case))
-        n = {"n255": 255, "n256": 256}.get(case, 60)
+        n = {"n255": 255, "n256": 256, "bernoulli_n700": 700,
+             "poisson_n700": 700}.get(case, 60)
         n_boot = 2 if case == "two_replicates" else 150
         y = rng.integers(0, 5, size=n).astype(float)
+        if case == "bernoulli_n700":
+            y = rng.integers(0, 2, size=n).astype(float)
+        elif case == "poisson_n700":
+            y = rng.poisson(2.0, size=n).astype(float)
         if case == "zero_deviations":  # mean 0 exactly: a_i = b_i at 0
             x = rng.integers(-3, 4, size=n).astype(float)
             x[-1] = -x[:-1].sum()
@@ -214,29 +228,10 @@ class TestRcUtilitiesBatch:
             x[::4] = 0.5
         _assert_bootstrap_matches_formed(y, x, n_boot, seed=len(case))
 
-    @pytest.mark.parametrize("width", [64, 128])
-    def test_bootstrap_chunks_equal_one_chunk_bitwise(self, monkeypatch,
-                                                      width):
-        # n_boot + 1 = 301 columns: one chunk at the real budget; several,
-        # with a ragged last one, under a shrunk budget
-        rng = np.random.default_rng(width)
-        n = 50
-        y = rng.integers(0, 3, size=n).astype(float)
-        x = rng.standard_normal(n)
-        x[1::3] = 1.0
-        take_a = _rademacher_matrix(width, n, 300)
-        whole = _bootstrap_utilities(y, x, take_a)
-        monkeypatch.setattr(empirical, "_CELLS", n * width)
-        assert _bootstrap_utilities(y, x, take_a).tobytes() == whole.tobytes()
-        _assert_bootstrap_matches_formed(y, x, 300, seed=width)
-
-    @pytest.mark.parametrize("width", [None, 64])
     @pytest.mark.parametrize("case", ["bernoulli", "cross_row_ties",
                                       "continuous"])
-    def test_bootstrap_on_the_kernel_path_bitwise(self, monkeypatch, case,
-                                                  width):
-        # with _PRODUCT_GAIN = 0 every y takes the kernel on the replicate
-        # ranks, in one chunk or in 64-column chunks with a ragged last one
+    def test_bootstrap_on_the_product_path_bitwise(self, monkeypatch, case):
+        # every y, tied or not, takes one product for x and all replicates
         rng = np.random.default_rng(len(case))
         n = 50
         y = rng.integers(0, 2, size=n).astype(float)
@@ -245,15 +240,15 @@ class TestRcUtilitiesBatch:
             x = np.round(x - x.mean(), 1)
         elif case == "continuous":
             y = rng.standard_normal(n)
-        monkeypatch.setattr(empirical, "_PRODUCT_GAIN", 0)
-        if width:
-            monkeypatch.setattr(empirical, "_CELLS", n * width)
+        calls = []
 
-        def no_product(*args):
-            raise AssertionError("the product path was taken")
+        def product(*args):
+            calls.append(args[3].shape)
+            return empirical.dominance_counts_choice(*args)
 
-        monkeypatch.setattr(rc_module, "dominance_counts_choice", no_product)
+        monkeypatch.setattr(rc_module, "dominance_counts_choice", product)
         _assert_bootstrap_matches_formed(y, x, 150, seed=len(case))
+        assert calls == [(n, 150)]
 
     @pytest.mark.parametrize("width", [64, 128])
     def test_count_chunks_equal_one_chunk_bitwise(self, monkeypatch, width):
@@ -394,6 +389,16 @@ class TestRcScreen:
     def test_non_finite_threshold_rejected(self, value):
         with pytest.raises(InvalidInput, match="threshold must be finite"):
             UtilityThreshold(value)
+
+    @pytest.mark.parametrize("value", ["a", None, True])
+    def test_non_number_threshold_rejected(self, value):
+        with pytest.raises(InvalidInput, match="threshold must be a number"):
+            UtilityThreshold(value)
+
+    @pytest.mark.parametrize("d", [0, 2.5, True, "3"])
+    def test_budget_is_an_integer_at_least_one(self, d):
+        with pytest.raises(InvalidInput, match="top-d budget"):
+            TopD(d)
 
     def test_nan_column_is_named(self):
         ds = _noise_dataset()

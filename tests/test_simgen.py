@@ -370,6 +370,14 @@ class TestScenarios:
         ("S2c1", dict(error="t3"), "'error'"),
         ("E1", dict(r2=0.3), "'r2'"),
         ("S1c1", dict(case=5), "case"),
+        # each parameter of its type, not just comparable with its bounds
+        ("E1", dict(n=100.5), "'n'"),
+        ("E1", dict(p=True), "'p'"),
+        ("S1c1", dict(case=2.0), "'case'"),
+        ("E1", dict(rho0="0.5"), "'rho0'"),
+        ("E3", dict(w0=True), "'w0'"),
+        ("E4", dict(r2=[0.5]), "'r2'"),
+        ("E1", dict(error=3), "'error'"),
     ])
     def test_every_parameter_checked_at_construction(self, sid, overrides,
                                                      name):

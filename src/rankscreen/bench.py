@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import workers
 from .baselines import kendall_sis, pearson_sis
 from .dataset import Dataset
 from .empirical import quantiles
@@ -45,6 +46,14 @@ __all__ = [
 
 RSD_SCALE = 1.349  # normal-consistent IQR scale
 MAX_FAILURE_FRACTION = 0.05  # share of replications that may fail
+
+# The least work, in n * p cells screened summed over the replications and
+# methods, worth a process of its own in `run_replications`.  On the 2-core
+# Xeon VM two processes first ran 2 replications of E1 faster at about
+# 5e4 cells for rc, 2.5e4 each (8% slower at 100 x 200, 13% faster at
+# 200 x 200), and at about 1.1e5 for pearson, the cheapest method.  Twice
+# rc's break-even keeps a margin; pearson's is about this.
+_REPLICATION_CELLS = 2 ** 16
 
 Screener = Callable[[Dataset, Selection], ScreeningReport]
 
@@ -184,6 +193,17 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
     d_n : int, optional
         Screening budget; default floor(n / ln n) for the generated n.
 
+    The replications are cut into contiguous slices, up to one per CPU in
+    the affinity mask and each of at least ``_REPLICATION_CELLS`` cells
+    screened (n * p per method and replication; a callable's n and p are
+    those of replication 0, which is made first).  This process runs the
+    first slice and a forked child each other one
+    (`~rankscreen.workers._ordered_map`), so a callable ``scenario`` may run
+    in a worker process: it must depend on its seed alone, and what it
+    changes outside its result stays in that process.  Each process has
+    its own peak RSS.  The report, the failures and their messages do not
+    depend on the number of processes.
+
     Raises
     ------
     InvalidInput
@@ -202,28 +222,37 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
                  for name in methods}
     fixed = TopD(d_n) if d_n is not None else None
 
+    first = {}
     if isinstance(scenario, Scenario):
         make = lambda seq: simulate(scenario, seq)  # noqa: E731
         scenario_echo = asdict(scenario)
+        cells = scenario.n * scenario.p
     else:
         make = scenario
         scenario_echo = {"id": "custom"}
+        try:  # replication 0's data, made first for its size
+            first[0] = make(np.random.SeedSequence([base_seed, 0]))
+            cells = first[0].dataset.n * first[0].dataset.p
+        except Exception:  # noqa: BLE001 - made and counted again below
+            cells = 0
 
     def one_replication(r: int):
-        seq = np.random.SeedSequence([base_seed, r])
-        sim = make(seq)
-        sel = fixed or TopD(default_top_d(sim.dataset.n))
-        ranks = {name: screen(sim.dataset, sel).ranks()[sim.active]
-                 for name, screen in screeners.items()}
-        return sel.d, sim.active, ranks
-
-    kept: list = []
-    errors: list = []
-    for r in range(n_reps):
         try:
-            kept.append(one_replication(r))
+            sim = first.pop(r, None) or make(
+                np.random.SeedSequence([base_seed, r]))
+            sel = fixed or TopD(default_top_d(sim.dataset.n))
+            ranks = {name: screen(sim.dataset, sel).ranks()[sim.active]
+                     for name, screen in screeners.items()}
+            return sel.d, sim.active, ranks
         except Exception as exc:  # noqa: BLE001 - harness counts failures
-            errors.append((r, repr(exc)))
+            return repr(exc)
+
+    outcomes = workers._ordered_map(
+        one_replication, n_reps,
+        workers._count(n_reps * cells * len(methods), _REPLICATION_CELLS))
+    kept = [res for res in outcomes if not isinstance(res, str)]
+    errors = [(r, res) for r, res in enumerate(outcomes)
+              if isinstance(res, str)]
 
     n_failures = len(errors)
     if n_failures > MAX_FAILURE_FRACTION * n_reps:

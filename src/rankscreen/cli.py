@@ -1,10 +1,11 @@
 """Command-line interface: CSV ingestion and the screen / simulate / test
 workflows.
 
-`load_csv` and `save_csv` cut a large file's rows into ranges, up to one per
-CPU in the affinity mask: this process does the first and a forked child each
-other one (`_forked`).  Results are bit-identical whatever the number of
-processes.  The package starts no other process or thread.
+`load_csv` and `save_csv` cut a large file's rows into ranges, `simulate`
+its replications and `test --all` its columns, up to one range per CPU in the
+affinity mask: this process does the first and a forked child each other one
+(`~rankscreen.workers`).  Results are bit-identical whatever the number of
+processes.  The package starts no thread, and no process but these workers.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
@@ -18,17 +19,21 @@ import itertools
 import json
 import math
 import os
-import signal
 import sys
-import threading
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 
+from . import workers
 from .bench import METHOD_NAMES, METHODS, get_method, run_replications
 from .dataset import Dataset
 from .errors import InvalidInput, RankscreenError, check_seed
-from .rc_screen import check_bootstrap_settings, wild_bootstrap_test
+from .rc_screen import (
+    _rademacher_matrix,
+    check_bootstrap_settings,
+    wild_bootstrap_test,
+)
 from .report import SCHEMA_VERSION, ScreeningReport, TopD, UtilityThreshold
 from .simgen import make_scenario, scenario_from_config
 from .spline import BasisConfig
@@ -199,17 +204,6 @@ def _parse_range(path: str, header: list, lines):
         yield data
 
 
-def _workers(size: int) -> int:
-    """How many processes share ``size`` bytes of CSV text: one per CPU
-    this process may run on, each with at least ``_RANGE_BYTES``.  One
-    where the affinity mask is unknown or another thread runs, because a
-    forked child holds only the forking thread, and every lock another
-    thread held stays locked in it."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES))
-
-
 def _cuts(fh, start: int, end: int, k: int) -> list:
     """Offsets ``start < c1 < ... < end`` in the binary file ``fh`` that cut
     its bytes ``[start, end)`` into at most ``k`` ranges of about equal
@@ -237,63 +231,11 @@ def _cuts(fh, start: int, end: int, k: int) -> list:
     return cuts + [end]
 
 
-def _forked(ranges: list, work, here, take) -> bool:
-    """Do a job cut into ``ranges``: ``here(r)`` in this process for the
-    first range while a forked child does ``work(r)`` for each other, then
-    ``take(pipe)`` reads each child's result, in range order.
-
-    ``work`` returns bytes-like chunks, which the child writes only once
-    all are made, since this process reads no pipe before ``here``
-    returns.  A child exits 0 once it has written them and 1 on any
-    exception; it never returns into the caller.  Returns False at the
-    first child that failed or could not be started: the caller then does
-    the whole job here.  Every child is reaped before this returns or
-    raises, and one not yet read is killed first.
-    """
-    children = []
-    try:
-        for r in ranges[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # a process limit, say: no child, no job lost
-                os.close(read)
-                os.close(write)
-                return False
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read)
-                    chunks = work(r)
-                    with open(write, "wb") as pipe:
-                        pipe.writelines(chunks)
-                    code = 0
-                except BaseException:
-                    pass  # the caller redoes the job and reports any error
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        here(ranges[0])
-        while children:
-            pid, pipe = children[0]
-            take(pipe)
-            del children[0]
-            pipe.close()
-            if os.waitpid(pid, 0)[1]:
-                return False
-        return True
-    finally:
-        for pid, pipe in children:  # left early: a failure
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-
-
 def _parse_forked(path: str, header: list, fh, ranges: list, keep) -> bool:
-    """Parse the byte ranges of ``fh`` with `_forked`, the first here, and
-    pass the float array of every block of rows to ``keep``, in file
-    order.  A child sends each block as its row count and float64 rows."""
+    """Parse the byte ranges of ``fh`` with `~rankscreen.workers._forked`,
+    the first here, and pass the float array of every block of rows to
+    ``keep``, in file order.  A child sends each block as its row count and
+    float64 rows."""
 
     def parse(own, start, end):
         own.seek(start)
@@ -316,7 +258,7 @@ def _parse_forked(path: str, header: list, fh, ranges: list, keep) -> bool:
                 return
             keep(data)
 
-    return _forked(ranges, work, here, take)
+    return workers._forked(ranges, work, here, take)
 
 
 def load_csv(path: str, response_name: str,
@@ -340,12 +282,12 @@ def load_csv(path: str, response_name: str,
 
     Data of ``2 * _RANGE_BYTES`` bytes or more is cut into ranges at line
     ends where the count of ``"`` since the header is even, one per CPU in
-    the affinity mask and each of at least ``_RANGE_BYTES`` (`_workers`,
-    `_cuts`).  This process parses the first range and a forked child each
-    other one, which sends back its float64 rows.  If any range fails,
-    this process parses the whole file again, so every value, message and
-    row number is the one a single process gives.  No child outlives the
-    call.
+    the affinity mask and each of at least ``_RANGE_BYTES``
+    (`~rankscreen.workers._count`, `_cuts`).  This process parses the first
+    range and a forked child each other one, which sends back its float64
+    rows.  If any range fails, this process parses the whole file again, so
+    every value, message and row number is the one a single process gives.
+    No child outlives the call.
     """
     with open(path, "rb") as fh:
         lines = _lines(fh)
@@ -384,7 +326,7 @@ def load_csv(path: str, response_name: str,
             x_parts.append(data[:, x_idx])
 
         end = os.fstat(fh.fileno()).st_size  # 0 for a pipe: one process
-        k = _workers(end - start)
+        k = workers._count(end - start, _RANGE_BYTES)
         done = False
         if k > 1:
             cuts = _cuts(fh, start, end, k)
@@ -449,7 +391,7 @@ def save_csv(dataset: Dataset, path: str):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         start = fh.tell()
-        k = _workers(n * len(next(text((0, 1)), "")))
+        k = workers._count(n * len(next(text((0, 1)), "")), _RANGE_BYTES)
         bounds = [n * i // k for i in range(k + 1)]
 
         def take(pipe):
@@ -457,9 +399,9 @@ def save_csv(dataset: Dataset, path: str):
             while chunk := pipe.read(_CHUNK):
                 fh.buffer.write(chunk)
 
-        if not _forked(list(zip(bounds, bounds[1:])),
-                       lambda rows: ["".join(text(rows)).encode()],
-                       lambda rows: fh.writelines(text(rows)), take):
+        if not workers._forked(list(zip(bounds, bounds[1:])),
+                               lambda rows: ["".join(text(rows)).encode()],
+                               lambda rows: fh.writelines(text(rows)), take):
             fh.seek(start)
             fh.truncate()
             fh.writelines(text((0, n)))
@@ -509,6 +451,15 @@ def _resolve_seed(seed: int | None) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+# The least bootstrap work, in n * n_boot cells summed over the columns,
+# worth a process of its own in `test --all`.  On the 2-core Xeon VM two
+# processes, with one BLAS thread each, first tested E1 columns faster at
+# about 3e5 cells, 1.5e5 each (6 columns of n = 200: 7% slower at
+# n_boot = 200, 20% faster at 500); a fresh process also loads ctypes
+# (1.7 ms) to find the BLAS setter.  Twice that break-even keeps a margin.
+_BOOT_CELLS = 2 ** 19
+
 
 def _cmd_screen(args, parser) -> int:
     if METHODS[args.method].needs_exposure and args.exposure is None:
@@ -604,16 +555,29 @@ def _cmd_test(args, parser) -> int:
         if args.covariate not in dataset.x_names:
             raise InvalidInput(f"no covariate named '{args.covariate}'")
         columns = [dataset.x_names.index(args.covariate)]
-    results = []
-    for j in columns:
+
+    def test_column(i):
+        j = columns[i]
         try:
-            res = wild_bootstrap_test(dataset.y, dataset.x[:, j],
-                                      n_boot=args.n_boot, alpha=args.alpha,
-                                      seed=seed)
-        except InvalidInput as exc:
-            raise InvalidInput(
-                f"covariate '{dataset.x_names[j]}': {exc}") from None
-        results.append((j, res))
+            return wild_bootstrap_test(dataset.y, dataset.x[:, j],
+                                       n_boot=args.n_boot, alpha=args.alpha,
+                                       seed=seed)
+        except InvalidInput as exc:  # raised once the lines before it print
+            return InvalidInput(f"covariate '{dataset.x_names[j]}': {exc}")
+
+    # forked workers each pin BLAS to one thread, or their thread pools
+    # fight over the cores; without a thread setter the columns stay here
+    cells = len(columns) * dataset.n * args.n_boot
+    k = min(len(columns), workers._count(cells, _BOOT_CELLS))
+    pin = workers._one_blas_thread() if k > 1 else nullcontext(False)
+    with pin as pinned:
+        if pinned:  # drawn once here, and inherited by every worker
+            _rademacher_matrix(seed, dataset.n, args.n_boot)
+        outcomes = workers._ordered_map(test_column, len(columns),
+                                        k if pinned else 1)
+    for j, res in zip(columns, outcomes):
+        if isinstance(res, InvalidInput):
+            raise res
         decision = "reject" if res.reject else "fail to reject"
         print(f"{dataset.x_names[j]}: statistic = {res.statistic:.6f}, "
               f"critical value = {res.critical_value:.6f}, "
@@ -632,7 +596,7 @@ def _cmd_test(args, parser) -> int:
                     "p_value": res.p_value,
                     "reject": res.reject,
                 }
-                for j, res in results
+                for j, res in zip(columns, outcomes)
             ],
         }
         _write_json(payload, args.output)
@@ -655,8 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed; omit for entropy (printed for replay)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect "
-                            "(BLAS threads follow OPENBLAS_NUM_THREADS, CSV "
-                            "workers the CPU affinity mask)")
+                            "(worker processes follow the CPU affinity mask; "
+                            "BLAS threads follow OPENBLAS_NUM_THREADS, one "
+                            "in each forked bootstrap worker)")
         if spline:  # `test` fits no splines
             p.add_argument("--degree", type=int, default=3,
                            help="spline degree for rpc-* methods")

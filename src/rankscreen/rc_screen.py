@@ -15,7 +15,9 @@ The screening paths take their counts from the batch kernel
 by `~rankscreen.empirical.count_chunks`; the bootstrap takes the counts of
 its sign-flip replicates, which it never forms, from
 `~rankscreen.empirical.dominance_counts_choice`, an exact integer matrix
-product that may run on BLAS threads.  Nothing else runs in threads.
+product that may run on BLAS threads.  Nothing else runs in threads.  The
+CLI's ``test --all`` may test its columns in forked processes, each with one
+BLAS thread, which inherit the Rademacher mask drawn once before the fork.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import rankscreen
-from rankscreen import bench, cli, simgen
+from rankscreen import bench, cli, simgen, workers
 from rankscreen.cli import load_csv, main, save_csv
 from rankscreen.dataset import Dataset
-from rankscreen.errors import InvalidInput
+from rankscreen.errors import HarnessError, InvalidInput
+from rankscreen.simgen import SimDataset
 
 
 def _write(path, text):
@@ -58,32 +60,43 @@ def exposure_csv(tmp_path):
 
 
 def _force_split(monkeypatch, k):
-    """Make `load_csv` and `save_csv` cut even a small file into up to
-    ``k`` ranges: a one-byte minimum per process and ``k`` CPUs in the
-    affinity mask."""
+    """Make every forked job cut even a small input into up to ``k``
+    ranges: `load_csv` and `save_csv` a file, `run_replications` its
+    replications and ``test --all`` its columns.  Each process needs one
+    unit of work at least, and there are ``k`` CPUs in the affinity mask."""
     monkeypatch.setattr(cli, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(cli, "_BOOT_CELLS", 1)
+    monkeypatch.setattr(bench, "_REPLICATION_CELLS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
                         raising=False)
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda k: f"k{k}")
 def split(request, monkeypatch):
-    """Run a test with CSV work cut into up to k = 1, 2 or 3 ranges, each
-    but the first in a forked child.  ``calls`` gets one (ranges, every
-    child succeeded) pair per call of `cli._forked`; False means that this
-    process did the whole job again, as it does after a failure here."""
+    """Run a test with forked jobs cut into up to k = 1, 2 or 3 ranges,
+    each but the first in a forked child.  ``calls`` gets one (ranges,
+    every child succeeded) pair per call of `workers._forked`; False means
+    that this process did the whole job again, as it does after a failure
+    here."""
     if request.param > 1:
         _force_split(monkeypatch, request.param)
-    record = types.SimpleNamespace(k=request.param, calls=[])
-    real = cli._forked
+    return types.SimpleNamespace(k=request.param,
+                                 calls=_record_forked(monkeypatch))
+
+
+def _record_forked(monkeypatch) -> list:
+    """The (ranges, every child succeeded) pair of each later call of
+    `workers._forked`."""
+    calls = []
+    real = workers._forked
 
     def recorded(ranges, *args):
-        record.calls.append((len(ranges), False))  # kept if it raises
-        record.calls[-1] = (len(ranges), real(ranges, *args))
-        return record.calls[-1][1]
+        calls.append((len(ranges), False))  # kept if it raises
+        calls[-1] = (len(ranges), real(ranges, *args))
+        return calls[-1][1]
 
-    monkeypatch.setattr(cli, "_forked", recorded)
-    return record
+    monkeypatch.setattr(workers, "_forked", recorded)
+    return calls
 
 
 def _no_retry(split):
@@ -1023,6 +1036,227 @@ class TestTestCommand:
                      "--all", "--n-boot", "20", "--seed", "1"] + flag)
         assert code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# `test --all` forks only where an OpenBLAS thread setter is found
+_PINNED = workers._openblas() is not None
+
+_SIMULATE_ALL = ["simulate", "--scenario", "E4", "--n", "60", "--p", "12",
+                 "--reps", "5", "--seed", "4", "--method", "rc", "--method",
+                 "rpc-l2", "--method", "rpc-l1", "--method", "pearson",
+                 "--method", "kendall"]
+
+
+def _simulate_bytes(tmp_path, capsys):
+    """(JSON, CSV, stdout) of `_SIMULATE_ALL`, which must leave no child."""
+    out, table = tmp_path / "sim.json", tmp_path / "sim.csv"
+    assert main(_SIMULATE_ALL + ["--output", str(out),
+                                 "--csv-output", str(table)]) == 0
+    _no_child_left()
+    return out.read_bytes(), table.read_bytes(), capsys.readouterr().out
+
+
+def _test_all_matches_golden(tmp_path, capsys):
+    """``test --all`` on the golden CSV gives the golden JSON and stdout,
+    and leaves no child."""
+    out = tmp_path / "test.json"
+    assert main(["test", "--input", str(GOLDEN / "ties.csv"), "--response",
+                 "y", "--all", "--n-boot", "99", "--seed", "3",
+                 "--output", str(out)]) == 0
+    _no_child_left()
+    assert out.read_bytes() == (GOLDEN / "test_all.json").read_bytes()
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / "test_all.txt").read_bytes()
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+def _in_a_child(fn):
+    """``fn``, except that a forked child calling it exits 3 at once."""
+    parent = os.getpid()
+
+    def call(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def _generator(fail=lambda r: False):
+    """A callable scenario of 30 x 4 normal data that raises for the
+    replications r where ``fail(r)``."""
+
+    def make(seq):
+        r = seq.entropy[1]
+        if fail(r):
+            raise RuntimeError(f"boom at {r}")
+        rng = np.random.Generator(np.random.Philox(seq))
+        y = rng.standard_normal(30)
+        x = rng.standard_normal((30, 4))
+        x[:, 1] += y
+        return SimDataset(dataset=Dataset(y=y, x=x), active=np.array([1]),
+                          scenario=None)
+
+    return make
+
+
+class TestForkedJobs:
+    """`simulate`'s replications and ``test --all``'s columns, each slice
+    but the first in a forked child, give the bytes and messages of one
+    process and leave no child behind."""
+
+    def test_simulate_bytes_do_not_depend_on_the_process_count(
+            self, tmp_path, monkeypatch, capsys, split):
+        forked = _simulate_bytes(tmp_path, capsys)
+        _no_retry(split)
+        assert [r for r, _ in split.calls] == ([] if split.k == 1
+                                                else [split.k])
+        _force_split(monkeypatch, 1)
+        assert forked == _simulate_bytes(tmp_path, capsys)
+
+    def test_test_all_matches_golden(self, tmp_path, capsys, split):
+        _test_all_matches_golden(tmp_path, capsys)
+        _no_retry(split)
+        # the CSV's rows, then the columns
+        jobs = 0 if split.k == 1 else 1 + _PINNED
+        assert [r for r, _ in split.calls] == [split.k] * jobs
+
+    def test_a_live_thread_keeps_every_job_here(self, tmp_path, monkeypatch,
+                                                capsys):
+        serial = _simulate_bytes(tmp_path, capsys)
+        _force_split(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert _simulate_bytes(tmp_path, capsys) == serial
+            _test_all_matches_golden(tmp_path, capsys)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_fork_failure_leaves_the_job_here(self, tmp_path, monkeypatch,
+                                              capsys):
+        serial = _simulate_bytes(tmp_path, capsys)
+
+        def fail():
+            raise OSError("no more processes")
+
+        _force_split(monkeypatch, 2)
+        calls = _record_forked(monkeypatch)
+        monkeypatch.setattr(os, "fork", fail)
+        assert _simulate_bytes(tmp_path, capsys) == serial
+        _test_all_matches_golden(tmp_path, capsys)
+        # the replications, the CSV's rows and the columns
+        assert calls == [(2, False)] * (2 + _PINNED)
+
+    def test_failed_worker_leaves_the_job_here(self, tmp_path, monkeypatch,
+                                               capsys):
+        serial = _simulate_bytes(tmp_path, capsys)
+        _force_split(monkeypatch, 3)
+        calls = _record_forked(monkeypatch)
+        monkeypatch.setattr(bench, "simulate", _in_a_child(simgen.simulate))
+        monkeypatch.setattr(cli, "wild_bootstrap_test",
+                            _in_a_child(cli.wild_bootstrap_test))
+        assert _simulate_bytes(tmp_path, capsys) == serial
+        _test_all_matches_golden(tmp_path, capsys)
+        # the replications, the CSV's rows and the columns
+        assert calls == [(3, False), (3, True), (3, False)][:2 + _PINNED]
+
+    def test_overflow_in_a_worker_names_the_first_bad_column(
+            self, tmp_path, monkeypatch, capfd):
+        # with two processes, x1 and x2 are tested here and the rest,
+        # big1 first, in the child
+        big = ["1.7e308", "1.7e308", "-1e308", "0", "1", "2"]
+        rows = "".join(f"{i},{i},{-i},{v},{i % 3},{v}\n"
+                       for i, v in enumerate(big))
+        path = _write(tmp_path / "huge.csv", "y,x1,x2,big1,x4,big2\n" + rows)
+        argv = ["test", "--input", path, "--response", "y", "--all",
+                "--n-boot", "50", "--seed", "1"]
+        assert main(argv) == 1
+        serial = capfd.readouterr()
+        assert serial.err == ("error: covariate 'big1': x_col's sign-flipped "
+                              "replicates overflow\n")
+        assert serial.out.count("->") == 2
+        _force_split(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        assert main(argv) == 1
+        _no_child_left()
+        assert forks and capfd.readouterr() == serial
+
+    def test_replication_failures_do_not_depend_on_the_process_count(
+            self, monkeypatch):
+        # one failure in 20 replications is reported; five of ten raise
+        flaky = _generator(lambda r: r == 13)
+        broken = _generator(lambda r: r % 2 == 1)
+        reports, messages = [], []
+        for k in (1, 2, 3):
+            _force_split(monkeypatch, k)
+            forks = _count_forks(monkeypatch)
+            report = bench.run_replications(flaky, ["rc", "kendall"], 20, 5)
+            reports.append((report.n_failures, report.to_json_dict(),
+                            report.to_csv_rows()))
+            with pytest.raises(HarnessError) as info:
+                bench.run_replications(broken, ["rc"], 10, 5)
+            messages.append(str(info.value))
+            _no_child_left()
+            assert len(forks) == 2 * (k - 1)
+        assert reports[0][0] == 1
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert messages[0].startswith("5/10 replications failed (rep 1: "
+                                      "RuntimeError('boom at 1'); rep 3: ")
+        assert messages[1] == messages[0] and messages[2] == messages[0]
+
+
+class TestBlasPin:
+    """Forked bootstrap workers run with one BLAS thread each."""
+
+    def test_pinned_while_the_workers_run_and_restored(self, tmp_path,
+                                                       monkeypatch, capsys):
+        lib = workers._openblas()
+        if lib is None:
+            pytest.skip("no OpenBLAS thread setter in this process")
+        get, put = lib
+        _force_split(monkeypatch, 2)
+        seen = []
+        real = workers._ordered_map
+
+        def recorded(fn, n, k):
+            seen.append((get(), k))
+            return real(fn, n, k)
+
+        monkeypatch.setattr(workers, "_ordered_map", recorded)
+        first = get()
+        put(2)  # a count other than the pin's
+        try:
+            before = get()
+            if before == 1:
+                pytest.skip("this OpenBLAS runs one thread at most")
+            _test_all_matches_golden(tmp_path, capsys)
+            assert seen == [(1, 2)]
+            assert get() == before
+        finally:
+            put(first)
+
+    def test_without_a_setter_the_columns_stay_here(self, tmp_path,
+                                                    monkeypatch, capsys):
+        _force_split(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_RANGE_BYTES", 2 ** 62)  # one CSV reader
+        monkeypatch.setattr(workers, "_openblas", lambda: None)
+        forks = _count_forks(monkeypatch)
+        _test_all_matches_golden(tmp_path, capsys)
+        assert forks == []
 
 
 class TestUsageLine:

@@ -92,22 +92,36 @@ def test_commands_leave_numpy_ma_unloaded(argv, tmp_path):
     assert out.strip().splitlines()[-1] == "False"
 
 
-def test_forked_csv_read_leaves_process_pools_unloaded(tmp_path):
-    # the CSV workers are os.fork children; importing multiprocessing.pool
+@pytest.mark.parametrize("argv", [
+    None,
+    _SIMULATE,
+    ["test", "--input", "{csv}", "--response", "y", "--all", "--n-boot",
+     "20", "--seed", "1"],
+], ids=["load_csv", "simulate", "test-all"])
+def test_forked_jobs_leave_process_pools_unloaded(tmp_path, argv):
+    # the workers are os.fork children; importing multiprocessing.pool
     # alone costs a cold command about 11 ms
     path = tmp_path / "t.csv"
-    path.write_text("y,x1\n" + "".join(f"{i},{i * i}\n" for i in range(50)),
+    path.write_text("y,x1,x2\n" + "".join(f"{i},{i * i},{-i}\n"
+                                          for i in range(50)),
                     encoding="utf-8")
+    if argv is None:  # only the CSV's rows are cut
+        run = (f"ds = cli.load_csv({str(path)!r}, 'y')\n"
+               "assert ds.n == 50\n")
+    else:  # only the replications or the columns are cut
+        argv = [a.format(csv=path) for a in argv]
+        run = ("cli._RANGE_BYTES = 2 ** 62\n"
+               f"assert cli.main({argv!r}) == 0\n")
     code = (
         "import os, sys\n"
-        "from rankscreen import cli\n"
-        "cli._RANGE_BYTES = 1\n"
+        "from rankscreen import bench, cli, workers\n"
+        "cli._RANGE_BYTES = cli._BOOT_CELLS = bench._REPLICATION_CELLS = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "forks = []\n"
         "fork = os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
-        f"ds = cli.load_csv({str(path)!r}, 'y')\n"
-        "assert forks and ds.n == 50\n"
+        f"{run}"
+        "assert forks or workers._openblas() is None\n"
         "print(sorted({'multiprocessing', 'concurrent.futures'}\n"
         "             & set(sys.modules)))\n"
     )
@@ -115,4 +129,22 @@ def test_forked_csv_read_leaves_process_pools_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_importing_the_package_needs_no_ctypes():
+    # the BLAS thread setter is looked up through ctypes only when a
+    # bootstrap forks; numpy imports ctypes if it can, so the check
+    # blocks it rather than looking for it in sys.modules
+    code = (
+        "import sys\n"
+        "sys.modules['ctypes'] = None\n"
+        "import rankscreen\n"
+        "from rankscreen import bench, cli, workers\n"
+        "print('ok')\n"
+    )
+    src = str(pathlib.Path(rankscreen.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "ok"

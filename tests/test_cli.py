@@ -1058,6 +1058,21 @@ def _simulate_bytes(tmp_path, capsys):
     return out.read_bytes(), table.read_bytes(), capsys.readouterr().out
 
 
+def _simulate_matches_golden(tmp_path, capsys):
+    """`simulate` of E1 with rc and kendall gives the golden JSON, CSV and
+    stdout, and leaves no child."""
+    out, table = tmp_path / "sim.json", tmp_path / "sim.csv"
+    assert main(["simulate", "--scenario", "E1", "--n", "40", "--p", "200",
+                 "--reps", "6", "--seed", "4", "--method", "rc", "--method",
+                 "kendall", "--output", str(out),
+                 "--csv-output", str(table)]) == 0
+    _no_child_left()
+    assert out.read_bytes() == (GOLDEN / "simulate_e1.json").read_bytes()
+    assert table.read_bytes() == (GOLDEN / "simulate_e1.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / "simulate_e1.txt").read_bytes()
+
+
 def _test_all_matches_golden(tmp_path, capsys):
     """``test --all`` on the golden CSV gives the golden JSON and stdout,
     and leaves no child."""
@@ -1121,6 +1136,12 @@ class TestForkedJobs:
                                                 else [split.k])
         _force_split(monkeypatch, 1)
         assert forked == _simulate_bytes(tmp_path, capsys)
+
+    def test_simulate_matches_golden(self, tmp_path, capsys, split):
+        _simulate_matches_golden(tmp_path, capsys)
+        _no_retry(split)
+        assert [r for r, _ in split.calls] == ([] if split.k == 1
+                                                else [split.k])
 
     def test_test_all_matches_golden(self, tmp_path, capsys, split):
         _test_all_matches_golden(tmp_path, capsys)

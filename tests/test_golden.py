@@ -2,8 +2,9 @@
 committed expected files, byte for byte.
 
 Only outputs that are exact functions of integer counts are pinned (RC and
-Kendall utilities, the wild bootstrap): Pearson and spline outputs depend on
-the BLAS and libm in their last bits.  An intended output change replaces
+Kendall utilities, the wild bootstrap, and the ranks that `simulate` takes
+from them on E1 data, which are sums and products of seeded draws): Pearson
+and spline outputs depend on the BLAS and libm in their last bits.  An intended output change replaces
 the expected file and says so in CHANGES.md.
 """
 
@@ -57,3 +58,14 @@ def test_test_all_json_and_stdout(tmp_path, capsys):
                  "--n-boot", "99", "--seed", "3", "--output", str(out)]) == 0
     assert out.read_bytes() == _expected("test_all.json")
     assert capsys.readouterr().out.encode() == _expected("test_all.txt")
+
+
+def test_simulate_json_csv_and_stdout(tmp_path, capsys):
+    out, table = tmp_path / "sim.json", tmp_path / "sim.csv"
+    assert main(["simulate", "--scenario", "E1", "--n", "40", "--p", "200",
+                 "--reps", "6", "--seed", "4", "--method", "rc", "--method",
+                 "kendall", "--output", str(out),
+                 "--csv-output", str(table)]) == 0
+    assert out.read_bytes() == _expected("simulate_e1.json")
+    assert table.read_bytes() == _expected("simulate_e1.csv")
+    assert capsys.readouterr().out.encode() == _expected("simulate_e1.txt")

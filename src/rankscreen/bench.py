@@ -195,14 +195,15 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
 
     The replications are cut into contiguous slices, up to one per CPU in
     the affinity mask and each of at least ``_REPLICATION_CELLS`` cells
-    screened (n * p per method and replication; a callable's n and p are
-    those of replication 0, which is made first).  This process runs the
+    screened (n * p per method and replication; each replication of a
+    callable counts as that many, since its n and p are known only once it
+    runs, so it forks from two replications on).  This process runs the
     first slice and a forked child each other one
     (`~rankscreen.workers._ordered_map`), so a callable ``scenario`` may run
     in a worker process: it must depend on its seed alone, and what it
     changes outside its result stays in that process.  Each process has
-    its own peak RSS.  The report, the failures and their messages do not
-    depend on the number of processes.
+    its own peak RSS.  The report, the failures, their messages and the
+    warnings shown do not depend on the number of processes.
 
     Raises
     ------
@@ -222,24 +223,18 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
                  for name in methods}
     fixed = TopD(d_n) if d_n is not None else None
 
-    first = {}
     if isinstance(scenario, Scenario):
         make = lambda seq: simulate(scenario, seq)  # noqa: E731
         scenario_echo = asdict(scenario)
-        cells = scenario.n * scenario.p
-    else:
+        cells = scenario.n * scenario.p * len(methods)
+    else:  # its size is known only once it runs
         make = scenario
         scenario_echo = {"id": "custom"}
-        try:  # replication 0's data, made first for its size
-            first[0] = make(np.random.SeedSequence([base_seed, 0]))
-            cells = first[0].dataset.n * first[0].dataset.p
-        except Exception:  # noqa: BLE001 - made and counted again below
-            cells = 0
+        cells = _REPLICATION_CELLS
 
     def one_replication(r: int):
         try:
-            sim = first.pop(r, None) or make(
-                np.random.SeedSequence([base_seed, r]))
+            sim = make(np.random.SeedSequence([base_seed, r]))
             sel = fixed or TopD(default_top_d(sim.dataset.n))
             ranks = {name: screen(sim.dataset, sel).ranks()[sim.active]
                      for name, screen in screeners.items()}
@@ -249,7 +244,7 @@ def run_replications(scenario, methods, n_reps: int, base_seed: int,
 
     outcomes = workers._ordered_map(
         one_replication, n_reps,
-        workers._count(n_reps * cells * len(methods), _REPLICATION_CELLS))
+        workers._count(n_reps * cells, _REPLICATION_CELLS))
     kept = [res for res in outcomes if not isinstance(res, str)]
     errors = [(r, res) for r, res in enumerate(outcomes)
               if isinstance(res, str)]

@@ -564,6 +564,8 @@ def _cmd_test(args, parser) -> int:
                                        seed=seed)
         except InvalidInput as exc:  # raised once the lines before it print
             return InvalidInput(f"covariate '{dataset.x_names[j]}': {exc}")
+        except Exception as exc:  # noqa: BLE001 - so is any other error
+            return exc
 
     # forked workers each pin BLAS to one thread, or their thread pools
     # fight over the cores; without a thread setter the columns stay here
@@ -576,7 +578,7 @@ def _cmd_test(args, parser) -> int:
         outcomes = workers._ordered_map(test_column, len(columns),
                                         k if pinned else 1)
     for j, res in zip(columns, outcomes):
-        if isinstance(res, InvalidInput):
+        if isinstance(res, Exception):
             raise res
         decision = "reject" if res.reject else "fail to reject"
         print(f"{dataset.x_names[j]}: statistic = {res.statistic:.6f}, "

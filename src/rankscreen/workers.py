@@ -5,7 +5,10 @@ A job is cut into contiguous ranges, up to one per CPU in the affinity mask
 which sends its result back through a pipe (`_forked`, `_ordered_map`).  Any
 child that fails or cannot be started makes the caller do the whole job in
 this process, so results, messages and their order never depend on the
-number of processes.  No child outlives the call that forked it.  The
+number of processes.  A child records the warnings its slice raises, and
+this process shows them again once it has read the child's results, so
+they pass through the caller's filters in index order as in one process.
+No child outlives the call that forked it.  The
 children are bare ``os.fork`` processes: no pool, thread or
 ``multiprocessing`` module is involved.  The functions are private to the
 package: perfbench's tracer wraps the public ones, and the time spent here
@@ -23,7 +26,9 @@ import contextlib
 import os
 import pickle
 import signal
+import sys
 import threading
+import warnings
 
 
 def _count(work: int, least: int) -> int:
@@ -95,26 +100,50 @@ def _ordered_map(fn, n: int, k: int) -> list:
 
     ``range(n)`` is cut into k contiguous slices: this process maps the
     first and a forked child each other one, which pickles its list of
-    results back (`_forked`); the lists are joined in index order.  If a
-    child fails, this process maps every ``i`` itself, so an exception
-    leaves this call as the first failing ``fn(i)`` in index order raises
-    it.  ``fn`` must be a function of ``i`` alone, with picklable results.
+    results and of the warnings shown while it ran back (`_forked`); the
+    lists are joined, and the warnings shown again here (`_warn_again`), in
+    index order.  If a child fails, this process maps every ``i`` itself,
+    so an exception leaves this call as the first failing ``fn(i)`` in
+    index order raises it.  ``fn`` must be a function of ``i`` alone, with
+    picklable results.
     """
     k = max(1, min(k, n))
     bounds = [n * i // k for i in range(k + 1)]
     out, sent = [], []
 
     def work(r):
-        return [pickle.dumps([fn(i) for i in range(*r)],
-                             pickle.HIGHEST_PROTOCOL)]
+        with warnings.catch_warnings(record=True) as caught:
+            results = [fn(i) for i in range(*r)]
+        shown = [(w.message, w.category, w.filename, w.lineno)
+                 for w in caught]
+        return [pickle.dumps((results, shown), pickle.HIGHEST_PROTOCOL)]
 
     if k > 1 and _forked(list(zip(bounds, bounds[1:])), work,
                         lambda r: out.extend(map(fn, range(*r))),
                         lambda pipe: sent.append(pipe.read())):
         for data in sent:  # each written by a child that exited 0
-            out.extend(pickle.loads(data))
+            results, shown = pickle.loads(data)
+            out.extend(results)
+            _warn_again(shown)
         return out
     return list(map(fn, range(n)))
+
+
+def _warn_again(shown: list) -> None:
+    """Show each (message, category, filename, lineno) warning as
+    `warnings.warn` would have shown it here: through this process's
+    filters and the once-per-location registry of the module at
+    ``filename``, which the child's copy of that registry did not see."""
+    modules = {getattr(m, "__file__", None): m
+               for m in list(sys.modules.values())} if shown else {}
+    for message, category, filename, lineno in shown:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            warnings.warn_explicit(
+                message, category, filename, lineno, module.__name__,
+                vars(module).setdefault("__warningregistry__", {}))
 
 
 # The (get, set) thread-count functions of a numpy wheel's bundled

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -1238,6 +1239,79 @@ class TestForkedJobs:
         assert messages[0].startswith("5/10 replications failed (rep 1: "
                                       "RuntimeError('boom at 1'); rep 3: ")
         assert messages[1] == messages[0] and messages[2] == messages[0]
+
+    def test_warnings_in_a_worker_are_shown_here_in_order(self,
+                                                          monkeypatch):
+        def fn(i):
+            warnings.warn(f"unit {i}", UserWarning)
+            warnings.warn("every unit", RuntimeWarning)
+            return i
+
+        def shown(k, action):
+            forks = _count_forks(monkeypatch)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert workers._ordered_map(fn, 6, k) == list(range(6))
+            _no_child_left()
+            assert len(forks) == k - 1
+            return [(w.category, str(w.message), w.filename, w.lineno)
+                    for w in caught]
+
+        # "default" shows a message once per location, in any process
+        for action, count in (("always", 12), ("default", 7)):
+            serial = shown(1, action)
+            assert len(serial) == count
+            assert shown(2, action) == serial and shown(3, action) == serial
+
+    def test_replication_warnings_do_not_depend_on_the_process_count(
+            self, monkeypatch):
+        def constant_last(seq):  # Pearson warns in every replication
+            rng = np.random.Generator(np.random.Philox(seq))
+            y = rng.standard_normal(30)
+            x = rng.standard_normal((30, 4))
+            x[:, 0] += y
+            x[:, 3] = 1.0
+            return SimDataset(dataset=Dataset(y=y, x=x),
+                              active=np.array([0]), scenario=None)
+
+        seen = []
+        for k in (1, 2, 3):
+            _force_split(monkeypatch, k)
+            forks = _count_forks(monkeypatch)
+            with pytest.warns(UserWarning) as record:
+                report = bench.run_replications(constant_last, ["pearson"],
+                                                6, 5)
+            _no_child_left()
+            assert len(forks) == k - 1
+            seen.append(([(str(w.message), w.filename, w.lineno)
+                          for w in record], report.to_json_dict()))
+        assert len(seen[0][0]) == 6
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    def test_any_error_in_a_column_follows_the_lines_before_it(
+            self, tmp_path, monkeypatch, capsys):
+        # x2 is the only column whose first value is 0.5
+        path = _write(tmp_path / "t.csv", "y,x1,x2,x3\n" + "".join(
+            f"{i},{i * i},{i + 0.5},{-i}\n" for i in range(30)))
+        real = cli.wild_bootstrap_test
+
+        def fails_on_x2(y, x_col, **kwargs):
+            if x_col[0] == 0.5:
+                raise RuntimeError("boom")
+            return real(y, x_col, **kwargs)
+
+        monkeypatch.setattr(cli, "wild_bootstrap_test", fails_on_x2)
+        argv = ["test", "--input", path, "--response", "y", "--all",
+                "--n-boot", "50", "--seed", "1"]
+        outs = []
+        for k in (1, 2, 3):
+            _force_split(monkeypatch, k)
+            with pytest.raises(RuntimeError, match="boom"):
+                main(argv)
+            _no_child_left()
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("x1: ") and outs[0].count("->") == 1
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 class TestBlasPin:

@@ -20,10 +20,10 @@ import numpy as np
 
 from .dataset import Dataset
 from .empirical import (
+    _count_columns,
     as_finite_pair,
     as_finite_vector,
     column_chunks,
-    count_chunks,
     leq_counts,
     leq_counts_matrix,
 )
@@ -105,21 +105,28 @@ def _kendall_taus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     The weak joint counts ``c`` sum to ``n + P + n1 + n2`` over the ``P``
     concordant pairs, and ``Q = n0 - P - n1 - n2 + n3`` pairs are
     discordant, so ``S = P - Q = 2 sum(c) - 2n - n0 - n1 - n2 - n3``.
+    The columns are counted in ranges, as RC's are
+    (`~rankscreen.empirical._count_columns`), each column from its own
+    integer sums, so no tau depends on the cut.
     """
-    n, p = x.shape
+    n = x.shape[0]
     n0 = n * (n - 1) // 2
     # compact counts: the key and the sums are formed in int64
     ry = leq_counts(y).astype(np.int64)
     n2 = int(ry.sum()) - n - n0
-    taus = np.empty(p)
-    for lo, rx, c in count_chunks(y, x):
-        n1 = rx.sum(axis=0, dtype=np.int64) - n - n0
-        n3 = leq_counts_matrix(ry[:, None] * (n + 1) + rx).sum(
-            axis=0, dtype=np.int64) - n - n0
-        s = 2 * c.sum(axis=0, dtype=np.int64) - 2 * n - n0 - n1 - n2 - n3
-        for j, (s_j, n1_j) in enumerate(zip(s.tolist(), n1.tolist())):
-            taus[lo + j] = _tau_b(s_j, n0, n1_j, n2)
-    return taus
+
+    def taus(chunks, m):
+        out = np.empty(m)
+        for lo, rx, c in chunks:
+            n1 = rx.sum(axis=0, dtype=np.int64) - n - n0
+            n3 = leq_counts_matrix(ry[:, None] * (n + 1) + rx).sum(
+                axis=0, dtype=np.int64) - n - n0
+            s = 2 * c.sum(axis=0, dtype=np.int64) - 2 * n - n0 - n1 - n2 - n3
+            for j, (s_j, n1_j) in enumerate(zip(s.tolist(), n1.tolist())):
+                out[lo + j] = _tau_b(s_j, n0, n1_j, n2)
+        return out
+
+    return _count_columns(y, x, taus)
 
 
 def kendall_tau_b(y_col, x_col) -> float:

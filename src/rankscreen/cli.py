@@ -2,9 +2,10 @@
 workflows.
 
 `load_csv` and `save_csv` cut a large file's rows into ranges, `simulate`
-its replications and `test --all` its columns, up to one range per CPU in the
-affinity mask: this process does the first and a forked child each other one
-(`~rankscreen.workers`).  Results are bit-identical whatever the number of
+its replications, `test --all` its columns and `screen` the covariates it
+counts, up to one range per CPU in the affinity mask: this process does the
+first and a forked child each other one (`~rankscreen.workers`), and no
+child forks again.  Results are bit-identical whatever the number of
 processes.  The package starts no thread, and no process but these workers.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
@@ -621,9 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed; omit for entropy (printed for replay)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect "
-                            "(worker processes follow the CPU affinity mask; "
-                            "BLAS threads follow OPENBLAS_NUM_THREADS, one "
-                            "in each forked bootstrap worker)")
+                            "(the processes that read the CSV, run the "
+                            "replications, test the columns or count the "
+                            "covariates follow the CPU affinity mask; BLAS "
+                            "threads follow OPENBLAS_NUM_THREADS, one in "
+                            "each forked bootstrap worker)")
         if spline:  # `test` fits no splines
             p.add_argument("--degree", type=int, default=3,
                            help="spline degree for rpc-* methods")

@@ -23,7 +23,10 @@ allocates an (n, p) temporary.
 
 `count_chunks` streams a wide x through both steps a chunk of columns at a
 time, so the working arrays beyond x stay O(n * chunk) whatever p is;
-Pearson screening streams the same `column_chunks`.
+Pearson screening streams the same `column_chunks`.  `_count_columns`
+reduces those counts to one result per column for the RC and Kendall
+utilities, in contiguous column ranges of which forked workers take all
+but the first.
 
 The bootstrap's sign-flip replicates are counted without forming them.
 Row i of every replicate holds one of two values, ``a_i`` or ``b_i``, so
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import workers
 from .errors import InvalidInput
 
 __all__ = [
@@ -64,6 +68,25 @@ _STEP = 64
 # Bernoulli, Poisson, rounded and continuous responses at n = 60 to 500; 8
 # was faster at n = 500 but up to 1.7x slower at n = 60 and 100.
 _GROUP_COST = 16
+
+# The least work, in n * p cells of x, worth a process of its own in
+# `_count_columns`.  Speed-up of `rc_utilities` on two processes over one
+# (2-core Xeon VM, numpy 2.4; median of three runs, each the median of 11
+# alternating calls; y Bernoulli(0.5) or normal, x normal):
+#
+#     n * p        ~1e5   ~2e5   ~4e5   ~8e5   ~1.6e6
+#     n = 200  tied  0.73   1.02   1.22   1.21   1.63   (n * p from 8e4)
+#              cont  0.65   1.02   1.32   1.56   1.62
+#     n = 500  tied  0.74   0.92   1.15   1.26   1.57
+#              cont  1.04   1.37   1.63   1.54   1.70
+#     n = 1000 tied  0.68   0.93   1.20   1.56   1.68
+#              cont  1.12   1.39   1.58   1.78   1.61
+#
+# Two processes break even at about 2.5e5 cells (a tied y, whose histogram
+# steps are cheapest per cell) and 1e5 to 1.6e5 (a continuous one); the
+# n = 200 tied row moved from 1.2e5 to 1e6 between runs.  Two processes
+# start at 2 * _COUNT_CELLS, twice the tied break-even.
+_COUNT_CELLS = 2 ** 18
 
 # Rows of one block of `dominance_counts_choice`, whose operands are
 # (h, n + 1).  On `test --all` at n = 200, n_boot = 500, blocks of 50 to 100
@@ -130,16 +153,18 @@ def _chunk_width(n: int) -> int:
     return max(_STEP, _CELLS // n // _STEP * _STEP)
 
 
-def column_chunks(x: np.ndarray):
-    """Yield ``(lo, x[:, lo:lo + w])`` for consecutive chunks of the (n, p)
-    array x, `_chunk_width` (n) columns wide, so that the working arrays
-    stay O(n * w) whatever p is.  The first column that holds NaN or an
-    infinity raises InvalidInput; min and max propagate NaN and reach any
-    infinity, so no mask is built."""
+def column_chunks(x: np.ndarray, start: int = 0, stop: int | None = None):
+    """Yield ``(lo, x[:, lo:lo + w])`` for consecutive chunks of columns
+    ``start`` to ``stop`` (default: all) of the (n, p) array x,
+    `_chunk_width` (n) columns wide, so that the working arrays stay
+    O(n * w) whatever p is.  The first column that holds NaN or an infinity
+    raises InvalidInput, which names its index in x; min and max propagate
+    NaN and reach any infinity, so no mask is built."""
     n, p = x.shape
+    stop = p if stop is None else stop
     w = _chunk_width(n)
-    for lo in range(0, p, w):
-        chunk = x[:, lo:lo + w]
+    for lo in range(start, stop, w):
+        chunk = x[:, lo:min(lo + w, stop)]
         finite = (np.isfinite(chunk.min(axis=0))
                   & np.isfinite(chunk.max(axis=0)))
         if not finite.all():
@@ -360,17 +385,45 @@ def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def count_chunks(y: np.ndarray, x: np.ndarray):
+def count_chunks(y: np.ndarray, x: np.ndarray, start: int = 0,
+                 stop: int | None = None):
     """Weak ranks and joint counts of x, one chunk of columns at a time.
 
     Yields ``(lo, rx, c)`` for each chunk ``x[:, lo:lo + w]`` of
-    `column_chunks`: ``rx`` is the chunk's `leq_counts_matrix` and ``c`` its
-    `dominance_counts_matrix` against y, both (n, w).  Every count is an
-    exact integer, so no count depends on the width.  A non-finite y, or a
-    non-finite column of the chunk, raises InvalidInput.
+    `column_chunks` (x, start, stop): ``rx`` is the chunk's
+    `leq_counts_matrix` and ``c`` its `dominance_counts_matrix` against y,
+    both (n, w).  Every count is an exact integer, so no count depends on
+    the width.  A non-finite y, or a non-finite column of the chunk, raises
+    InvalidInput.
     """
     as_finite_vector(y, "response")
-    for lo, chunk in column_chunks(x):
+    for lo, chunk in column_chunks(x, start, stop):
         rx = leq_counts_matrix(chunk)
         yield lo, rx, dominance_counts_matrix(y, rx)
+
+
+def _count_columns(y: np.ndarray, x: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(chunks, m)`` of every column of the (n, p) array x: the
+    float64 results of m columns from their `count_chunks` against y, whose
+    ``lo`` counts from the first of them.
+
+    The columns are cut into contiguous ranges, up to one per CPU in the
+    affinity mask and each of at least ``_COUNT_CELLS`` cells of x
+    (`~rankscreen.workers._count`): this process reduces the first and a
+    forked child each other one (`~rankscreen.workers._ordered_map`), and
+    the results are joined in column order.  Every count is exact and
+    ``reduce`` gives each column's result from that column's counts alone,
+    so the result, and the InvalidInput raised for the first non-finite
+    column, do not depend on the number of processes.
+    """
+    n, p = x.shape
+    k = max(1, min(p, workers._count(n * p, _COUNT_CELLS)))
+    bounds = [p * i // k for i in range(k + 1)]
+
+    def reduce_range(i):
+        lo, hi = bounds[i], bounds[i + 1]
+        chunks = count_chunks(y, x, lo, hi)
+        return reduce(((a - lo, rx, c) for a, rx, c in chunks), hi - lo)
+
+    return np.concatenate(workers._ordered_map(reduce_range, k, k))
 

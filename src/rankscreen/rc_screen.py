@@ -12,7 +12,9 @@ screening, bootstrap replicates) takes ``rho`` from `_rho_from_counts` and
 reduces it with `_utilities`, so results are bit-identical across them.
 The screening paths take their counts from the batch kernel
 `~rankscreen.empirical.dominance_counts_matrix`, streamed over column chunks
-by `~rankscreen.empirical.count_chunks`; the bootstrap takes the counts of
+by `~rankscreen.empirical.count_chunks`, and count a wide x in contiguous
+column ranges, each but the first in a forked process
+(`~rankscreen.empirical._count_columns`); the bootstrap takes the counts of
 its sign-flip replicates, which it never forms, from
 `~rankscreen.empirical.dominance_counts_choice`, an exact integer matrix
 product that may run on BLAS threads.  Nothing else runs in threads.  The
@@ -22,6 +24,7 @@ BLAS thread, which inherit the Rademacher mask drawn once before the fork.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,8 +32,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .empirical import (
+    _count_columns,
     as_finite_pair,
-    count_chunks,
     dominance_counts_choice,
     leq_counts,
     leq_counts_choice,
@@ -164,7 +167,10 @@ def rc_utilities(y_col, x) -> np.ndarray:
     Each column's utility is bit-identical to `rc_utility` on that column.
     `~rankscreen.empirical.count_chunks` checks that y and x are finite and
     takes the joint counts on the weak ranks of one chunk of x at a time.
-    Memory beyond x and the result is O(n * chunk), independent of p.
+    Memory beyond x and the result is O(n * chunk) in each process,
+    independent of p.  A wide x is counted in contiguous column ranges, each
+    but the first in a forked process (`~rankscreen.empirical._count_columns`),
+    with the same bits and errors as in one.
     """
     y = np.asarray(y_col, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
@@ -175,7 +181,7 @@ def rc_utilities(y_col, x) -> np.ndarray:
         raise InvalidInput("response length does not match covariate rows")
     if n < 2:
         raise InvalidInput("need at least 2 observations")
-    return _utilities(y, count_chunks(y, x), p)
+    return _count_columns(y, x, functools.partial(_utilities, y))
 
 
 def rc_screen(dataset: Dataset,
@@ -285,14 +291,22 @@ def _rademacher_matrix(seed: int, n: int, n_boot: int) -> np.ndarray:
     for -1; column d comes from the d-th child stream of
     ``SeedSequence(seed)``, so each replicate's draws depend only on the
     seed and the replicate index.  The last mask is kept and returned again,
-    read-only, when the same arguments come back."""
+    read-only, when the same arguments come back.
+
+    Draw i of a column is ``Generator(Philox(child)).integers(0, 2)``'s:
+    bit 31 of the 32-bit half ``i % 2`` (the low half first) of the
+    stream's 64-bit word ``i // 2``, read here from the raw words by
+    shifts, whatever the byte order, without a Generator."""
     key = (seed, n, n_boot)
     if _last_rademacher.get("key") != key:
         children = np.random.SeedSequence(seed).spawn(n_boot)
-        out = np.empty((n, n_boot), dtype=bool)
+        words = np.empty((n_boot, (n + 1) // 2), dtype=np.uint64)
         for d, child in enumerate(children):
-            gen = np.random.Generator(np.random.Philox(child))
-            out[:, d] = gen.integers(0, 2, size=n) == 1
+            words[d] = np.random.Philox(child).random_raw(words.shape[1])
+        bits = np.empty(words.shape + (2,), dtype=bool)
+        np.not_equal(words & (1 << 31), 0, out=bits[..., 0])
+        np.not_equal(words >> 63, 0, out=bits[..., 1])
+        out = np.ascontiguousarray(bits.reshape(n_boot, -1)[:, :n].T)
         out.flags.writeable = False
         _last_rademacher.update(key=key, matrix=out)
     return _last_rademacher["matrix"]

@@ -8,9 +8,10 @@ this process, so results, messages and their order never depend on the
 number of processes.  A child records the warnings its slice raises, and
 this process shows them again once it has read the child's results, so
 they pass through the caller's filters in index order as in one process.
-No child outlives the call that forked it.  The
-children are bare ``os.fork`` processes: no pool, thread or
-``multiprocessing`` module is involved.  The functions are private to the
+No child outlives the call that forked it, and no job forks while another
+runs: `_count` gives it one process, in the caller's own range and in
+every child.  The children are bare ``os.fork`` processes: no pool, thread
+or ``multiprocessing`` module is involved.  The functions are private to the
 package: perfbench's tracer wraps the public ones, and the time spent here
 belongs to the layer of the caller.
 
@@ -30,14 +31,20 @@ import sys
 import threading
 import warnings
 
+# True while a `_forked` job runs: in this process and, inherited, in every
+# child it forks.
+_busy = False
+
 
 def _count(work: int, least: int) -> int:
     """How many processes share ``work`` units of a job: one per CPU this
-    process may run on, each with at least ``least`` units.  One where the
+    process may run on, each with at least ``least`` units.  One inside a
+    `_forked` job, whose processes already use those CPUs.  One where the
     affinity mask is unknown or another thread runs, because a forked child
     holds only the forking thread, and every lock another thread held stays
     locked in it."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    if (_busy or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), work // least))
 
@@ -53,8 +60,11 @@ def _forked(ranges: list, work, here, take) -> bool:
     exception; it never returns into the caller.  Returns False at the
     first child that failed or could not be started: the caller then does
     the whole job here.  Every child is reaped before this returns or
-    raises, and one not yet read is killed first.
+    raises, and one not yet read is killed first.  `_count` gives one
+    process to any job started while this runs, here or in a child.
     """
+    global _busy
+    outer, _busy = _busy, True
     children = []
     try:
         for r in ranges[1:]:
@@ -89,6 +99,7 @@ def _forked(ranges: list, work, here, take) -> bool:
                 return False
         return True
     finally:
+        _busy = outer
         for pid, pipe in children:  # left early: a failure
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import rankscreen
-from rankscreen import bench, cli, simgen, workers
+from rankscreen import baselines, bench, cli, empirical, simgen, workers
 from rankscreen.cli import load_csv, main, save_csv
 from rankscreen.dataset import Dataset
 from rankscreen.errors import HarnessError, InvalidInput
@@ -63,11 +64,14 @@ def exposure_csv(tmp_path):
 def _force_split(monkeypatch, k):
     """Make every forked job cut even a small input into up to ``k``
     ranges: `load_csv` and `save_csv` a file, `run_replications` its
-    replications and ``test --all`` its columns.  Each process needs one
-    unit of work at least, and there are ``k`` CPUs in the affinity mask."""
+    replications, ``test --all`` its columns and the counting of
+    `rc_utilities` and Kendall's tau-b its covariates.  Each process needs
+    one unit of work at least, and there are ``k`` CPUs in the affinity
+    mask."""
     monkeypatch.setattr(cli, "_RANGE_BYTES", 1)
     monkeypatch.setattr(cli, "_BOOT_CELLS", 1)
     monkeypatch.setattr(bench, "_REPLICATION_CELLS", 1)
+    monkeypatch.setattr(empirical, "_COUNT_CELLS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
                         raising=False)
 
@@ -1048,6 +1052,9 @@ _SIMULATE_ALL = ["simulate", "--scenario", "E4", "--n", "60", "--p", "12",
                  "--reps", "5", "--seed", "4", "--method", "rc", "--method",
                  "rpc-l2", "--method", "rpc-l1", "--method", "pearson",
                  "--method", "kendall"]
+# counting jobs of `_SIMULATE_ALL`: rc, rpc-l2, rpc-l1 and kendall in each
+# of its 5 replications
+_COUNT_JOBS = 4 * 5
 
 
 def _simulate_bytes(tmp_path, capsys):
@@ -1151,6 +1158,20 @@ class TestForkedJobs:
         jobs = 0 if split.k == 1 else 1 + _PINNED
         assert [r for r, _ in split.calls] == [split.k] * jobs
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_no_job_forks_inside_a_worker(self, tmp_path, monkeypatch,
+                                          capsys, k):
+        _force_split(monkeypatch, k)
+        forks = _count_forks(monkeypatch)
+        # one process for a job started here or in a child while one runs
+        assert workers._ordered_map(lambda i: workers._count(10 ** 9, 1),
+                                    3, 3) == [1, 1, 1]
+        assert len(forks) == 2 and workers._count(10 ** 9, 1) == k
+        # rc's and kendall's counts stay in their replication's process
+        forks.clear()
+        _simulate_matches_golden(tmp_path, capsys)
+        assert len(forks) == k - 1
+
     def test_a_live_thread_keeps_every_job_here(self, tmp_path, monkeypatch,
                                                 capsys):
         serial = _simulate_bytes(tmp_path, capsys)
@@ -1180,8 +1201,9 @@ class TestForkedJobs:
         monkeypatch.setattr(os, "fork", fail)
         assert _simulate_bytes(tmp_path, capsys) == serial
         _test_all_matches_golden(tmp_path, capsys)
-        # the replications, the CSV's rows and the columns
-        assert calls == [(2, False)] * (2 + _PINNED)
+        # the replications, then the counts of each replication redone
+        # here, then the CSV's rows and the columns
+        assert calls == [(2, False)] * (1 + _COUNT_JOBS + 1 + _PINNED)
 
     def test_failed_worker_leaves_the_job_here(self, tmp_path, monkeypatch,
                                                capsys):
@@ -1193,8 +1215,11 @@ class TestForkedJobs:
                             _in_a_child(cli.wild_bootstrap_test))
         assert _simulate_bytes(tmp_path, capsys) == serial
         _test_all_matches_golden(tmp_path, capsys)
-        # the replications, the CSV's rows and the columns
-        assert calls == [(3, False), (3, True), (3, False)][:2 + _PINNED]
+        # the replications, then the counts of each replication redone
+        # here, whose children call no simulate, then the CSV's rows and
+        # the columns
+        assert calls == ([(3, False)] + [(3, True)] * _COUNT_JOBS
+                         + [(3, True), (3, False)][:1 + _PINNED])
 
     def test_overflow_in_a_worker_names_the_first_bad_column(
             self, tmp_path, monkeypatch, capfd):
@@ -1352,6 +1377,96 @@ class TestBlasPin:
         forks = _count_forks(monkeypatch)
         _test_all_matches_golden(tmp_path, capsys)
         assert forks == []
+
+
+_rc_screen = importlib.import_module("rankscreen.rc_screen")
+
+
+def _covariates(kind):
+    """y, tied (Bernoulli) or continuous, and 40 x 200 covariates with
+    rounded (tied) and constant columns among them."""
+    rng = np.random.default_rng(12)
+    y = ((rng.random(40) < 0.4).astype(float) if kind == "tied"
+         else rng.standard_normal(40))
+    x = rng.standard_normal((40, 200))
+    x[:, ::7] = np.round(x[:, ::7])
+    x[:, [5, 120]] = 1.0
+    return y, x
+
+
+class TestForkedCounting:
+    """The counts of `rc_utilities` and Kendall's tau-b, their columns cut
+    into ranges each but the first counted in a forked child, give the bits
+    and messages of one process and leave no child behind."""
+
+    @pytest.fixture(autouse=True)
+    def narrow_chunks(self, monkeypatch):
+        # 64-column chunks: the cuts at columns 100, 66 and 133 of 200 fall
+        # inside chunks, and each range starts a chunk of its own
+        monkeypatch.setattr(empirical, "_CELLS", 1)
+        assert empirical._chunk_width(40) == 64
+
+    @pytest.mark.parametrize("kind", ["tied", "continuous"])
+    def test_utilities_do_not_depend_on_the_process_count(self, monkeypatch,
+                                                          kind):
+        y, x = _covariates(kind)
+        seen = []
+        for k in (1, 2, 3):
+            _force_split(monkeypatch, k)
+            forks = _count_forks(monkeypatch)
+            with warnings.catch_warnings(record=True):  # constant columns
+                seen.append((_rc_screen.rc_utilities(y, x).tobytes(),
+                             baselines._kendall_taus(y, x).tobytes()))
+            _no_child_left()
+            assert len(forks) == 2 * (k - 1)
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+        assert seen[0][0] == np.array(
+            [_rc_screen.rc_utility(y, x[:, j]) for j in range(200)]).tobytes()
+
+    @pytest.mark.parametrize("method", ["rc", "kendall", "rpc-l2"])
+    @pytest.mark.parametrize("kind", ["tied", "continuous"])
+    def test_screen_bytes_do_not_depend_on_the_process_count(
+            self, tmp_path, monkeypatch, capsys, method, kind):
+        y, x = _covariates(kind)
+        z = np.random.default_rng(3).random(40)
+        path = str(tmp_path / "t.csv")
+        save_csv(Dataset(y=y, x=x, z=z, z_name="z"), path)
+        out, table = tmp_path / "screen.json", tmp_path / "screen.csv"
+        argv = ["screen", "--input", path, "--response", "y", "--exposure",
+                "z", "--method", method, "--top-k", "200", "--seed", "1",
+                "--output", str(out), "--csv-output", str(table)]
+        seen = []
+        for k in (1, 2, 3):
+            _force_split(monkeypatch, k)
+            monkeypatch.setattr(cli, "_RANGE_BYTES", 2 ** 62)  # one reader
+            calls = _record_forked(monkeypatch)
+            with warnings.catch_warnings(record=True):  # constant columns
+                assert main(argv) == 0
+            _no_child_left()
+            assert calls == ([] if k == 1 else [(k, True)])
+            seen.append((out.read_bytes(), table.read_bytes(),
+                         capsys.readouterr().out))
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+        assert seen[0][2].count("utility = ") == 200
+
+    @pytest.mark.parametrize("column", [3, 150])
+    def test_non_finite_column_named_as_in_one_process(self, monkeypatch,
+                                                       column):
+        # column 3 is counted here and column 150 in the last child, with
+        # column 190, also not finite, after it
+        y, x = _covariates("continuous")
+        x[7, column] = np.inf
+        x[2, 190] = np.nan
+        for k in (1, 2, 3):
+            _force_split(monkeypatch, k)
+            forks = _count_forks(monkeypatch)
+            for fn in (_rc_screen.rc_utilities, baselines._kendall_taus):
+                with pytest.raises(InvalidInput) as info:
+                    fn(y, x)
+                assert str(info.value) == (f"covariate column {column} is "
+                                           "not finite")
+                _no_child_left()
+            assert len(forks) == 2 * (k - 1)
 
 
 class TestUsageLine:

@@ -97,7 +97,8 @@ def test_commands_leave_numpy_ma_unloaded(argv, tmp_path):
     _SIMULATE,
     ["test", "--input", "{csv}", "--response", "y", "--all", "--n-boot",
      "20", "--seed", "1"],
-], ids=["load_csv", "simulate", "test-all"])
+    ["screen", "--input", "{csv}", "--response", "y", "--seed", "1"],
+], ids=["load_csv", "simulate", "test-all", "screen"])
 def test_forked_jobs_leave_process_pools_unloaded(tmp_path, argv):
     # the workers are os.fork children; importing multiprocessing.pool
     # alone costs a cold command about 11 ms
@@ -108,7 +109,7 @@ def test_forked_jobs_leave_process_pools_unloaded(tmp_path, argv):
     if argv is None:  # only the CSV's rows are cut
         run = (f"ds = cli.load_csv({str(path)!r}, 'y')\n"
                "assert forks and ds.n == 50\n")
-    else:  # only the replications or the columns are cut
+    else:  # only the replications, the columns or the counts are cut
         argv = [a.format(csv=path) for a in argv]
         run = ("cli._RANGE_BYTES = 2 ** 62\n"
                f"assert cli.main({argv!r}) == 0\n")
@@ -117,8 +118,9 @@ def test_forked_jobs_leave_process_pools_unloaded(tmp_path, argv):
                 if argv[0] == "test" else "assert forks\n")
     code = (
         "import os, sys\n"
-        "from rankscreen import bench, cli, workers\n"
+        "from rankscreen import bench, cli, empirical, workers\n"
         "cli._RANGE_BYTES = cli._BOOT_CELLS = bench._REPLICATION_CELLS = 1\n"
+        "empirical._COUNT_CELLS = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "forks = []\n"
         "fork = os.fork\n"

@@ -104,16 +104,20 @@ class TestWildBootstrap:
         assert not np.array_equal(other, first)
         assert np.array_equal(_rademacher_matrix(3, 20, 8), first)
 
-    def test_rademacher_mask_columns_are_child_stream_draws(self):
+    @pytest.mark.parametrize("n", [2, 3, 30, 48, 199, 200, 201])
+    @pytest.mark.parametrize("seed", [0, 11, 12345, 2 ** 40 + 7])
+    def test_rademacher_mask_columns_are_child_stream_draws(self, n, seed):
         # column d is True where the d-th child stream of SeedSequence(seed)
-        # draws +1, so a replicate's signs depend only on the seed and d
-        mask = _rademacher_matrix(11, 30, 6)
-        assert mask.shape == (30, 6)
-        for d, child in enumerate(np.random.SeedSequence(11).spawn(6)):
+        # draws +1 with `integers`, so a replicate's signs depend only on
+        # the seed and d; the mask reads them from the raw words, an odd n
+        # leaving the last word's high half unused
+        mask = _rademacher_matrix(seed, n, 6)
+        assert mask.shape == (n, 6) and mask.flags.c_contiguous
+        for d, child in enumerate(np.random.SeedSequence(seed).spawn(6)):
             gen = np.random.Generator(np.random.Philox(child))
             assert np.array_equal(mask[:, d],
-                                  gen.integers(0, 2, size=30) == 1)
-        assert np.array_equal(_rademacher_matrix(11, 30, 9)[:, :6], mask)
+                                  gen.integers(0, 2, size=n) == 1)
+        assert np.array_equal(_rademacher_matrix(seed, n, 9)[:, :6], mask)
 
     def test_fixed_seed_bit_identical(self):
         rng = np.random.default_rng(4)

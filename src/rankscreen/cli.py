@@ -3,9 +3,10 @@ workflows.
 
 `load_csv` and `save_csv` cut a large file's rows into ranges, `simulate`
 its replications, `test --all` its columns and `screen` the covariates it
-counts, up to one range per CPU in the affinity mask: this process does the
-first and a forked child each other one (`~rankscreen.workers`), and no
-child forks again.  Results are bit-identical whatever the number of
+counts, up to one range per CPU in the affinity mask, and map them with
+`~rankscreen.workers._ordered_map`: this process does the first and a
+forked child each other one, which pickles its results back, and no child
+forks again.  Results are bit-identical whatever the number of
 processes.  The package starts no thread, and no process but these workers.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
@@ -194,17 +195,6 @@ def _read_header(path: str, lines) -> tuple[list, int]:
     return header, len("".join(taken).encode("utf-8", "surrogateescape"))
 
 
-def _parse_range(path: str, header: list, lines):
-    """The float array of each block of ``lines``, which hold whole records
-    (`_data_blocks`, about ``_CELLS`` cells a block).  Errors name rows as
-    if the lines began at file row 2, as the data's first range does."""
-    first_row = 2
-    for block in _data_blocks(lines, max(2, _CELLS // len(header))):
-        data = _parse_lines(path, header, block, first_row)
-        first_row += len(data)
-        yield data
-
-
 def _cuts(fh, start: int, end: int, k: int) -> list:
     """Offsets ``start < c1 < ... < end`` in the binary file ``fh`` that cut
     its bytes ``[start, end)`` into at most ``k`` ranges of about equal
@@ -232,36 +222,6 @@ def _cuts(fh, start: int, end: int, k: int) -> list:
     return cuts + [end]
 
 
-def _parse_forked(path: str, header: list, fh, ranges: list, keep) -> bool:
-    """Parse the byte ranges of ``fh`` with `~rankscreen.workers._forked`,
-    the first here, and pass the float array of every block of rows to
-    ``keep``, in file order.  A child sends each block as its row count and
-    float64 rows."""
-
-    def parse(own, start, end):
-        own.seek(start)
-        return _parse_range(path, header, _lines(own, end - start))
-
-    def work(r):
-        # its own file: a forked child would share the offset of fh
-        with open(path, "rb") as own:
-            return [part for data in parse(own, *r)
-                    for part in (len(data).to_bytes(8, "little"), data)]
-
-    def here(r):
-        for data in parse(fh, *r):
-            keep(data)
-
-    def take(pipe):
-        while rows := pipe.read(8):
-            data = np.empty((int.from_bytes(rows, "little"), len(header)))
-            if pipe.readinto(data) < data.nbytes:  # the child failed
-                return
-            keep(data)
-
-    return workers._forked(ranges, work, here, take)
-
-
 def load_csv(path: str, response_name: str,
              exposure_name: str | None = None) -> Dataset:
     """Read a headed CSV into a Dataset.
@@ -281,14 +241,16 @@ def load_csv(path: str, response_name: str,
     ``float`` with the same values.  ``x`` is column-major; no returned
     array shares memory with the parse.
 
-    Data of ``2 * _RANGE_BYTES`` bytes or more is cut into ranges at line
-    ends where the count of ``"`` since the header is even, one per CPU in
-    the affinity mask and each of at least ``_RANGE_BYTES``
-    (`~rankscreen.workers._count`, `_cuts`).  This process parses the first
-    range and a forked child each other one, which sends back its float64
-    rows.  If any range fails, this process parses the whole file again, so
-    every value, message and row number is the one a single process gives.
-    No child outlives the call.
+    One process streams the file, a pipe included.  A regular file with
+    ``2 * _RANGE_BYTES`` bytes of data or more is cut at line ends where
+    the count of ``"`` since the header is even, into one range per CPU in
+    the affinity mask, each of at least ``_RANGE_BYTES``
+    (`~rankscreen.workers._count`, `_cuts`), and
+    `~rankscreen.workers._ordered_map` parses each range whole, from its
+    own file handle, in this process or a forked child.  If any range
+    fails, this process parses the whole file again, so every value,
+    message and row number is the one a single process gives.  No child
+    outlives the call.
     """
     with open(path, "rb") as fh:
         lines = _lines(fh)
@@ -317,34 +279,40 @@ def load_csv(path: str, response_name: str,
         x_idx = [j for j in range(len(header)) if j != y_idx and j != z_idx]
         if not x_idx:
             raise InvalidInput(f"{path}: no covariate columns remain")
-        y_parts, z_parts, x_parts = [], [], []
 
-        def keep(data):
-            # copies, not views, so that no full-width block stays alive
-            y_parts.append(data[:, y_idx].copy())
-            if z_idx is not None:
-                z_parts.append(data[:, z_idx].copy())
-            x_parts.append(data[:, x_idx])
+        def parse(source):
+            """The (y, z, x) arrays of each block of the whole records in
+            the lines ``source``, its rows named from file row 2 on."""
+            blocks, first_row = [], 2
+            for block in _data_blocks(source, max(2, _CELLS // len(header))):
+                data = _parse_lines(path, header, block, first_row)
+                first_row += len(data)
+                # copies, not views, so that no full-width block stays alive
+                blocks.append((
+                    data[:, y_idx].copy(),
+                    data[:, z_idx].copy() if z_idx is not None else None,
+                    data[:, x_idx]))
+            return blocks
+
+        def parse_range(i):
+            # its own file: a forked child would share the offset of fh
+            with open(path, "rb") as own:
+                own.seek(cuts[i])
+                return parse(_lines(own, cuts[i + 1] - cuts[i]))
 
         end = os.fstat(fh.fileno()).st_size  # 0 for a pipe: one process
         k = workers._count(end - start, _RANGE_BYTES)
-        done = False
-        if k > 1:
+        if k == 1:
+            blocks = parse(itertools.chain(head, lines))
+        else:
             cuts = _cuts(fh, start, end, k)
             try:
-                done = _parse_forked(path, header, fh,
-                                     list(zip(cuts, cuts[1:])), keep)
-            except InvalidInput:  # in the first range: named again below
-                pass
-            if not done:  # parse the whole file here
-                for parts in (y_parts, z_parts, x_parts):
-                    parts.clear()
+                blocks = list(itertools.chain.from_iterable(
+                    workers._ordered_map(parse_range, len(cuts) - 1, k)))
+            except InvalidInput:  # rows numbered as one process numbers them
                 fh.seek(start)
-                head, lines = [], _lines(fh)
-        if not done:
-            for data in _parse_range(path, header,
-                                     itertools.chain(head, lines)):
-                keep(data)
+                blocks = parse(_lines(fh))
+    y_parts, z_parts, x_parts = zip(*blocks)
     n = sum(map(len, y_parts))
     if n < 2:  # a record may span lines
         raise InvalidInput(f"{path}: need at least 2 data rows")
@@ -368,13 +336,14 @@ def save_csv(dataset: Dataset, path: str):
     rows are joined directly with the ``csv`` module's default ``\\r\\n``
     line ending.
 
-    A table whose text takes ``2 * _RANGE_BYTES`` bytes or more, judged by
-    its first row, is cut into ranges of rows as `load_csv` cuts a file:
-    this process formats the first and a forked child each other one,
-    which sends back its text, and the ranges are written in row order.
-    If any child fails, this process writes every row itself.  The bytes
-    do not depend on the number of processes, and no child outlives the
-    call.
+    One process streams the rows.  A table whose text takes
+    ``2 * _RANGE_BYTES`` bytes or more, judged by its first row, is cut
+    into ranges of rows as `load_csv` cuts a file, and
+    `~rankscreen.workers._ordered_map` encodes each range's text whole, in
+    this process or a forked child; the texts are written in row order
+    after the header, so ``path`` need not seek (a pipe will do).  The
+    bytes do not depend on the number of processes, and no child outlives
+    the call.
     """
     header = [dataset.y_name]
     columns = [dataset.y]
@@ -391,21 +360,14 @@ def save_csv(dataset: Dataset, path: str):
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        start = fh.tell()
         k = workers._count(n * len(next(text((0, 1)), "")), _RANGE_BYTES)
-        bounds = [n * i // k for i in range(k + 1)]
-
-        def take(pipe):
-            fh.flush()  # the rows written so far go first
-            while chunk := pipe.read(_CHUNK):
-                fh.buffer.write(chunk)
-
-        if not workers._forked(list(zip(bounds, bounds[1:])),
-                               lambda rows: ["".join(text(rows)).encode()],
-                               lambda rows: fh.writelines(text(rows)), take):
-            fh.seek(start)
-            fh.truncate()
+        if k == 1:
             fh.writelines(text((0, n)))
+        else:
+            bounds = [n * i // k for i in range(k + 1)]
+            fh.flush()  # the header goes first
+            fh.buffer.writelines(workers._ordered_map(
+                lambda i: "".join(text(bounds[i:i + 2])).encode(), k, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Forked worker processes for a job cut into independent ranges.
 
-A job is cut into contiguous ranges, up to one per CPU in the affinity mask
-(`_count`): this process does the first and a forked child each other one,
-which sends its result back through a pipe (`_forked`, `_ordered_map`).  Any
-child that fails or cannot be started makes the caller do the whole job in
-this process, so results, messages and their order never depend on the
-number of processes.  A child records the warnings its slice raises, and
-this process shows them again once it has read the child's results, so
-they pass through the caller's filters in index order as in one process.
+A job maps ``fn`` over ``range(n)`` cut into contiguous slices, up to one
+per CPU in the affinity mask (`_count`): this process maps the first and a
+forked child each other one, which pickles its results back through a pipe
+(`_ordered_map`, `_forked`).  Any child that fails or cannot be started
+makes the caller do the rest of the job in this process, so results,
+messages and their order never depend on the number of processes.  A child
+records the warnings its slice raises, and this process shows them again
+once every child has succeeded, so they pass through the caller's filters
+in index order, once, as in one process.
 No child outlives the call that forked it, and no job forks while another
 runs: `_count` gives it one process, in the caller's own range and in
 every child.  The children are bare ``os.fork`` processes: no pool, thread
@@ -49,39 +50,43 @@ def _count(work: int, least: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), work // least))
 
 
-def _forked(ranges: list, work, here, take) -> bool:
-    """Do a job cut into ``ranges``: ``here(r)`` in this process for the
-    first range while a forked child does ``work(r)`` for each other, then
-    ``take(pipe)`` reads each child's result, in range order.
+def _forked(fn, bounds: list) -> list | None:
+    """``[fn(i) for i in range(bounds[0], bounds[-1])]``: this process maps
+    the slice ``range(bounds[0], bounds[1])`` while a forked child maps
+    each other one and pickles back its results and the warnings they
+    raised, recorded, not shown.  Once every child has succeeded, those
+    warnings are shown here (`_warn_again`) and the results joined, in
+    index order.  A child exits 0 once it has written and 1 on any
+    exception; it never returns into the caller.
 
-    ``work`` returns bytes-like chunks, which the child writes only once
-    all are made, since this process reads no pipe before ``here``
-    returns.  A child exits 0 once it has written them and 1 on any
-    exception; it never returns into the caller.  Returns False at the
-    first child that failed or could not be started: the caller then does
-    the whole job here.  Every child is reaped before this returns or
-    raises, and one not yet read is killed first.  `_count` gives one
-    process to any job started while this runs, here or in a child.
+    Returns None, with no child's warning shown, at the first child that
+    failed or could not be started.  Every child is reaped before this
+    returns or raises, and one not yet read is killed first.  `_count`
+    gives one process to any job started while this runs.
     """
     global _busy
     outer, _busy = _busy, True
-    children = []
+    children, sent = [], []
     try:
-        for r in ranges[1:]:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
             read, write = os.pipe()
             try:
                 pid = os.fork()
             except OSError:  # a process limit, say: no child, no job lost
                 os.close(read)
                 os.close(write)
-                return False
+                return None
             if pid == 0:
                 code = 1
                 try:
                     os.close(read)
-                    chunks = work(r)
+                    with warnings.catch_warnings(record=True) as caught:
+                        results = [fn(i) for i in range(lo, hi)]
+                    shown = [(w.message, w.category, w.filename, w.lineno)
+                             for w in caught]
                     with open(write, "wb") as pipe:
-                        pipe.writelines(chunks)
+                        pickle.dump((results, shown), pipe,
+                                    pickle.HIGHEST_PROTOCOL)
                     code = 0
                 except BaseException:
                     pass  # the caller redoes the job and reports any error
@@ -89,55 +94,46 @@ def _forked(ranges: list, work, here, take) -> bool:
                     os._exit(code)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        here(ranges[0])
+        out = [fn(i) for i in range(bounds[0], bounds[1])]
         while children:
             pid, pipe = children[0]
-            take(pipe)
+            sent.append(pipe.read())
             del children[0]
             pipe.close()
             if os.waitpid(pid, 0)[1]:
-                return False
-        return True
+                return None
     finally:
         _busy = outer
         for pid, pipe in children:  # left early: a failure
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
+    for data in sent:  # each written by a child that exited 0
+        results, shown = pickle.loads(data)
+        out.extend(results)
+        _warn_again(shown)
+    return out
 
 
 def _ordered_map(fn, n: int, k: int) -> list:
     """``[fn(i) for i in range(n)]``, by up to ``k`` processes.
 
-    ``range(n)`` is cut into k contiguous slices: this process maps the
-    first and a forked child each other one, which pickles its list of
-    results and of the warnings shown while it ran back (`_forked`); the
-    lists are joined, and the warnings shown again here (`_warn_again`), in
-    index order.  If a child fails, this process maps every ``i`` itself,
-    so an exception leaves this call as the first failing ``fn(i)`` in
-    index order raises it.  ``fn`` must be a function of ``i`` alone, with
-    picklable results.
+    ``range(n)`` is cut into k contiguous slices, the first mapped here and
+    each other one in a forked child (`_forked`).  If a child fails, this
+    process maps every other ``i`` itself and keeps the results of its own
+    slice, so the first failing ``fn(i)`` in index order raises, and each
+    warning is shown once, in index order.  ``fn`` must be a function of
+    ``i`` alone, with picklable results.
     """
     k = max(1, min(k, n))
-    bounds = [n * i // k for i in range(k + 1)]
-    out, sent = [], []
+    here = []  # this process's slice, in order: kept if a child fails
 
-    def work(r):
-        with warnings.catch_warnings(record=True) as caught:
-            results = [fn(i) for i in range(*r)]
-        shown = [(w.message, w.category, w.filename, w.lineno)
-                 for w in caught]
-        return [pickle.dumps((results, shown), pickle.HIGHEST_PROTOCOL)]
+    def kept(i):
+        here.append(fn(i))
+        return here[-1]
 
-    if k > 1 and _forked(list(zip(bounds, bounds[1:])), work,
-                        lambda r: out.extend(map(fn, range(*r))),
-                        lambda pipe: sent.append(pipe.read())):
-        for data in sent:  # each written by a child that exited 0
-            results, shown = pickle.loads(data)
-            out.extend(results)
-            _warn_again(shown)
-        return out
-    return list(map(fn, range(n)))
+    out = _forked(kept, [n * i // k for i in range(k + 1)]) if k > 1 else None
+    return here + [fn(i) for i in range(len(here), n)] if out is None else out
 
 
 def _warn_again(shown: list) -> None:

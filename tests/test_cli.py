@@ -79,7 +79,7 @@ def _force_split(monkeypatch, k):
 @pytest.fixture(params=[1, 2, 3], ids=lambda k: f"k{k}")
 def split(request, monkeypatch):
     """Run a test with forked jobs cut into up to k = 1, 2 or 3 ranges,
-    each but the first in a forked child.  ``calls`` gets one (ranges,
+    each but the first in a forked child.  ``calls`` gets one (slices,
     every child succeeded) pair per call of `workers._forked`; False means
     that this process did the whole job again, as it does after a failure
     here."""
@@ -90,15 +90,16 @@ def split(request, monkeypatch):
 
 
 def _record_forked(monkeypatch) -> list:
-    """The (ranges, every child succeeded) pair of each later call of
+    """The (slices, every child succeeded) pair of each later call of
     `workers._forked`."""
     calls = []
     real = workers._forked
 
-    def recorded(ranges, *args):
-        calls.append((len(ranges), False))  # kept if it raises
-        calls[-1] = (len(ranges), real(ranges, *args))
-        return calls[-1][1]
+    def recorded(fn, bounds):
+        calls.append((len(bounds) - 1, False))  # kept if it raises
+        out = real(fn, bounds)
+        calls[-1] = (len(bounds) - 1, out is not None)
+        return out
 
     monkeypatch.setattr(workers, "_forked", recorded)
     return calls
@@ -112,6 +113,25 @@ def _no_retry(split):
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _copy_in_a_process(source, target):
+    """A process (not a thread, which would keep every job in one process)
+    that copies the file ``source`` to ``target``, either of them a FIFO."""
+    return subprocess.Popen([
+        sys.executable, "-c",
+        "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), "
+        "open(sys.argv[2], 'wb'))", str(source), str(target)])
+
+
+def _exit_code(process) -> int:
+    """The exit code of ``process``, killed if it runs for a minute."""
+    try:
+        return process.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+        raise
 
 
 @pytest.mark.usefixtures("split")
@@ -340,7 +360,8 @@ class TestBlockParse:
         path = tmp_path / "rt.csv"
         save_csv(ds, str(path))
         back = load_csv(str(path), "y", exposure)
-        assert split.calls[0][0] == split.k  # save_csv's rows
+        # save_csv's rows, in this process alone at k = 1
+        assert split.calls[:1] == ([] if split.k == 1 else [(split.k, True)])
         _no_retry(split)
         assert back.y.tobytes() == ds.y.tobytes()
         assert back.x.tobytes() == ds.x.tobytes()
@@ -573,10 +594,9 @@ class TestForkedRanges:
         path.write_bytes(mark + (text + newline).encode())
         ds = load_csv(str(path), "y", exposure)
         _no_retry(split)
-        # a bare "\r" file has no "\n" to cut at
-        ranges = 1 if newline == "\r" else split.k
-        assert [r for r, _ in split.calls] == ([] if split.k == 1
-                                                else [ranges])
+        # a bare "\r" file has no "\n" to cut at: one range, read here
+        assert [r for r, _ in split.calls] == (
+            [] if split.k == 1 or newline == "\r" else [split.k])
         table = np.array(rows, dtype=float)
         x_cols = [1, 3] if exposure else [1, 2, 3]
         assert ds.y.tobytes() == table[:, 0].tobytes()
@@ -678,6 +698,53 @@ class TestForkedRanges:
         back = load_csv(path, "y")
         _no_child_left()
         assert back.x.tobytes() == np.asfortranarray(ds.x).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_save_to_a_fifo_writes_a_files_bytes(self, tmp_path,
+                                                 monkeypatch, k):
+        rng = np.random.default_rng(10)
+        ds = Dataset(y=rng.standard_normal(31),
+                     x=rng.standard_normal((31, 5)))
+        path = tmp_path / "t.csv"
+        save_csv(ds, str(path))
+        _force_split(monkeypatch, k)
+        forks = _count_forks(monkeypatch)
+        fifo, copy = tmp_path / "fifo", tmp_path / "copy.csv"
+        os.mkfifo(fifo)
+        reader = _copy_in_a_process(fifo, copy)
+        try:
+            save_csv(ds, str(fifo))  # a FIFO cannot seek
+        finally:
+            assert _exit_code(reader) == 0
+        assert len(forks) == k - 1
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_load_from_a_fifo_stays_in_one_process(self, tmp_path,
+                                                   monkeypatch):
+        rng = np.random.default_rng(11)
+        ds = Dataset(y=rng.standard_normal(31),
+                     x=rng.standard_normal((31, 5)),
+                     z=rng.random(31), z_name="z")
+        path = tmp_path / "t.csv"
+        save_csv(ds, str(path))
+        _force_split(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        from_file = load_csv(str(path), "y", "z")
+        assert len(forks) == 1  # a regular file is cut in two
+        forks.clear()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = _copy_in_a_process(path, fifo)
+        try:
+            from_fifo = load_csv(str(fifo), "y", "z")  # of unknown size
+        finally:
+            assert _exit_code(writer) == 0
+        assert forks == []
+        assert from_fifo.x_names == from_file.x_names
+        for name in ("y", "x", "z"):
+            assert (getattr(from_fifo, name).tobytes()
+                    == getattr(from_file, name).tobytes())
+        assert from_fifo.x.flags.f_contiguous
 
     def test_fork_failure_leaves_the_job_here(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(9)
@@ -1216,9 +1283,10 @@ class TestForkedJobs:
         assert _simulate_bytes(tmp_path, capsys) == serial
         _test_all_matches_golden(tmp_path, capsys)
         # the replications, then the counts of each replication redone
-        # here, whose children call no simulate, then the CSV's rows and
+        # here, whose children call no simulate (replication 0's four were
+        # counted here in the job, and are kept), then the CSV's rows and
         # the columns
-        assert calls == ([(3, False)] + [(3, True)] * _COUNT_JOBS
+        assert calls == ([(3, False)] + [(3, True)] * (_COUNT_JOBS - 4)
                          + [(3, True), (3, False)][:1 + _PINNED])
 
     def test_overflow_in_a_worker_names_the_first_bad_column(
@@ -1265,6 +1333,19 @@ class TestForkedJobs:
                                       "RuntimeError('boom at 1'); rep 3: ")
         assert messages[1] == messages[0] and messages[2] == messages[0]
 
+    @staticmethod
+    def _shown(monkeypatch, fn, k, action):
+        """The warnings `_ordered_map` shows over 6 units of ``fn`` by up
+        to ``k`` processes, under the filter ``action``."""
+        forks = _count_forks(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert workers._ordered_map(fn, 6, k) == list(range(6))
+        _no_child_left()
+        assert len(forks) == k - 1
+        return [(w.category, str(w.message), w.filename, w.lineno)
+                for w in caught]
+
     def test_warnings_in_a_worker_are_shown_here_in_order(self,
                                                           monkeypatch):
         def fn(i):
@@ -1272,21 +1353,32 @@ class TestForkedJobs:
             warnings.warn("every unit", RuntimeWarning)
             return i
 
-        def shown(k, action):
-            forks = _count_forks(monkeypatch)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter(action)
-                assert workers._ordered_map(fn, 6, k) == list(range(6))
-            _no_child_left()
-            assert len(forks) == k - 1
-            return [(w.category, str(w.message), w.filename, w.lineno)
-                    for w in caught]
-
         # "default" shows a message once per location, in any process
         for action, count in (("always", 12), ("default", 7)):
-            serial = shown(1, action)
+            serial = self._shown(monkeypatch, fn, 1, action)
             assert len(serial) == count
-            assert shown(2, action) == serial and shown(3, action) == serial
+            assert self._shown(monkeypatch, fn, 2, action) == serial
+            assert self._shown(monkeypatch, fn, 3, action) == serial
+
+    def test_warnings_are_shown_once_when_a_later_worker_fails(
+            self, monkeypatch):
+        parent = os.getpid()
+
+        def fn(i):
+            warnings.warn(f"unit {i}", UserWarning)
+            warnings.warn("every unit", RuntimeWarning)
+            if i == 5 and os.getpid() != parent:  # in the last child only
+                raise RuntimeError("boom")
+            return i
+
+        for action, count in (("always", 12), ("default", 7)):
+            serial = self._shown(monkeypatch, fn, 1, action)
+            assert len(serial) == count
+            calls = _record_forked(monkeypatch)
+            # the first child's warnings are not shown before the last
+            # child's failure, nor this process's twice
+            assert self._shown(monkeypatch, fn, 3, action) == serial
+            assert calls == [(3, False)]
 
     def test_replication_warnings_do_not_depend_on_the_process_count(
             self, monkeypatch):
@@ -1364,7 +1456,8 @@ class TestBlasPin:
             if before == 1:
                 pytest.skip("this OpenBLAS runs one thread at most")
             _test_all_matches_golden(tmp_path, capsys)
-            assert seen == [(1, 2)]
+            # the CSV's rows, on BLAS's own threads, then the columns
+            assert seen == [(before, 2), (1, 2)]
             assert get() == before
         finally:
             put(first)

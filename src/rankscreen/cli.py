@@ -247,10 +247,11 @@ def load_csv(path: str, response_name: str,
     the affinity mask, each of at least ``_RANGE_BYTES``
     (`~rankscreen.workers._count`, `_cuts`), and
     `~rankscreen.workers._ordered_map` parses each range whole, from its
-    own file handle, in this process or a forked child.  If any range
-    fails, this process parses the whole file again, so every value,
-    message and row number is the one a single process gives.  No child
-    outlives the call.
+    own file handle, in this process or a forked child, and returns its
+    InvalidInput, if any, instead of raising it.  If any range fails, this
+    process parses the whole file once more, so every value, message and
+    row number is the one a single process gives.  No child outlives the
+    call.
     """
     with open(path, "rb") as fh:
         lines = _lines(fh)
@@ -295,10 +296,14 @@ def load_csv(path: str, response_name: str,
             return blocks
 
         def parse_range(i):
-            # its own file: a forked child would share the offset of fh
+            # its own file: a forked child would share the offset of fh; an
+            # InvalidInput is returned, so a child's is not parsed again
             with open(path, "rb") as own:
                 own.seek(cuts[i])
-                return parse(_lines(own, cuts[i + 1] - cuts[i]))
+                try:
+                    return parse(_lines(own, cuts[i + 1] - cuts[i]))
+                except InvalidInput as exc:
+                    return exc
 
         end = os.fstat(fh.fileno()).st_size  # 0 for a pipe: one process
         k = workers._count(end - start, _RANGE_BYTES)
@@ -306,12 +311,12 @@ def load_csv(path: str, response_name: str,
             blocks = parse(itertools.chain(head, lines))
         else:
             cuts = _cuts(fh, start, end, k)
-            try:
-                blocks = list(itertools.chain.from_iterable(
-                    workers._ordered_map(parse_range, len(cuts) - 1, k)))
-            except InvalidInput:  # rows numbered as one process numbers them
-                fh.seek(start)
+            ranges = workers._ordered_map(parse_range, len(cuts) - 1, k)
+            if any(isinstance(r, InvalidInput) for r in ranges):
+                fh.seek(start)  # rows numbered as one process numbers them
                 blocks = parse(_lines(fh))
+            else:
+                blocks = list(itertools.chain.from_iterable(ranges))
     y_parts, z_parts, x_parts = zip(*blocks)
     n = sum(map(len, y_parts))
     if n < 2:  # a record may span lines

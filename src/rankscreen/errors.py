@@ -15,7 +15,8 @@ class SingularDesign(RankscreenError):
     """Spline design matrix is numerically rank deficient, or an exact
     absolute-loss fit breaks down (its arithmetic overflows, or no vertex is
     certified within its pivot bound); ``target`` is the index of the
-    failing fit when a stack of fits is solved together."""
+    failing fit when a stack of fits is solved together, and None when the
+    fault is the shared design's."""
 
     target: int | None = None
 

@@ -49,12 +49,11 @@ class ResidualMatrix:
     basis : SplineBasis or None
         The shared basis; None when the degenerate centering fallback ran.
     diagnostics : dict
-        For the L1 loss, one list per key, response first: ``"iterations"``
-        (simplex pivots from the starting basis), ``"converged"`` (the
-        optimality certificate passed: always True, since an uncertified fit
-        raises), ``"ridged"`` (the least-squares start needed the ridge) and
-        ``"degenerate"`` (some ``|u_j| = 1`` within tolerance, so the
-        optimum may not be unique).
+        For the L1 loss: ``"iterations"`` (simplex pivots from the starting
+        basis) and ``"degenerate"`` (some ``|u_j| = 1`` within tolerance, so
+        the optimum may not be unique), one entry per fit, response first,
+        and ``"ridged"``, one bool for the shared design (the least-squares
+        starts needed the ridge).
     """
 
     eps_y: np.ndarray
@@ -126,24 +125,23 @@ def residualize(dataset: Dataset, basis_config: BasisConfig = BasisConfig(),
     for lo in range(0, m, width):
         w = _target_rows(dataset, lo, min(lo + width, m))
         if loss == "l2":
-            # one gram for every target: a singular one is the design's fault
             coefs, _ = _fit_l2(b, w[..., None])
         else:
             try:
-                coefs, *flags = _lad(b, w)
+                coefs, pivots, ridged, degenerate = _lad(b, w)
             except SingularDesign as exc:
+                if exc.target is None:  # the design's fault, not a column's
+                    raise
                 name = ([dataset.y_name] + dataset.x_names)[lo + exc.target]
                 raise SingularDesign(f"column '{name}': {exc}") from None
-            fits.append(flags)
+            fits.append((pivots, degenerate))
             coefs = coefs[..., None]
         # one matrix-vector product per target, as `predict` forms it
         resid[:, lo:lo + len(w)] = w.T - (b @ coefs)[..., 0].T
     diagnostics = {}
     if fits:
-        pivots, ridged, degenerate = map(np.concatenate, zip(*fits))
-        diagnostics = {"iterations": pivots.tolist(),
-                       "converged": [True] * m,
-                       "ridged": ridged.tolist(),
+        pivots, degenerate = map(np.concatenate, zip(*fits))
+        diagnostics = {"iterations": pivots.tolist(), "ridged": ridged,
                        "degenerate": degenerate.tolist()}
     return ResidualMatrix(eps_y=resid[:, 0], eps_x=resid[:, 1:], loss=loss,
                           basis=basis, diagnostics=diagnostics)

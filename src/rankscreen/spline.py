@@ -14,7 +14,6 @@ enters the result: a fit is certified or raises SingularDesign.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,52 +186,35 @@ class SplineFit:
     ridged: bool = False
 
 
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
-    """Solve the stack ``gram[i] @ coef[i] = rhs[i]``, shapes (m, k, k) and
-    (m, k, 1), with a Cholesky PD check; returns (coefs, ridged).
-
-    The stack is solved at once if every matrix passes; else each alone,
-    adding a trace-scaled ridge once where its check fails, and a failure
-    sets the exception's ``target`` to its index.  A zero diagonal entry
-    means some basis function has no support points, a structural rank
-    deficiency that the ridge should not paper over.
-    """
-    ridged = np.zeros(len(gram), dtype=bool)
-    with contextlib.suppress(np.linalg.LinAlgError):
-        np.linalg.cholesky(gram)
-        return np.linalg.solve(gram, rhs), ridged
-    coefs = np.empty(rhs.shape)
-    for i, g in enumerate(gram):
-        try:
-            if np.any(np.diag(g) == 0.0):
-                raise SingularDesign("a basis function has no observations "
-                                     "in its support; lower n_basis")
-            with contextlib.suppress(np.linalg.LinAlgError):
-                np.linalg.cholesky(g)
-                coefs[i] = np.linalg.solve(g, rhs[i])
-                continue
-            jitter = 1e-10 * np.trace(g) / g.shape[0]
-            bumped = g + jitter * np.eye(g.shape[0])
-            try:
-                np.linalg.cholesky(bumped)
-            except np.linalg.LinAlgError:
-                raise SingularDesign("spline design is rank deficient; "
-                                     "lower n_basis") from None
-            coefs[i], ridged[i] = np.linalg.solve(bumped, rhs[i]), True
-        except SingularDesign as exc:
-            exc.target = i
-            raise
-    return coefs, ridged
-
-
 def _fit_l2(b: np.ndarray, w: np.ndarray):
     """Least-squares fits of the contiguous rows of ``w`` (m, n, 1) on one
-    design ``b`` (n, k): (coefs (m, k, 1), ridged (m,)).  Each right-hand
-    side is one matrix-vector product, so each target's fit is bit-identical
-    to a fit on its own; `fit_l2` is the m = 1 call."""
-    m, k = w.shape[0], b.shape[1]
-    return _solve_normal_equations(np.broadcast_to(b.T @ b, (m, k, k)),
-                                   b.T @ w)
+    design ``b`` (n, k): (coefs (m, k, 1), ridged).
+
+    The gram ``b^T b`` gets one Cholesky PD check.  Where it fails, a
+    trace-scaled ridge is added once and checked once, and ``ridged`` is
+    True; a zero diagonal entry means some basis function has no support
+    points, a structural rank deficiency that the ridge should not paper
+    over.  A failure is the design's, so its SingularDesign names no
+    ``target``.  Each right-hand side is one matrix-vector product and the
+    stack is one solve, so each target's fit is bit-identical to a fit on
+    its own; `fit_l2` is the m = 1 call."""
+    gram, ridged = b.T @ b, False
+    k = gram.shape[0]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        if np.any(np.diag(gram) == 0.0):
+            raise SingularDesign("a basis function has no observations "
+                                 "in its support; lower n_basis") from None
+        jitter = 1e-10 * np.trace(gram) / k
+        gram, ridged = gram + jitter * np.eye(k), True
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise SingularDesign("spline design is rank deficient; "
+                                 "lower n_basis") from None
+    return (np.linalg.solve(np.broadcast_to(gram, (w.shape[0], k, k)),
+                            b.T @ w), ridged)
 
 
 def _start_basis(b: np.ndarray, w: np.ndarray, coefs: np.ndarray):
@@ -418,9 +400,11 @@ def _tie_residuals(b, xi, inv, basis):
 def _lad(b: np.ndarray, w: np.ndarray):
     """Exact absolute-loss fits of the rows of ``w`` (m, n) on ``b`` (n, k),
     by `_exchange` from `_start_basis` of their `_fit_l2` solutions; returns
-    (coefs (m, k), pivots, ridged, degenerate), where ``ridged`` flags a
-    least-squares start that needed the ridge.  Arithmetic that overflows
-    is detected, not warned about, and raises SingularDesign."""
+    (coefs (m, k), pivots, ridged, degenerate), where the one bool
+    ``ridged`` flags a design whose least-squares start needed the ridge.
+    Arithmetic that overflows is detected, not warned about, and raises
+    SingularDesign: with the failing fit's index as ``target``, or with
+    none when the design itself fails in `_fit_l2`."""
     w = np.ascontiguousarray(w)
     with np.errstate(over="ignore", invalid="ignore"):
         start, ridged = _fit_l2(b, w[..., None])
@@ -437,7 +421,7 @@ def fit_l2(basis: SplineBasis, z_col, w_col) -> SplineFit:
     z, w = as_finite_pair(z_col, w_col, ("z_col", "w_col"))
     coefs, ridged = _fit_l2(design_matrix(basis, z), w[None, :, None])
     return SplineFit(basis=basis, coef=coefs[0, :, 0], loss="l2",
-                     ridged=bool(ridged[0]))
+                     ridged=ridged)
 
 
 def l1_objective(basis: SplineBasis, coef: np.ndarray, z_col, w_col) -> float:
@@ -455,13 +439,13 @@ def fit_l1(basis: SplineBasis, z_col, w_col) -> SplineFit:
     (Barrodale-Roberts) until ``max|u| <= 1`` certifies the vertex; see
     `_exchange`.  ``iterations`` counts the exchanges (pivots), ``converged``
     is always True (an uncertified fit raises SingularDesign instead), and
-    ``ridged`` flags a least-squares start that needed the ridge.
+    ``ridged`` flags a design whose least-squares start needed the ridge.
     """
     z, w = as_finite_pair(z_col, w_col, ("z_col", "w_col"))
     b = design_matrix(basis, z)
     coefs, pivots, ridged, _ = _lad(b, w[None])
     return SplineFit(basis=basis, coef=coefs[0], loss="l1",
-                     iterations=int(pivots[0]), ridged=bool(ridged[0]))
+                     iterations=int(pivots[0]), ridged=ridged)
 
 
 def predict(fit: SplineFit, z_col) -> np.ndarray:

@@ -146,3 +146,27 @@ def lad_linprog(b, w) -> float:
                   method="highs")
     assert res.status == 0, res.message
     return float(np.abs(w - b @ res.x[:k]).sum())
+
+
+def normal_equations_oracle(b, w):
+    """Least squares of each row of ``w`` (m, n) on ``b`` (n, k), one target
+    at a time: the gram ``g = b^T b`` must have no zero diagonal entry;
+    where its Cholesky check fails, ``jitter = 1e-10 trace(g) / k`` is added
+    to its diagonal and checked again; then ``np.linalg.solve`` of the one
+    (k, k) system with ``b^T w_i``.  Returns (coefs (m, k, 1), ridged (m,));
+    a failed check raises ``np.linalg.LinAlgError``."""
+    k = b.shape[1]
+    coefs, ridged = np.empty((len(w), k, 1)), np.zeros(len(w), dtype=bool)
+    for i, target in enumerate(w):
+        g = b.T @ b
+        if np.any(np.diag(g) == 0.0):
+            raise np.linalg.LinAlgError("a basis function has no support")
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            jitter = 1e-10 * np.trace(g) / k
+            g = g + jitter * np.eye(k)
+            np.linalg.cholesky(g)
+            ridged[i] = True
+        coefs[i] = np.linalg.solve(g, b.T @ target[:, None])
+    return coefs, ridged

@@ -687,6 +687,29 @@ class TestForkedRanges:
             "", f"error: {path}: row {row}, column 'x3': non-finite value "
                 "'nan'\n")
 
+    @pytest.mark.parametrize("row", [5, 51])
+    def test_bad_cell_parses_the_file_at_most_twice_here(
+            self, tmp_path, monkeypatch, row):
+        # row 5 is in this process's range, row 51 in the child's: its
+        # range and then the whole file, and the child's range not again
+        _force_split(monkeypatch, 2)
+        rows = _grid(60, 4)
+        rows[row - 2][3] = "nan"
+        path = _write_grid(tmp_path, rows, 4)
+        parses, real = [], cli._data_blocks
+
+        def counted(lines, block_rows):
+            parses.append(block_rows)
+            return real(lines, block_rows)
+
+        monkeypatch.setattr(cli, "_data_blocks", counted)
+        with pytest.raises(InvalidInput) as info:
+            load_csv(path, "y")
+        assert str(info.value) == (
+            f"{path}: row {row}, column 'x3': non-finite value 'nan'")
+        assert len(parses) == 2
+        _no_child_left()
+
     def test_no_child_left_after_load_and_save(self, tmp_path, monkeypatch):
         _force_split(monkeypatch, 3)
         rng = np.random.default_rng(8)

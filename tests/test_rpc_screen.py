@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankscreen import empirical
+from rankscreen import empirical, spline
 from rankscreen.dataset import Dataset
 from rankscreen.errors import InvalidInput, SingularDesign
 from rankscreen.rc_screen import rc_screen, rc_utilities, robust_corr
@@ -112,13 +112,12 @@ class TestResidualize:
         ds = Dataset(y=z + rng.standard_normal(60),
                      x=rng.standard_normal((60, 3)), z=z)
         res = residualize(ds, loss="l1")
-        assert set(res.diagnostics) == {"iterations", "converged", "ridged",
-                                        "degenerate"}
-        for key in ("converged", "ridged", "degenerate"):
-            assert len(res.diagnostics[key]) == 4  # response + 3 columns
-            assert all(isinstance(f, bool) for f in res.diagnostics[key])
-        # every fit is certified: an uncertified one raises instead
-        assert res.diagnostics["converged"] == [True] * 4
+        assert set(res.diagnostics) == {"iterations", "ridged", "degenerate"}
+        assert res.diagnostics["ridged"] is False  # one flag for the design
+        assert len(res.diagnostics["degenerate"]) == 4  # response + 3 columns
+        assert all(isinstance(f, bool) for f in res.diagnostics["degenerate"])
+        # every fit is certified within 2n pivots: an uncertified one raises
+        assert len(res.diagnostics["iterations"]) == 4
         assert all(isinstance(i, int) and 0 <= i <= 2 * 60
                    for i in res.diagnostics["iterations"])
 
@@ -139,8 +138,7 @@ class TestBatchedSolver:
             assert np.array_equal(resid, targets[:, j]
                                   - design_matrix(basis, ds.z) @ fit.coef)
             assert res.diagnostics["iterations"][j] == fit.iterations
-            assert res.diagnostics["converged"][j] is fit.converged
-            assert res.diagnostics["ridged"][j] is fit.ridged
+            assert res.diagnostics["ridged"] is fit.ridged
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_l2_batch_equals_per_column_fits_bitwise(self, order):
@@ -156,7 +154,10 @@ class TestBatchedSolver:
             assert np.array_equal(resid,
                                   targets[:, j] - predict(fit, ds.z))
 
-    def test_l2_singular_message_matches_fit_l2(self):
+    @pytest.mark.parametrize("loss", ["l2", "l1"])
+    def test_l2_singular_message_matches_fit_l2(self, loss):
+        # a basis function with no support points is the design's fault,
+        # under either loss: the message names no column
         z = np.array([0.0] + [0.5] * 20 + [1.0])
         rng = np.random.default_rng(8)
         ds = Dataset(y=rng.standard_normal(z.size),
@@ -166,8 +167,19 @@ class TestBatchedSolver:
         with pytest.raises(SingularDesign) as from_fit:
             fit_l2(basis, z, ds.y)
         with pytest.raises(SingularDesign) as from_residualize:
-            residualize(ds, basis_config=config, loss="l2")
+            residualize(ds, basis_config=config, loss=loss)
         assert str(from_residualize.value) == str(from_fit.value)
+
+    def test_l1_uncertified_fit_is_named(self, monkeypatch):
+        # a certificate no vertex can pass: the response's own fit fails
+        monkeypatch.setattr(spline, "_CERT_TOL", -1.0)
+        rng = np.random.default_rng(8)
+        z = rng.random(30)
+        ds = Dataset(y=rng.standard_normal(30),
+                     x=rng.standard_normal((30, 2)), z=z)
+        with pytest.raises(SingularDesign,
+                           match=r"^column 'y': LAD fit not certified"):
+            residualize(ds, loss="l1")
 
     def test_l1_scaled_column_has_scaled_residuals(self):
         # LAD is scale-equivariant: a column times 1e200 takes the same
@@ -340,7 +352,7 @@ class TestRpcScreen:
         sim = simulate(make_scenario("E4", n=120, p=20, r2=0.3,
                                      error="cauchy3"), seed=2).dataset
         res = residualize(sim, loss="l1")
-        assert res.diagnostics["converged"] == [True] * (sim.p + 1)
+        assert len(res.diagnostics["iterations"]) == sim.p + 1
         assert max(res.diagnostics["iterations"]) <= 2 * sim.n
         report = rpc_screen(sim, loss="l1")
         assert np.array_equal(report.utilities,

@@ -19,7 +19,7 @@ from rankscreen.spline import (
 )
 from rankscreen.simgen import make_scenario, simulate
 
-from oracles import lad_linprog, lad_oracle
+from oracles import lad_linprog, lad_oracle, normal_equations_oracle
 
 
 @pytest.fixture
@@ -273,6 +273,41 @@ def _tiny_targets(kind, rng, n, m=4):
     return (rng.random((m, n)) < 0.3).astype(float)  # Bernoulli
 
 
+def _near_copy_design(m):
+    """A cubic design with a near copy of its second column appended, whose
+    gram fails its Cholesky check, and m standard normal targets."""
+    rng = np.random.default_rng(16)
+    z = rng.random(120)
+    b = design_matrix(basis_build(z), z)
+    b = np.column_stack([b, b[:, 1] + 1e-9 * rng.standard_normal(120)])
+    return b, rng.standard_normal((m, 120))
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("design", ["near-copy", "e4"])
+    def test_one_solve_equals_per_target_reference_bitwise(self, design):
+        if design == "near-copy":
+            b, w = _near_copy_design(300)
+        else:
+            sim = simulate(make_scenario("E4", n=200, p=250, r2=0.3,
+                                         error="cauchy3"), seed=1).dataset
+            b = design_matrix(basis_build(sim.z), sim.z)
+            w = np.column_stack([sim.y, sim.x]).T.copy()
+        coefs, ridged = spline._fit_l2(b, w[..., None])
+        expected, flags = normal_equations_oracle(b, w)
+        assert coefs.tobytes() == expected.tobytes()
+        assert ridged is (design == "near-copy")
+        assert (flags == ridged).all()
+
+    def test_design_fault_names_no_target(self):
+        z = np.array([0.0] + [0.5] * 20 + [1.0])
+        b = design_matrix(basis_build(z, degree=1, n_basis=5), z)
+        w = np.random.default_rng(8).standard_normal((3, z.size))
+        with pytest.raises(SingularDesign, match="no observations") as err:
+            spline._fit_l2(b, w[..., None])
+        assert err.value.target is None
+
+
 class TestExactLad:
     """The absolute-loss fit is an exact, certified LAD vertex."""
 
@@ -349,16 +384,22 @@ class TestExactLad:
         # a near copy of a basis column: the least-squares gram fails its
         # Cholesky check and takes the ridge; the exchange still ends at a
         # vertex no worse than the LP solver's
-        rng = np.random.default_rng(16)
-        z = rng.random(120)
-        b = design_matrix(basis_build(z), z)
-        b = np.column_stack([b, b[:, 1] + 1e-9 * rng.standard_normal(120)])
-        w = rng.standard_normal((3, 120))
+        b, w = _near_copy_design(3)
         coefs, _, ridged, _ = _lad(b, w)
-        assert ridged.all()
+        assert ridged is True
         for i in range(3):
             got = float(np.abs(w[i] - b @ coefs[i]).sum())
             assert got <= lad_linprog(b, w[i]) * (1 + 1e-9)
+
+    def test_batch_on_ridged_design_equals_fits_on_their_own(self):
+        b, w = _near_copy_design(3)
+        coefs, pivots, ridged, degenerate = _lad(b, w)
+        for i in range(3):
+            alone = _lad(b, w[i:i + 1])
+            assert alone[0].tobytes() == coefs[i:i + 1].tobytes()
+            assert alone[1][0] == pivots[i]
+            assert alone[2] is ridged is True
+            assert alone[3][0] == degenerate[i]
 
     def test_singular_basis_raises_with_its_target(self):
         z = np.repeat(np.linspace(0.0, 1.0, 10), 2)  # rows 2i, 2i+1 repeat

@@ -5,7 +5,7 @@ so the two agree bit for bit.
 
 Kendall's tau-b is derived from the counting kernel shared with the RC
 utilities: the weak ranks and weak joint counts of each column chunk of
-`~rankscreen.empirical.count_chunks` give the concordance sum and the tie
+`~rankscreen.empirical._count_columns` give the concordance sum and the tie
 counts as exact integers, and no n x n array is formed.  The final tau-b
 expression is the one of the brute-force pair-count oracle in the test
 suite, so both produce identical floating point values.
@@ -105,26 +105,24 @@ def _kendall_taus(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     The weak joint counts ``c`` sum to ``n + P + n1 + n2`` over the ``P``
     concordant pairs, and ``Q = n0 - P - n1 - n2 + n3`` pairs are
     discordant, so ``S = P - Q = 2 sum(c) - 2n - n0 - n1 - n2 - n3``.
-    The columns are counted in ranges, as RC's are
+    The columns are counted in chunks, as RC's are
     (`~rankscreen.empirical._count_columns`), each column from its own
-    integer sums, so no tau depends on the cut.
+    integer sums, so no tau depends on the chunk or the process.  A
+    non-finite y raises InvalidInput before any column is counted.
     """
     n = x.shape[0]
     n0 = n * (n - 1) // 2
     # compact counts: the key and the sums are formed in int64
-    ry = leq_counts(y).astype(np.int64)
+    ry = leq_counts(as_finite_vector(y, "response")).astype(np.int64)
     n2 = int(ry.sum()) - n - n0
 
-    def taus(chunks, m):
-        out = np.empty(m)
-        for lo, rx, c in chunks:
-            n1 = rx.sum(axis=0, dtype=np.int64) - n - n0
-            n3 = leq_counts_matrix(ry[:, None] * (n + 1) + rx).sum(
-                axis=0, dtype=np.int64) - n - n0
-            s = 2 * c.sum(axis=0, dtype=np.int64) - 2 * n - n0 - n1 - n2 - n3
-            for j, (s_j, n1_j) in enumerate(zip(s.tolist(), n1.tolist())):
-                out[lo + j] = _tau_b(s_j, n0, n1_j, n2)
-        return out
+    def taus(rx, c):
+        n1 = rx.sum(axis=0, dtype=np.int64) - n - n0
+        n3 = leq_counts_matrix(ry[:, None] * (n + 1) + rx).sum(
+            axis=0, dtype=np.int64) - n - n0
+        s = 2 * c.sum(axis=0, dtype=np.int64) - 2 * n - n0 - n1 - n2 - n3
+        return np.array([_tau_b(s_j, n0, n1_j, n2)
+                         for s_j, n1_j in zip(s.tolist(), n1.tolist())])
 
     return _count_columns(y, x, taus)
 

@@ -1,13 +1,15 @@
 """Command-line interface: CSV ingestion and the screen / simulate / test
 workflows.
 
-`load_csv` and `save_csv` cut a large file's rows into ranges, `simulate`
-its replications, `test --all` its columns and `screen` the covariates it
-counts, up to one range per CPU in the affinity mask, and map them with
-`~rankscreen.workers._ordered_map`: this process does the first and a
-forked child each other one, which pickles its results back, and no child
-forks again.  Results are bit-identical whatever the number of
-processes.  The package starts no thread, and no process but these workers.
+Each forked job maps the units it computes in with
+`~rankscreen.workers._ordered_map`: `load_csv` a large file's byte ranges,
+`save_csv` its blocks of rows, `simulate` its replications, `test --all`
+its columns and `screen` the chunks of covariates it counts.  The units are
+cut into up to one contiguous run per CPU in the affinity mask: this
+process maps the first and a forked child each other one, which pickles its
+results back, and no child forks again.  Results are bit-identical whatever
+the number of processes.  The package starts no thread, and no process but
+these workers.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
@@ -341,14 +343,15 @@ def save_csv(dataset: Dataset, path: str):
     rows are joined directly with the ``csv`` module's default ``\\r\\n``
     line ending.
 
-    One process streams the rows.  A table whose text takes
-    ``2 * _RANGE_BYTES`` bytes or more, judged by its first row, is cut
-    into ranges of rows as `load_csv` cuts a file, and
-    `~rankscreen.workers._ordered_map` encodes each range's text whole, in
-    this process or a forked child; the texts are written in row order
-    after the header, so ``path`` need not seek (a pipe will do).  The
-    bytes do not depend on the number of processes, and no child outlives
-    the call.
+    The rows go in blocks of about ``_RANGE_BYTES // 2`` bytes of text,
+    sized from the first row's, so that the floats of one block, not of
+    the whole table, are alive at once.
+    `~rankscreen.workers._ordered_map` encodes each block whole, on up to
+    one process per CPU in the affinity mask, each with at least
+    ``_RANGE_BYTES`` of text (`~rankscreen.workers._count`), and the blocks
+    are written in row order after the header, so ``path`` need not seek
+    (a pipe will do).  The bytes do not depend on the number of processes,
+    and no child outlives the call.
     """
     header = [dataset.y_name]
     columns = [dataset.y]
@@ -359,20 +362,18 @@ def save_csv(dataset: Dataset, path: str):
     columns.append(dataset.x)
     n = dataset.n
 
-    def text(rows):
-        table = np.column_stack([c[slice(*rows)] for c in columns]).tolist()
-        return (",".join(map(repr, row)) + "\r\n" for row in table)
+    def text(lo, hi):
+        table = np.column_stack([c[lo:hi] for c in columns]).tolist()
+        return "".join([",".join(map(repr, row)) + "\r\n" for row in table])
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        k = workers._count(n * len(next(text((0, 1)), "")), _RANGE_BYTES)
-        if k == 1:
-            fh.writelines(text((0, n)))
-        else:
-            bounds = [n * i // k for i in range(k + 1)]
-            fh.flush()  # the header goes first
-            fh.buffer.writelines(workers._ordered_map(
-                lambda i: "".join(text(bounds[i:i + 2])).encode(), k, k))
+        width = len(text(0, 1))  # bytes: repr of a float is ASCII
+        h = max(1, _RANGE_BYTES // 2 // max(1, width))
+        fh.flush()  # the header goes first
+        fh.buffer.writelines(workers._ordered_map(
+            lambda i: text(i * h, i * h + h).encode(), -(-n // h),
+            workers._count(n * width, _RANGE_BYTES)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +472,6 @@ def _cmd_simulate(args, parser) -> int:
     methods = args.method or ["rc"]
     if not (args.scenario or args.scenario_file):
         parser.error("pass --scenario or --scenario-file")
-    reps = args.reps if args.reps is not None else (200 if args.full else 50)
     try:  # each InvalidInput here is raised before the first replication
         if args.scenario_file:
             with open(args.scenario_file, encoding="utf-8") as fh:
@@ -487,7 +487,7 @@ def _cmd_simulate(args, parser) -> int:
                          "methods do not apply")
         basis = BasisConfig(degree=args.degree, n_basis=args.n_basis)
         seed = _resolve_seed(args.seed)
-        report = run_replications(scenario, methods, reps, seed,
+        report = run_replications(scenario, methods, args.reps, seed,
                                   d_n=args.d_n, basis_config=basis)
     except InvalidInput as exc:
         parser.error(str(exc))
@@ -638,10 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target variance-explained ratio (E4)")
     p_sim.add_argument("--case", type=int, default=None,
                        help="contamination case for S1-S4")
-    p_sim.add_argument("--reps", type=int, default=None,
-                       help="replications (default 50; 200 with --full)")
-    p_sim.add_argument("--full", action="store_true",
-                       help="full-scale replication count")
+    p_sim.add_argument("--reps", type=int, default=50,
+                       help="replications (default 50)")
     p_sim.add_argument("--d-n", type=int, default=None,
                        help="screening budget override")
     p_sim.add_argument("--output", default=None, help="JSON report path")

@@ -21,12 +21,11 @@ such steps, not one pass per row.  A row pass compares into one reused
 bool buffer and adds its bytes to the counts in place, so no pass
 allocates an (n, p) temporary.
 
-`count_chunks` streams a wide x through both steps a chunk of columns at a
-time, so the working arrays beyond x stay O(n * chunk) whatever p is;
-Pearson screening streams the same `column_chunks`.  `_count_columns`
-reduces those counts to one result per column for the RC and Kendall
-utilities, in contiguous column ranges of which forked workers take all
-but the first.
+`_count_columns` counts a wide x a chunk of columns at a time, so the
+working arrays beyond x stay O(n * chunk) whatever p is, and reduces each
+chunk's counts to one result per column for the RC and Kendall utilities.
+Forked workers map all but the first of its contiguous runs of chunks.
+Pearson screening streams the same chunks (`column_chunks`).
 
 The bootstrap's sign-flip replicates are counted without forming them.
 Row i of every replicate holds one of two values, ``a_i`` or ``b_i``, so
@@ -52,7 +51,6 @@ __all__ = [
     "leq_counts_choice",
     "dominance_counts_matrix",
     "dominance_counts_choice",
-    "count_chunks",
 ]
 
 # Cells of one chunk's (n, w) working arrays; the width w is a multiple of
@@ -153,24 +151,26 @@ def _chunk_width(n: int) -> int:
     return max(_STEP, _CELLS // n // _STEP * _STEP)
 
 
-def column_chunks(x: np.ndarray, start: int = 0, stop: int | None = None):
-    """Yield ``(lo, x[:, lo:lo + w])`` for consecutive chunks of columns
-    ``start`` to ``stop`` (default: all) of the (n, p) array x,
-    `_chunk_width` (n) columns wide, so that the working arrays stay
-    O(n * w) whatever p is.  The first column that holds NaN or an infinity
-    raises InvalidInput, which names its index in x; min and max propagate
-    NaN and reach any infinity, so no mask is built."""
-    n, p = x.shape
-    stop = p if stop is None else stop
-    w = _chunk_width(n)
-    for lo in range(start, stop, w):
-        chunk = x[:, lo:min(lo + w, stop)]
-        finite = (np.isfinite(chunk.min(axis=0))
-                  & np.isfinite(chunk.max(axis=0)))
-        if not finite.all():
-            raise InvalidInput(
-                f"covariate column {lo + np.argmin(finite)} is not finite")
-        yield lo, chunk
+def _finite_chunk(x: np.ndarray, lo: int) -> np.ndarray:
+    """Columns ``lo`` to ``lo + w`` of the (n, p) array x, `_chunk_width`
+    (n) of them or the rest.  A column that holds NaN or an infinity raises
+    InvalidInput, which names the first one's index in x; min and max
+    propagate NaN and reach any infinity, so no mask is built."""
+    chunk = x[:, lo:lo + _chunk_width(x.shape[0])]
+    finite = np.isfinite(chunk.min(axis=0)) & np.isfinite(chunk.max(axis=0))
+    if not finite.all():
+        raise InvalidInput(
+            f"covariate column {lo + np.argmin(finite)} is not finite")
+    return chunk
+
+
+def column_chunks(x: np.ndarray):
+    """Yield ``(lo, x[:, lo:lo + w])`` for consecutive chunks of the
+    columns of the (n, p) array x, `_chunk_width` (n) columns wide, so that
+    the working arrays stay O(n * w) whatever p is.  The first column that
+    is not finite raises InvalidInput (`_finite_chunk`)."""
+    for lo in range(0, x.shape[1], _chunk_width(x.shape[0])):
+        yield lo, _finite_chunk(x, lo)
 
 
 def leq_counts(col: np.ndarray) -> np.ndarray:
@@ -385,45 +385,28 @@ def dominance_counts_choice(y: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def count_chunks(y: np.ndarray, x: np.ndarray, start: int = 0,
-                 stop: int | None = None):
-    """Weak ranks and joint counts of x, one chunk of columns at a time.
-
-    Yields ``(lo, rx, c)`` for each chunk ``x[:, lo:lo + w]`` of
-    `column_chunks` (x, start, stop): ``rx`` is the chunk's
-    `leq_counts_matrix` and ``c`` its `dominance_counts_matrix` against y,
-    both (n, w).  Every count is an exact integer, so no count depends on
-    the width.  A non-finite y, or a non-finite column of the chunk, raises
-    InvalidInput.
-    """
-    as_finite_vector(y, "response")
-    for lo, chunk in column_chunks(x, start, stop):
-        rx = leq_counts_matrix(chunk)
-        yield lo, rx, dominance_counts_matrix(y, rx)
-
-
 def _count_columns(y: np.ndarray, x: np.ndarray, reduce) -> np.ndarray:
-    """``reduce(chunks, m)`` of every column of the (n, p) array x: the
-    float64 results of m columns from their `count_chunks` against y, whose
-    ``lo`` counts from the first of them.
+    """The float64 results of every column of the (n, p) array x against
+    the finite y: ``reduce(rx, c)`` of each chunk of `_chunk_width` (n)
+    columns, with ``rx`` the chunk's `leq_counts_matrix` and ``c`` its
+    `dominance_counts_matrix` against y, both (n, w), joined in column
+    order.  So the working arrays beyond x stay O(n * w) whatever p is.
 
-    The columns are cut into contiguous ranges, up to one per CPU in the
-    affinity mask and each of at least ``_COUNT_CELLS`` cells of x
-    (`~rankscreen.workers._count`): this process reduces the first and a
-    forked child each other one (`~rankscreen.workers._ordered_map`), and
-    the results are joined in column order.  Every count is exact and
-    ``reduce`` gives each column's result from that column's counts alone,
-    so the result, and the InvalidInput raised for the first non-finite
-    column, do not depend on the number of processes.
+    `~rankscreen.workers._ordered_map` maps the chunks, on up to one
+    process per CPU in the affinity mask, each with at least
+    ``_COUNT_CELLS`` cells of x (`~rankscreen.workers._count`).  Every count
+    is exact and ``reduce`` gives each column's result from that column's
+    counts alone, so the result, and the InvalidInput raised for the first
+    non-finite column (`_finite_chunk`), do not depend on the number of
+    processes.
     """
     n, p = x.shape
-    k = max(1, min(p, workers._count(n * p, _COUNT_CELLS)))
-    bounds = [p * i // k for i in range(k + 1)]
+    w = _chunk_width(n)
 
-    def reduce_range(i):
-        lo, hi = bounds[i], bounds[i + 1]
-        chunks = count_chunks(y, x, lo, hi)
-        return reduce(((a - lo, rx, c) for a, rx, c in chunks), hi - lo)
+    def count(i):
+        rx = leq_counts_matrix(_finite_chunk(x, i * w))
+        return reduce(rx, dominance_counts_matrix(y, rx))
 
-    return np.concatenate(workers._ordered_map(reduce_range, k, k))
-
+    # np.empty(0): an x of no columns maps no chunk
+    return np.concatenate([np.empty(0), *workers._ordered_map(
+        count, -(-p // w), workers._count(n * p, _COUNT_CELLS))])

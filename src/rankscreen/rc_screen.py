@@ -11,11 +11,10 @@ where ``ry``, ``rx`` are the marginal weak-rank counts at the point and
 screening, bootstrap replicates) takes ``rho`` from `_rho_from_counts` and
 reduces it with `_utilities`, so results are bit-identical across them.
 The screening paths take their counts from the batch kernel
-`~rankscreen.empirical.dominance_counts_matrix`, streamed over column chunks
-by `~rankscreen.empirical.count_chunks`, and count a wide x in contiguous
-column ranges, each but the first in a forked process
-(`~rankscreen.empirical._count_columns`); the bootstrap takes the counts of
-its sign-flip replicates, which it never forms, from
+`~rankscreen.empirical.dominance_counts_matrix`, one column chunk at a time,
+and count a wide x in contiguous runs of chunks, each but the first in a
+forked process (`~rankscreen.empirical._count_columns`); the bootstrap
+takes the counts of its sign-flip replicates, which it never forms, from
 `~rankscreen.empirical.dominance_counts_choice`, an exact integer matrix
 product that may run on BLAS threads.  Nothing else runs in threads.  The
 CLI's ``test --all`` may test its columns in forked processes, each with one
@@ -34,6 +33,7 @@ from .dataset import Dataset
 from .empirical import (
     _count_columns,
     as_finite_pair,
+    as_finite_vector,
     dominance_counts_choice,
     leq_counts,
     leq_counts_choice,
@@ -96,21 +96,20 @@ def _slice_width(n: int) -> int:
     return max(1, _RHO_CELLS // n)
 
 
-def _utilities(y: np.ndarray, chunks, m: int) -> np.ndarray:
-    """RC utilities of m columns from their ``(lo, rx, c)`` count chunks:
-    the mean of ``rho ** 2`` over the n rows of each column.  Each chunk is
-    reduced in slices of `_slice_width` columns, so the float buffers of
-    `_rho_from_counts` stay cache-sized whatever the chunk's width; every
-    column's ``rho`` row and its mean are the same at any slice width."""
-    n = y.size
-    ry = leq_counts(y)
+def _utilities(ry: np.ndarray, rx: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """RC utilities of the columns of the (n, w) counts ``rx`` and ``c``
+    against y's weak ranks ``ry``: the mean of ``rho ** 2`` over the n rows
+    of each column.  The columns are reduced in slices of `_slice_width`
+    columns, so the float buffers of `_rho_from_counts` stay cache-sized
+    whatever w is; every column's ``rho`` row and its mean are the same at
+    any slice width."""
+    n = ry.size
     w = _slice_width(n)
-    out = np.empty(m)
-    for lo, rx, c in chunks:
-        for a in range(0, rx.shape[1], w):
-            rho = _rho_from_counts(c[:, a:a + w], ry, rx[:, a:a + w], n)
-            rho *= rho
-            out[lo + a:lo + a + rho.shape[0]] = rho.mean(axis=1)
+    out = np.empty(rx.shape[1])
+    for a in range(0, rx.shape[1], w):
+        rho = _rho_from_counts(c[:, a:a + w], ry, rx[:, a:a + w], n)
+        rho *= rho
+        out[a:a + rho.shape[0]] = rho.mean(axis=1)
     return out
 
 
@@ -165,12 +164,12 @@ def rc_utilities(y_col, x) -> np.ndarray:
     """Utilities for every column of an (n, p) covariate matrix.
 
     Each column's utility is bit-identical to `rc_utility` on that column.
-    `~rankscreen.empirical.count_chunks` checks that y and x are finite and
-    takes the joint counts on the weak ranks of one chunk of x at a time.
-    Memory beyond x and the result is O(n * chunk) in each process,
-    independent of p.  A wide x is counted in contiguous column ranges, each
-    but the first in a forked process (`~rankscreen.empirical._count_columns`),
-    with the same bits and errors as in one.
+    y is checked to be finite and ranked once;
+    `~rankscreen.empirical._count_columns` checks x one chunk of columns at
+    a time and takes the joint counts on the chunk's weak ranks.  Memory
+    beyond x and the result is O(n * chunk) in each process, independent of
+    p.  A wide x is counted in contiguous runs of chunks, each but the first
+    in a forked process, with the same bits and errors as in one.
     """
     y = np.asarray(y_col, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
@@ -181,7 +180,8 @@ def rc_utilities(y_col, x) -> np.ndarray:
         raise InvalidInput("response length does not match covariate rows")
     if n < 2:
         raise InvalidInput("need at least 2 observations")
-    return _count_columns(y, x, functools.partial(_utilities, y))
+    ry = leq_counts(as_finite_vector(y, "response"))
+    return _count_columns(y, x, functools.partial(_utilities, ry))
 
 
 def rc_screen(dataset: Dataset,
@@ -349,7 +349,7 @@ def _bootstrap_utilities(y: np.ndarray, x: np.ndarray,
     ranks[:, 0] = leq_counts(x)
     ranks[:, 1:] = leq_counts_choice(a, b, take_a)
     counts = dominance_counts_choice(y, a, b, take_a, x)
-    return _utilities(y, [(0, ranks, counts)], ranks.shape[1])
+    return _utilities(leq_counts(y), ranks, counts)
 
 
 def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,

@@ -1,16 +1,18 @@
-"""Forked worker processes for a job cut into independent ranges.
+"""Forked worker processes for a job of independent units.
 
-A job maps ``fn`` over ``range(n)`` cut into contiguous slices, up to one
-per CPU in the affinity mask (`_count`): this process maps the first and a
-forked child each other one, which pickles its results back through a pipe
-(`_ordered_map`, `_forked`).  Any child that fails or cannot be started
-makes the caller do the rest of the job in this process, so results,
-messages and their order never depend on the number of processes.  A child
-records the warnings its slice raises, and this process shows them again
-once every child has succeeded, so they pass through the caller's filters
-in index order, once, as in one process.
+A job maps ``fn`` over ``range(n)``, whose units are the blocks its caller
+computes in anyway: a CSV's byte ranges or blocks of rows, a chunk of
+covariates, a replication, a bootstrap column.  ``range(n)`` is cut into
+contiguous slices, up to one per CPU in the affinity mask (`_count`): this
+process maps the first and a forked child each other one, which pickles
+its results back through a pipe (`_ordered_map`, `_forked`).  Any child
+that fails or cannot be started makes the caller do the rest of the job in
+this process, so results, messages and their order never depend on the
+number of processes.  A child records the warnings its slice raises, and
+this process shows them again once every child has succeeded, so they pass
+through the caller's filters in index order, once, as in one process.
 No child outlives the call that forked it, and no job forks while another
-runs: `_count` gives it one process, in the caller's own range and in
+runs: `_count` gives it one process, in the caller's own slice and in
 every child.  The children are bare ``os.fork`` processes: no pool, thread
 or ``multiprocessing`` module is involved.  The functions are private to the
 package: perfbench's tracer wraps the public ones, and the time spent here

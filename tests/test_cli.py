@@ -61,17 +61,19 @@ def exposure_csv(tmp_path):
     return _write(tmp_path / "exp.csv", "\n".join(lines) + "\n")
 
 
-def _force_split(monkeypatch, k):
+def _force_split(monkeypatch, k, step=1):
     """Make every forked job cut even a small input into up to ``k``
-    ranges: `load_csv` and `save_csv` a file, `run_replications` its
-    replications, ``test --all`` its columns and the counting of
-    `rc_utilities` and Kendall's tau-b its covariates.  Each process needs
-    one unit of work at least, and there are ``k`` CPUs in the affinity
-    mask."""
+    runs: `load_csv` a file's bytes, `save_csv` its rows, one per block,
+    `run_replications` its replications, ``test --all`` its columns and the
+    counting of `rc_utilities` and Kendall's tau-b its covariates, in
+    chunks of ``step`` columns.  Each process needs one unit of work at
+    least, and there are ``k`` CPUs in the affinity mask."""
     monkeypatch.setattr(cli, "_RANGE_BYTES", 1)
     monkeypatch.setattr(cli, "_BOOT_CELLS", 1)
     monkeypatch.setattr(bench, "_REPLICATION_CELLS", 1)
     monkeypatch.setattr(empirical, "_COUNT_CELLS", 1)
+    monkeypatch.setattr(empirical, "_CELLS", 1)
+    monkeypatch.setattr(empirical, "_STEP", step)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
                         raising=False)
 
@@ -506,6 +508,24 @@ class TestBlockParse:
             tracemalloc.stop()
         output = back.y.nbytes + back.x.nbytes + back.z.nbytes
         assert peak < 4 * output
+
+
+def test_save_traced_peak_below_one_and_a_half_times_the_file(tmp_path,
+                                                              monkeypatch):
+    # one process holds the encoded blocks and one block's floats at once
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    rng = np.random.default_rng(5)
+    ds = Dataset(y=rng.standard_normal(300),
+                 x=rng.standard_normal((300, 1000)))
+    path = tmp_path / "mem.csv"
+    tracemalloc.start()
+    try:
+        save_csv(ds, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * path.stat().st_size
 
 
 def _loadtxt_cells(rng):
@@ -1499,28 +1519,30 @@ _rc_screen = importlib.import_module("rankscreen.rc_screen")
 
 
 def _covariates(kind):
-    """y, tied (Bernoulli) or continuous, and 40 x 200 covariates with
+    """y, tied (Bernoulli) or continuous, and 40 x 300 covariates with
     rounded (tied) and constant columns among them."""
     rng = np.random.default_rng(12)
     y = ((rng.random(40) < 0.4).astype(float) if kind == "tied"
          else rng.standard_normal(40))
-    x = rng.standard_normal((40, 200))
+    x = rng.standard_normal((40, 300))
     x[:, ::7] = np.round(x[:, ::7])
     x[:, [5, 120]] = 1.0
     return y, x
 
 
-class TestForkedCounting:
-    """The counts of `rc_utilities` and Kendall's tau-b, their columns cut
-    into ranges each but the first counted in a forked child, give the bits
-    and messages of one process and leave no child behind."""
+def _split_chunks(monkeypatch, k):
+    """`_force_split` into up to k processes, with the 300 covariates of
+    `_covariates` counted in five 64-column chunks, the last 44 wide: a
+    count that two and three processes do not divide, so they take 2 + 3
+    and 1 + 2 + 2 chunks."""
+    _force_split(monkeypatch, k, step=64)
+    assert empirical._chunk_width(40) == 64
 
-    @pytest.fixture(autouse=True)
-    def narrow_chunks(self, monkeypatch):
-        # 64-column chunks: the cuts at columns 100, 66 and 133 of 200 fall
-        # inside chunks, and each range starts a chunk of its own
-        monkeypatch.setattr(empirical, "_CELLS", 1)
-        assert empirical._chunk_width(40) == 64
+
+class TestForkedCounting:
+    """The counts of `rc_utilities` and Kendall's tau-b, their column
+    chunks cut into runs each but the first counted in a forked child, give
+    the bits and messages of one process and leave no child behind."""
 
     @pytest.mark.parametrize("kind", ["tied", "continuous"])
     def test_utilities_do_not_depend_on_the_process_count(self, monkeypatch,
@@ -1528,16 +1550,18 @@ class TestForkedCounting:
         y, x = _covariates(kind)
         seen = []
         for k in (1, 2, 3):
-            _force_split(monkeypatch, k)
+            _split_chunks(monkeypatch, k)
             forks = _count_forks(monkeypatch)
             with warnings.catch_warnings(record=True):  # constant columns
-                seen.append((_rc_screen.rc_utilities(y, x).tobytes(),
-                             baselines._kendall_taus(y, x).tobytes()))
+                seen.append((
+                    _rc_screen.rc_utilities(y, x).tobytes(),
+                    baselines.kendall_sis(Dataset(y=y, x=x)).utilities
+                    .tobytes()))
             _no_child_left()
             assert len(forks) == 2 * (k - 1)
         assert seen[1] == seen[0] and seen[2] == seen[0]
         assert seen[0][0] == np.array(
-            [_rc_screen.rc_utility(y, x[:, j]) for j in range(200)]).tobytes()
+            [_rc_screen.rc_utility(y, x[:, j]) for j in range(300)]).tobytes()
 
     @pytest.mark.parametrize("method", ["rc", "kendall", "rpc-l2"])
     @pytest.mark.parametrize("kind", ["tied", "continuous"])
@@ -1553,7 +1577,7 @@ class TestForkedCounting:
                 "--output", str(out), "--csv-output", str(table)]
         seen = []
         for k in (1, 2, 3):
-            _force_split(monkeypatch, k)
+            _split_chunks(monkeypatch, k)
             monkeypatch.setattr(cli, "_RANGE_BYTES", 2 ** 62)  # one reader
             calls = _record_forked(monkeypatch)
             with warnings.catch_warnings(record=True):  # constant columns
@@ -1565,16 +1589,17 @@ class TestForkedCounting:
         assert seen[1] == seen[0] and seen[2] == seen[0]
         assert seen[0][2].count("utility = ") == 200
 
-    @pytest.mark.parametrize("column", [3, 150])
+    @pytest.mark.parametrize("column", [3, 150, 280])
     def test_non_finite_column_named_as_in_one_process(self, monkeypatch,
                                                        column):
-        # column 3 is counted here and column 150 in the last child, with
-        # column 190, also not finite, after it
+        # column 3 is counted here, 150 in the first child and 280 in the
+        # last chunk, which the last child counts, with column 295, also
+        # not finite, after it
         y, x = _covariates("continuous")
         x[7, column] = np.inf
-        x[2, 190] = np.nan
+        x[2, 295] = np.nan
         for k in (1, 2, 3):
-            _force_split(monkeypatch, k)
+            _split_chunks(monkeypatch, k)
             forks = _count_forks(monkeypatch)
             for fn in (_rc_screen.rc_utilities, baselines._kendall_taus):
                 with pytest.raises(InvalidInput) as info:

@@ -11,8 +11,8 @@ import pytest
 import rankscreen
 from rankscreen import empirical
 from rankscreen.empirical import (
+    _count_columns,
     as_finite_vector,
-    count_chunks,
     dominance_counts_choice,
     dominance_counts_matrix,
     leq_counts,
@@ -392,7 +392,7 @@ def _brute_counts(y, x, rows):
 
 _COUNTERS = ["leq_counts", "leq_counts_matrix", "leq_counts_choice",
              "dominance_counts_matrix", "dominance_counts_choice",
-             "count_chunks"]
+             "_count_columns"]
 
 
 def _counted(name, y, x, take_a):
@@ -412,8 +412,13 @@ def _counted(name, y, x, take_a):
         return [(dominance_counts_choice(y, a, b, take_a, x[:, 1]), y,
                  np.c_[x[:, 1], chosen])]
     out = []
-    for lo, rx, c in count_chunks(y, x):
-        out += [(rx, None, x[:, lo:lo + 1]), (c, y, x[:, lo:lo + 1])]
+
+    def kept(rx, c):  # one column per chunk, all in this process
+        j = len(out) // 2
+        out.extend([(rx, None, x[:, j:j + 1]), (c, y, x[:, j:j + 1])])
+        return np.empty(rx.shape[1])
+
+    _count_columns(y, x, kept)
     return out
 
 
@@ -427,7 +432,7 @@ def test_counts_in_the_smallest_type_that_holds_n(monkeypatch, name, n):
     # kernel takes histogram steps on a 3-level y and the product small tie
     # groups, the cheap case of each at n = 65536
     monkeypatch.setattr(empirical, "_STEP", 1)
-    monkeypatch.setattr(empirical, "_CELLS", n)  # count_chunks: 1 column
+    monkeypatch.setattr(empirical, "_CELLS", n)  # _count_columns: 1 column
     rng = np.random.default_rng(n)
     levels = n // 4 if name == "dominance_counts_choice" else 3
     y = rng.integers(0, levels, size=n).astype(float)
@@ -435,7 +440,7 @@ def test_counts_in_the_smallest_type_that_holds_n(monkeypatch, name, n):
     take_a = rng.integers(0, 2, size=(n, 2)).astype(bool)
     rows = np.arange(n) if n <= 256 else np.r_[:n:257, n - 1]
     results = _counted(name, y, x, take_a)
-    assert len(results) == (4 if name == "count_chunks" else 1)
+    assert len(results) == (4 if name == "_count_columns" else 1)
     top = 0
     for counts, yy, formed in results:
         assert counts.dtype == np.min_scalar_type(n)

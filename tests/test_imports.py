@@ -46,11 +46,11 @@ def test_counting_on_a_discrete_response_leaves_numpy_ma_unloaded():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from rankscreen.empirical import count_chunks\n"
+        "from rankscreen.empirical import _count_columns\n"
         "rng = np.random.default_rng(0)\n"
         "y = rng.integers(0, 2, size=300).astype(float)\n"
-        "for _ in count_chunks(y, rng.standard_normal((300, 4))):\n"
-        "    pass\n"
+        "_count_columns(y, rng.standard_normal((300, 4)),\n"
+        "               lambda rx, c: c.sum(axis=0, dtype=float))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(pathlib.Path(rankscreen.__file__).parent.parent)
@@ -120,7 +120,7 @@ def test_forked_jobs_leave_process_pools_unloaded(tmp_path, argv):
         "import os, sys\n"
         "from rankscreen import bench, cli, empirical, workers\n"
         "cli._RANGE_BYTES = cli._BOOT_CELLS = bench._REPLICATION_CELLS = 1\n"
-        "empirical._COUNT_CELLS = 1\n"
+        "empirical._COUNT_CELLS = empirical._CELLS = empirical._STEP = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "forks = []\n"
         "fork = os.fork\n"

@@ -412,7 +412,9 @@ def _write_json(payload: dict, path: str | None):
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
-    fresh = int(np.random.SeedSequence().entropy) % (2 ** 63)
+    import secrets  # SeedSequence()'s 128 bits, without numpy.random
+
+    fresh = secrets.randbits(128) % (2 ** 63)
     print(f"seed = {fresh} (auto-generated; pass --seed to replay)")
     return fresh
 

@@ -285,28 +285,147 @@ class BootstrapTestResult:
 
 _last_rademacher: dict = {}
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# Philox4x64-10's round multipliers and key increments (Salmon et al.,
+# "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+# Words of replicate streams computed at once by `_philox_words`: each of
+# its (2, m, blocks) uint64 buffers is then 256 KB.  Of 2^14 to 2^17, 2^16
+# drew the 200x500 to 2000x2000 masks fastest (2-core Xeon, numpy 2.4):
+# 2^14 took 1.7 times as long, its 10 x 18 ufunc calls per slice
+# repeated on four times as many slices, and 2^17 was level at 200x500
+# but up to 25% slower on the larger masks.
+_PHILOX_SLICE = 2 ** 16
+
+
+def _child_keys(seed: int, m: int) -> np.ndarray:
+    """(m, 2) uint64 Philox keys of the first m children of
+    ``SeedSequence(seed)``: row d is ``SeedSequence(seed).spawn(m)[d]
+    .generate_state(2, np.uint64)``, bit for bit.
+
+    Child d hashes the entropy words of ``seed`` (32 bits each, the low
+    word first, 0 as one word, zero-padded to the 4-word pool) followed by
+    its spawn key ``d``; every child is hashed at once in uint32 arrays,
+    which wrap as SeedSequence's C arithmetic does.
+    """
+    seed = int(seed)
+    words = [seed >> s & _MASK32
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.array([w], dtype=np.uint32)
+               for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(m, dtype=np.uint32))
+    h = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK32
+        value *= h
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        out ^= out >> 16
+        return out
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:  # the seed's words past the pool, then d
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    # generate_state(2, np.uint64): the pool's words hashed again from
+    # INIT_B, paired low word first
+    h = _INIT_B
+    state = np.stack([hashmix(p, _MULT_B) for p in pool], axis=1)
+    keys = state.astype(np.uint64)
+    return keys[:, 0::2] | keys[:, 1::2] << 32
+
+
+def _philox_words(keys: np.ndarray, n_words: int) -> np.ndarray:
+    """(m, n_words) uint64: row d is the first ``n_words`` outputs of
+    Philox4x64-10 under ``keys[d]``, equal to ``Philox(child)
+    .random_raw(n_words)`` for the child whose key that is.
+
+    Word ``4 (c - 1) + j`` is lane j of counter block ``(c, 0, 0, 0)``,
+    c = 1, 2, ...  Every block of every row goes through the ten rounds at
+    once.  A round's 64x64 -> 128-bit products are formed from 32-bit
+    halves, each partial sum below 2^64, with in-place ufuncs on lanes 0
+    and 2 together; its lane permutation is a rotation of which buffer
+    holds which lane, so no lane is copied.
+    """
+    m = keys.shape[0]
+    blocks = -(-n_words // 4)
+    x = np.zeros((4, m, blocks), dtype=np.uint64)
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    key = np.array(keys.T[:, :, None])
+    mult = np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1, 1)
+    m_lo, m_hi = mult & _MASK32, mult >> 32
+    bump = np.array(_PHILOX_W, dtype=np.uint64).reshape(2, 1, 1)
+    lo, hi, t, mid = (np.empty((2, m, blocks), dtype=np.uint64)
+                      for _ in range(4))
+    for r in range(10):
+        if r:
+            key += bump
+        a, b = r % 4, (r + 1) % 4  # the buffers of lanes 0 and 1
+        even = x[a::2] if a < 2 else x[a::-2]  # lanes 0 and 2
+        odd = x[b::2] if b < 2 else x[b::-2]  # lanes 1 and 3
+        np.bitwise_and(even, _MASK32, out=lo)
+        np.right_shift(even, 32, out=hi)
+        np.multiply(lo, m_lo, out=t)
+        t >>= 32
+        lo *= m_hi
+        np.multiply(hi, m_lo, out=mid)
+        mid += t
+        np.bitwise_and(lo, _MASK32, out=t)
+        mid += t
+        hi *= m_hi
+        lo >>= 32
+        hi += lo
+        mid >>= 32
+        hi += mid  # the high words of mult * even
+        odd ^= hi[::-1]
+        odd ^= key
+        even *= mult
+    out = np.stack([x[(10 + j) % 4] for j in range(4)], axis=-1)
+    return out.reshape(m, -1)[:, :n_words]
+
 
 def _rademacher_matrix(seed: int, n: int, n_boot: int) -> np.ndarray:
     """(n, n_boot) boolean mask of Rademacher draws, True for +1 and False
-    for -1; column d comes from the d-th child stream of
+    for -1; column d holds the first n draws of the d-th child stream of
     ``SeedSequence(seed)``, so each replicate's draws depend only on the
     seed and the replicate index.  The last mask is kept and returned again,
     read-only, when the same arguments come back.
 
     Draw i of a column is ``Generator(Philox(child)).integers(0, 2)``'s:
     bit 31 of the 32-bit half ``i % 2`` (the low half first) of the
-    stream's 64-bit word ``i // 2``, read here from the raw words by
-    shifts, whatever the byte order, without a Generator."""
+    stream's 64-bit word ``i // 2``.  The children's keys
+    (`_child_keys`) and their Philox4x64-10 words (`_philox_words`) are
+    computed in numpy, bit for bit, with no SeedSequence or generator
+    object, so numpy.random is never loaded.  The words are made for a
+    slice of whole replicates at a time, about ``_PHILOX_SLICE`` words, and
+    their bits 31 and 63 written straight into the mask.
+    """
     key = (seed, n, n_boot)
     if _last_rademacher.get("key") != key:
-        children = np.random.SeedSequence(seed).spawn(n_boot)
-        words = np.empty((n_boot, (n + 1) // 2), dtype=np.uint64)
-        for d, child in enumerate(children):
-            words[d] = np.random.Philox(child).random_raw(words.shape[1])
-        bits = np.empty(words.shape + (2,), dtype=bool)
-        np.not_equal(words & (1 << 31), 0, out=bits[..., 0])
-        np.not_equal(words >> 63, 0, out=bits[..., 1])
-        out = np.ascontiguousarray(bits.reshape(n_boot, -1)[:, :n].T)
+        out = np.empty((n, n_boot), dtype=bool)
+        keys = _child_keys(seed, n_boot)
+        n_words = (n + 1) // 2
+        step = max(1, _PHILOX_SLICE // n_words)
+        for d in range(0, n_boot, step):
+            words = _philox_words(keys[d:d + step], n_words).T
+            np.not_equal(words & (1 << 31), 0, out=out[0::2, d:d + step])
+            np.not_equal(words[:n // 2] >> 63, 0, out=out[1::2, d:d + step])
         out.flags.writeable = False
         _last_rademacher.update(key=key, matrix=out)
     return _last_rademacher["matrix"]
@@ -366,7 +485,9 @@ def wild_bootstrap_test(y_col, x_col, n_boot: int = 500, alpha: float = 0.05,
     check_bootstrap_settings(n_boot, alpha)
     y, x = as_finite_pair(y_col, x_col, min_size=2)
     if seed is None:
-        seed = int(np.random.SeedSequence().entropy)
+        import secrets  # SeedSequence()'s 128 bits, without numpy.random
+
+        seed = secrets.randbits(128)
     check_seed(seed)
     # the observed statistic comes from the same pass as the replicates,
     # and every column's utility is computed on its own

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pathlib
+import secrets
 import subprocess
 import sys
 import threading
@@ -1061,6 +1062,15 @@ class TestSimulateCommand:
                      "30", "--method", "rc", "--reps", "1"])
         assert code == 0
         assert "seed =" in capsys.readouterr().out
+
+    def test_auto_seed_is_fresh_bits_below_2_63(self, monkeypatch, capsys):
+        # SeedSequence()'s 128 bits, drawn without loading numpy.random
+        monkeypatch.setattr(secrets, "randbits",
+                            lambda k: 2 ** 127 + 5 if k == 128 else None)
+        assert cli._resolve_seed(None) == 5
+        assert cli._resolve_seed(3) == 3
+        assert capsys.readouterr().out == (
+            "seed = 5 (auto-generated; pass --seed to replay)\n")
 
 
 class TestTestCommand:

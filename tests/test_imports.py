@@ -92,6 +92,55 @@ def test_commands_leave_numpy_ma_unloaded(argv, tmp_path):
     assert out.strip().splitlines()[-1] == "False"
 
 
+_TEST_ALL = ["test", "--input", "{csv}", "--response", "y", "--all",
+             "--n-boot", "20"]
+
+
+@pytest.mark.parametrize("argv, forked", [
+    (None, False),
+    (_TEST_ALL + ["--seed", "1"], False),
+    (_TEST_ALL + ["--seed", "1"], True),
+    (_TEST_ALL, False),
+], ids=["import", "test-all", "test-all-forked", "test-all-unseeded"])
+def test_bootstrap_leaves_numpy_random_unloaded(tmp_path, argv, forked):
+    # numpy.random, with secrets, hashlib and OpenSSL, costs a cold `test`
+    # 8-13 ms; the mask's child streams are computed in numpy and a fresh
+    # seed comes from secrets alone.  Every tested column checks its own
+    # process, forked workers included.
+    path = tmp_path / "t.csv"
+    path.write_text("y,x1,x2\n" + "".join(f"{i},{i * i},{-i}\n"
+                                          for i in range(50)),
+                    encoding="utf-8")
+    code = (
+        "import os, sys\n"
+        "import rankscreen\n"
+        "from rankscreen import cli, workers\n"
+        "def checked(*args, test=cli.wild_bootstrap_test, **kwargs):\n"
+        "    res = test(*args, **kwargs)\n"
+        "    assert 'numpy.random' not in sys.modules\n"
+        "    return res\n"
+        "cli.wild_bootstrap_test = checked\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+    )
+    if forked:
+        code += ("cli._BOOT_CELLS = 1\n"
+                 "os.sched_getaffinity = lambda pid: {0, 1}\n")
+    if argv is not None:
+        argv = [a.format(csv=path) for a in argv]
+        code += f"assert cli.main({argv!r}) == 0\n"
+    # the columns fork only with a BLAS thread setter to pin
+    code += ("assert forks or workers._openblas() is None\n" if forked
+             else "assert not forks\n")
+    code += "print('numpy.random' in sys.modules)\n"
+    src = str(pathlib.Path(rankscreen.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("argv", [
     None,
     _SIMULATE,
